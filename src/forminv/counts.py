@@ -16,14 +16,13 @@ redundancy is the point.
 from __future__ import annotations
 
 import threading
-from math import comb
 from typing import Callable, Dict, List, Tuple
 
 from . import weights
 from .poly import LaurentPoly, TruncatedSeries, expand_inverse_product, series_mul
 from .qbinom import gaussian_binomial, pq_binomial
 from .sl3 import decompose
-from .weights import c_ternary, omega_binary, variables, weight_table
+from .weights import _check_dn, c_ternary, omega_binary, variables, weight_table
 
 DEFAULT_WORK_LIMIT = 10 ** 8
 
@@ -69,7 +68,7 @@ def gamma_binary_qbinom(d: int, n: int) -> int:
 def gamma_binary_full(d: int, n: int, k: int) -> int:
     """Multiplicity of the (k+1)-dimensional irreducible summand in the
     degree-n piece of the binary form's coefficient ring."""
-    _check_dn(d, n)
+    _check_dn(d, n, k)
     if k < 0 or k > d * n or (d * n - k) % 2:
         return 0
     w = (d * n - k) // 2
@@ -168,8 +167,7 @@ def poincare_series(
     """
     if form not in ("binary", "ternary"):
         raise ValueError(f"unknown form {form!r}")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    _check_dn(d, n_max)
     if method is None:
         method = "omega" if form == "binary" else "counting"
 
@@ -207,14 +205,7 @@ def poincare_series(
 
 
 def _counting_series(d: int, n_max: int) -> List[Tuple[int, int]]:
-    grid = weights.solution_count_grid(d, n_max)
-    cap = d * n_max // 3 + 1
-
-    def cell(n: int, x: int, y: int) -> int:
-        if x < 0 or y < 0 or x > cap or y > cap:
-            return 0
-        return grid[n][x][y]
-
+    cell = weights.solution_count_grid(d, n_max).cell
     rows = []
     for n in range(n_max + 1):
         if (d * n) % 3:
@@ -285,14 +276,3 @@ def clear_caches() -> None:
     with _SERIES_LOCK:
         _INVPROD_CACHE.clear()
         _PQPROD_CACHE.clear()
-    weights.clear_caches()
-
-
-def binomial_total(d: int, n: int) -> int:
-    """Dimension of the degree-n piece of the binary coefficient ring."""
-    return comb(n + d, d)
-
-
-def _check_dn(d: int, n: int) -> None:
-    if d < 0 or n < 0:
-        raise ValueError("d and n must be nonnegative")

@@ -2,20 +2,40 @@
 monomials.
 
 ``omega_binary`` counts monomials of the binary form's coefficient ring
-by weight; ``c_ternary`` and ``weight_table`` do the same for ternary
-forms, where a degree-n monomial in the variables a_{r,s} (r+s <= d)
-has weight sums w1 = sum r*alpha_{r,s} and w2 = sum s*alpha_{r,s}.
+by weight; ``c_ternary``, ``solution_count_grid`` and ``weight_table`` do
+the same for ternary forms, where a degree-n monomial in the variables
+a_{r,s} (r+s <= d) has weight sums w1 = sum r*alpha_{r,s} and
+w2 = sum s*alpha_{r,s}.
 
-Everything is a bounded-knapsack dynamic program over Python ints, so
-results are exact at any size.  Memo tables live behind lru_cache and
-are safe for concurrent readers (worst case, two threads compute the
-same table once each).
+The ternary counts come from one unbounded-knapsack dynamic program over
+count x w1 x w2, with each count layer packed into a single Python int
+(Kronecker substitution applied to the DP state).  In layer c, the
+number of degree-c monomials with weight sums (w1, w2) takes ``slot``
+bits at offset ``w1*row + w2*slot``:
+
+  * ``slot = monomial_count(d, n).bit_length() + 1``;
+  * a w1 row holds w2cap + 1 cells followed by d zero padding slots, so
+    ``row = (w2cap + 1 + d) * slot``.
+
+Adding the variable a_{r,s} is one step per layer, for c = 1..n,
+
+    layer[c] = (layer[c] + (layer[c-1] << (r*row + s*slot))) & mask,
+
+where ``mask`` keeps the cells with w1 <= w1cap and w2 <= w2cap.  A shift
+by s <= d moves cells past w2cap only into the padding of their own row,
+and the mask clears them before the next step.  No addition carries into
+the next cell: every cell, padding included, holds a nonnegative count of
+monomials of degree at most n, which is at most monomial_count(d, n) and
+fits its slot.  A cell is read back with one shift and one mask.
+
+``omega_binary`` is the same trick in one dimension.  Results are exact
+Python ints at any size.  Nothing is cached: a grid is rebuilt on every
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb
 from typing import Dict, List, Tuple
 
@@ -37,80 +57,106 @@ class CountTable:
         return self.entries.get((i, j), 0)
 
 
+class CountGrid:
+    """Packed count layers of the ternary DP (layout in the module
+    docstring): ``cell(c, w1, w2)`` is the number of degree-c monomials
+    with weight sums (w1, w2).
+
+    A plain class, not a dataclass: defining a frozen dataclass costs
+    about 2 ms at import, a tenth of ``import forminv.cli``.
+    """
+
+    __slots__ = ("layers", "w1cap", "w2cap", "slot", "row")
+
+    def __init__(
+        self, layers: Tuple[int, ...], w1cap: int, w2cap: int, slot: int, row: int
+    ):
+        self.layers = layers
+        self.w1cap = w1cap
+        self.w2cap = w2cap
+        self.slot = slot
+        self.row = row
+
+    def cell(self, c: int, w1: int, w2: int) -> int:
+        """Zero below the origin; IndexError beyond the caps, where the
+        grid holds no counts."""
+        if w1 < 0 or w2 < 0:
+            return 0
+        if w1 > self.w1cap or w2 > self.w2cap:
+            raise IndexError(f"cell ({w1}, {w2}) is outside the grid")
+        return (self.layers[c] >> (w1 * self.row + w2 * self.slot)) & (
+            (1 << self.slot) - 1
+        )
+
+
+def _check_dn(d: int, n: int, *others: int) -> None:
+    """Raise ValueError unless every argument is an int (a bool is not)
+    and d, n are nonnegative."""
+    for value in (d, n, *others):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"expected an int, got {value!r}")
+    if d < 0 or n < 0:
+        raise ValueError("d and n must be nonnegative")
+
+
 def variables(d: int) -> List[Weight]:
     """Index pairs (r, s) with r+s <= d of the coefficient variables."""
+    _check_dn(d, 0)
     return [(r, s) for r in range(d + 1) for s in range(d - r + 1)]
 
 
 def num_variables(d: int) -> int:
+    _check_dn(d, 0)
     return (d + 1) * (d + 2) // 2
 
 
-@lru_cache(maxsize=None)
-def _omega_row(d: int, n: int) -> Tuple[int, ...]:
-    """ways[w] = #{alpha_0..alpha_d >= 0 : sum alpha = n, sum k*alpha_k = w}.
+def omega_binary(d: int, n: int, w: int) -> int:
+    """Number of nonnegative (alpha_0..alpha_d) with sum n and weight sum w.
 
     alpha_0 absorbs the unused count, so this is the number of ways to
     pick alpha_1..alpha_d with total count <= n and weighted sum w:
-    partitions of w into at most n parts, each part <= d.
+    partitions of w into at most n parts, each part <= d.  Layer c packs
+    the partitions into exactly c parts, one slot per weight up to w
+    (by the reflection w <-> d*n - w, at most d*n/2); the cell sum over
+    all layers is at most comb(n+d, d).
     """
-    wmax = d * n
-    # dp[c][w], c = parts used so far
-    dp = [[0] * (wmax + 1) for _ in range(n + 1)]
-    dp[0][0] = 1
-    for part in range(1, d + 1):
-        for c in range(1, n + 1):
-            row = dp[c]
-            prev = dp[c - 1]
-            for w in range(part, wmax + 1):
-                row[w] += prev[w - part]
-    return tuple(sum(dp[c][w] for c in range(n + 1)) for w in range(wmax + 1))
-
-
-def omega_binary(d: int, n: int, w: int) -> int:
-    """Number of nonnegative (alpha_0..alpha_d) with sum n and weight sum w."""
-    if d < 0 or n < 0:
-        raise ValueError("d and n must be nonnegative")
+    _check_dn(d, n, w)
     if w < 0 or w > d * n:
         return 0
-    return _omega_row(d, n)[w]
-
-
-def _count_grid(d: int, n: int, w1cap: int, w2cap: int) -> List[List[List[int]]]:
-    """grid[c][x][y] = #vectors alpha over the (r,s) variables with
-    sum alpha = c, sum r*alpha = x, sum s*alpha = y (x <= w1cap, y <= w2cap).
-    """
-    dp = [
-        [[0] * (w2cap + 1) for _ in range(w1cap + 1)] for _ in range(n + 1)
-    ]
-    dp[0][0][0] = 1
-    for (r, s) in variables(d):
-        # unbounded use of this variable: dp[c] += shifted dp[c-1] (post-update)
+    w = min(w, d * n - w)
+    slot = comb(n + d, d).bit_length() + 1
+    mask = (1 << ((w + 1) * slot)) - 1
+    layers = [1] + [0] * n
+    for part in range(1, d + 1):
+        shift = part * slot
         for c in range(1, n + 1):
-            cur = dp[c]
-            prev = dp[c - 1]
-            for x in range(r, w1cap + 1):
-                row = cur[x]
-                prow = prev[x - r]
-                if s == 0:
-                    for y in range(w2cap + 1):
-                        row[y] += prow[y]
-                else:
-                    tail = [a + b for a, b in zip(row[s:], prow[: w2cap + 1 - s])]
-                    row[s:] = tail
-    return dp
+            layers[c] = (layers[c] + (layers[c - 1] << shift)) & mask
+    return (sum(layers) >> (w * slot)) & ((1 << slot) - 1)
 
 
-@lru_cache(maxsize=8)
-def solution_count_grid(d: int, n_max: int) -> Tuple:
+def _count_layers(d: int, n: int, w1cap: int, w2cap: int) -> CountGrid:
+    """The packed DP: layers 0..n with weight sums up to (w1cap, w2cap)."""
+    slot = monomial_count(d, n).bit_length() + 1
+    row = (w2cap + 1 + d) * slot
+    # most significant row first: d padding slots, then w2cap + 1 cells
+    mask = int(("0" * (d * slot) + "1" * ((w2cap + 1) * slot)) * (w1cap + 1), 2)
+    layers = [1] + [0] * n
+    for r, s in variables(d):
+        shift = r * row + s * slot
+        for c in range(1, n + 1):
+            layers[c] = (layers[c] + (layers[c - 1] << shift)) & mask
+    return CountGrid(tuple(layers), w1cap, w2cap, slot, row)
+
+
+def solution_count_grid(d: int, n_max: int) -> CountGrid:
     """Shared grid serving every c-count with d*n/3-sized targets, n <= n_max.
 
     Capped at w = d*n_max//3 + 1, which covers all five weight targets
     of the invariant-count formula for every n <= n_max.
     """
+    _check_dn(d, n_max)
     cap = d * n_max // 3 + 1
-    grid = _count_grid(d, n_max, cap, cap)
-    return tuple(tuple(tuple(row) for row in layer) for layer in grid)
+    return _count_layers(d, n_max, cap, cap)
 
 
 def c_ternary(d: int, n: int, i: int, j: int) -> int:
@@ -123,8 +169,7 @@ def c_ternary(d: int, n: int, i: int, j: int) -> int:
     Returns 0 whenever a right-hand side is non-integral, negative, or
     larger than d*n.
     """
-    if d < 0 or n < 0:
-        raise ValueError("d and n must be nonnegative")
+    _check_dn(d, n, i, j)
     num1 = d * n - (i - j)
     num2 = d * n - (i + 2 * j)
     if num1 % 3 or num2 % 3:
@@ -132,8 +177,7 @@ def c_ternary(d: int, n: int, i: int, j: int) -> int:
     w1, w2 = num1 // 3, num2 // 3
     if w1 < 0 or w2 < 0 or w1 > d * n or w2 > d * n:
         return 0
-    dp = _count_grid(d, n, w1, w2)
-    return dp[n][w1][w2]
+    return _count_layers(d, n, w1, w2).cell(n, w1, w2)
 
 
 def weight_table(d: int, n: int) -> CountTable:
@@ -143,16 +187,16 @@ def weight_table(d: int, n: int) -> CountTable:
     (i, j) = (n*d - 2*w1 - w2, w1 - w2); the map is injective, so each
     grid cell lands on its own weight.
     """
-    if d < 0 or n < 0:
-        raise ValueError("d and n must be nonnegative")
+    _check_dn(d, n)
     wmax = d * n
-    dp = _count_grid(d, n, wmax, wmax)
+    grid = _count_layers(d, n, wmax, wmax)
+    layer, slot, cell_mask = grid.layers[n], grid.slot, (1 << grid.slot) - 1
+    row_mask = (1 << grid.row) - 1
     entries: Dict[Weight, int] = {}
-    layer = dp[n]
     for w1 in range(wmax + 1):
-        row = layer[w1]
+        row = (layer >> (w1 * grid.row)) & row_mask
         for w2 in range(wmax + 1):
-            c = row[w2]
+            c = (row >> (w2 * slot)) & cell_mask
             if c:
                 entries[(n * d - 2 * w1 - w2, w1 - w2)] = c
     return CountTable(d=d, n=n, entries=entries)
@@ -160,9 +204,5 @@ def weight_table(d: int, n: int) -> CountTable:
 
 def monomial_count(d: int, n: int) -> int:
     """Number of degree-n monomials in the (d+1)(d+2)/2 variables."""
+    _check_dn(d, n)
     return comb(n + num_variables(d) - 1, n)
-
-
-def clear_caches() -> None:
-    _omega_row.cache_clear()
-    solution_count_grid.cache_clear()

@@ -167,6 +167,28 @@ class TestNuTernary:
         with pytest.raises(ValueError):
             gamma_binary(2, -1)
 
+    @pytest.mark.parametrize("bad", [True, 3.0, -2])
+    def test_rejects_bool_float_and_negative(self, bad):
+        for fn in (
+            gamma_binary,
+            gamma_binary_qbinom,
+            nu_ternary_counting,
+            nu_ternary_genfunc,
+            nu_ternary_pqbinom,
+            nu_ternary_peel,
+        ):
+            with pytest.raises(ValueError):
+                fn(bad, 3)
+            with pytest.raises(ValueError):
+                fn(3, bad)
+        with pytest.raises(ValueError):
+            poincare_series("ternary", bad, 3)
+        with pytest.raises(ValueError):
+            poincare_series("binary", 3, bad)
+        if bad != -2:  # a negative k is a zero multiplicity
+            with pytest.raises(ValueError):
+                gamma_binary_full(3, 4, bad)
+
 
 class TestPoincareSeries:
     def test_binary_linear(self):

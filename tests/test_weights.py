@@ -4,13 +4,17 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forminv.poly import expand_inverse_product
 from forminv.weights import (
+    _count_layers,
     c_ternary,
     monomial_count,
     num_variables,
     omega_binary,
+    solution_count_grid,
     variables,
     weight_table,
 )
@@ -35,6 +39,121 @@ def brute_ternary_counts(d, n):
     return out
 
 
+def reference_count_grid(d, n, w1cap, w2cap):
+    """grid[c][x][y] = #vectors alpha over the (r,s) variables with
+    sum alpha = c, sum r*alpha = x, sum s*alpha = y (x <= w1cap, y <= w2cap),
+    by an unpacked list-of-lists DP with one int per cell."""
+    dp = [
+        [[0] * (w2cap + 1) for _ in range(w1cap + 1)] for _ in range(n + 1)
+    ]
+    dp[0][0][0] = 1
+    for (r, s) in variables(d):
+        # unbounded use of this variable: dp[c] += shifted dp[c-1] (post-update)
+        for c in range(1, n + 1):
+            cur = dp[c]
+            prev = dp[c - 1]
+            for x in range(r, w1cap + 1):
+                row = cur[x]
+                prow = prev[x - r]
+                for y in range(s, w2cap + 1):
+                    row[y] += prow[y - s]
+    return dp
+
+
+def reference_omega_row(d, n):
+    """ways[w] = #{alpha_0..alpha_d >= 0 : sum alpha = n, sum k*alpha_k = w},
+    by an unpacked DP over (parts used, weight)."""
+    wmax = d * n
+    dp = [[0] * (wmax + 1) for _ in range(n + 1)]
+    dp[0][0] = 1
+    for part in range(1, d + 1):
+        for c in range(1, n + 1):
+            row = dp[c]
+            prev = dp[c - 1]
+            for w in range(part, wmax + 1):
+                row[w] += prev[w - part]
+    return [sum(dp[c][w] for c in range(n + 1)) for w in range(wmax + 1)]
+
+
+@st.composite
+def grid_shapes(draw):
+    d = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 6))
+    w1cap = draw(st.integers(0, d * n))
+    w2cap = draw(st.integers(0, d * n))
+    return d, n, w1cap, w2cap
+
+
+class TestPackedLayers:
+    @given(grid_shapes())
+    @settings(max_examples=60, deadline=None)
+    def test_cells_match_reference(self, shape):
+        # caps below d put cells into the row padding on every shift
+        d, n, w1cap, w2cap = shape
+        grid = _count_layers(d, n, w1cap, w2cap)
+        ref = reference_count_grid(d, n, w1cap, w2cap)
+        for c in range(n + 1):
+            for x in range(w1cap + 1):
+                for y in range(w2cap + 1):
+                    assert grid.cell(c, x, y) == ref[c][x][y]
+
+    def test_padding_edge(self):
+        # w2cap = 0 < d: every s > 0 shift lands wholly in the padding
+        for d in range(1, 5):
+            grid = _count_layers(d, 4, 2 * d, 0)
+            ref = reference_count_grid(d, 4, 2 * d, 0)
+            for c in range(5):
+                for x in range(2 * d + 1):
+                    assert grid.cell(c, x, 0) == ref[c][x][0]
+
+    def test_solution_count_grid_cap(self):
+        grid = solution_count_grid(5, 9)
+        cap = 5 * 9 // 3 + 1
+        ref = reference_count_grid(5, 9, cap, cap)
+        assert (grid.w1cap, grid.w2cap) == (cap, cap)
+        assert all(
+            grid.cell(9, x, y) == ref[9][x][y]
+            for x in range(cap + 1)
+            for y in range(cap + 1)
+        )
+        assert grid.cell(9, -1, 0) == 0
+        with pytest.raises(IndexError):
+            grid.cell(9, cap + 1, 0)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("bad", [True, 2.0, -1])
+    def test_rejects_bad_d_and_n(self, bad):
+        for call in (
+            lambda: omega_binary(bad, 2, 1),
+            lambda: omega_binary(2, bad, 1),
+            lambda: c_ternary(bad, 2, 0, 0),
+            lambda: c_ternary(2, bad, 0, 0),
+            lambda: weight_table(bad, 2),
+            lambda: weight_table(2, bad),
+            lambda: solution_count_grid(bad, 2),
+            lambda: solution_count_grid(2, bad),
+            lambda: monomial_count(bad, 2),
+            lambda: variables(bad),
+            lambda: num_variables(bad),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("bad", [True, False, 0.0, "1"])
+    def test_rejects_non_int_weights(self, bad):
+        with pytest.raises(ValueError):
+            omega_binary(2, 2, bad)
+        with pytest.raises(ValueError):
+            c_ternary(2, 3, bad, 0)
+        with pytest.raises(ValueError):
+            c_ternary(2, 3, 0, bad)
+
+    def test_negative_weights_are_counts_of_zero(self):
+        assert omega_binary(2, 2, -1) == 0
+        assert c_ternary(3, 3, -30, -30) == 0
+
+
 class TestOmegaBinary:
     def test_weight_zero(self):
         for d in range(5):
@@ -53,6 +172,12 @@ class TestOmegaBinary:
     def test_against_enumeration(self, d, n):
         for w in range(d * n + 1):
             assert omega_binary(d, n, w) == brute_omega(d, n, w)
+
+    def test_against_reference_dp(self):
+        for d in range(13):
+            for n in range(13):
+                ref = reference_omega_row(d, n)
+                assert [omega_binary(d, n, w) for w in range(d * n + 1)] == ref
 
     def test_box_transpose_symmetry(self):
         for d in range(9):
