@@ -7,7 +7,8 @@ Subcommands:
   bench   -- wall-time per method per degree
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 work limit
-exceeded.  Data goes to stdout (or --out), diagnostics to stderr.
+exceeded or out of memory.  Data goes to stdout (or --out), diagnostics
+to stderr.
 Counts are serialized as decimal strings in JSON so arbitrary-precision
 values survive 64-bit consumers.
 """
@@ -27,6 +28,7 @@ from .counts import (
     TERNARY_METHODS,
     WorkLimitExceeded,
     poincare_series,
+    resolve_method,
 )
 
 _ALL_METHODS = sorted(set(BINARY_METHODS) | set(TERNARY_METHODS))
@@ -99,24 +101,9 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _single_count(form: str, method: Optional[str], d: int, n: int, work_limit: int):
-    if method is None:
-        method = "omega" if form == "binary" else "counting"
-    if form == "binary":
-        if method not in BINARY_METHODS:
-            raise ValueError(f"method {method!r} invalid for binary forms")
-        return method, BINARY_METHODS[method](d, n)
-    if method not in TERNARY_METHODS:
-        raise ValueError(f"method {method!r} invalid for ternary forms")
-    if method == "peel":
-        return method, counts.nu_ternary_peel(d, n, work_limit=work_limit)
-    return method, TERNARY_METHODS[method](d, n)
-
-
 def cmd_count(args: argparse.Namespace) -> int:
-    method, value = _single_count(
-        args.form, args.method, args.d, args.n, args.work_limit
-    )
+    method, count = resolve_method(args.form, args.method, args.work_limit)
+    value = count(args.d, args.n)
     if args.json:
         obj = {
             "form": args.form,
@@ -132,9 +119,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    method = args.method
-    if method is None:
-        method = "omega" if args.form == "binary" else "counting"
+    method, _ = resolve_method(args.form, args.method, args.work_limit)
     rows = poincare_series(
         args.form,
         args.d,
@@ -286,6 +271,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except WorkLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(
+            "error: out of memory; try a smaller --d, --n or --max",
+            file=sys.stderr,
+        )
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,12 +15,19 @@ redundancy is the point.
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, List, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import weights
-from .poly import LaurentPoly, TruncatedSeries, expand_inverse_product, series_mul
-from .qbinom import gaussian_binomial, pq_binomial
+from .poly import (
+    LaurentPoly,
+    TruncatedSeries,
+    expand_inverse_product,
+    product_coeffs,
+    series_mul,
+)
+# pq_binomial is not called here; perfbench/tracer.py requires this binding.
+from .qbinom import gaussian_binomial, pq_binomial, pq_binomial_row  # noqa: F401
 from .sl3 import decompose
 from .weights import _check_dn, c_ternary, omega_binary, variables, weight_table
 
@@ -108,8 +115,7 @@ def nu_ternary_pqbinom(d: int, n: int) -> int:
     _check_dn(d, n)
     if (d * n) % 3:
         return 0
-    series = _pq_product_series(d, n)
-    return _apply_operator(series.coeff(n), d * n // 3)
+    return _pq_extract(_pq_halves(d, n), n, d * n // 3)
 
 
 def nu_ternary_peel(
@@ -151,6 +157,28 @@ TERNARY_METHODS: Dict[str, Callable[..., int]] = {
 }
 
 
+def resolve_method(
+    form: str, method: Optional[str] = None, work_limit: int = DEFAULT_WORK_LIMIT
+) -> Tuple[str, Callable[[int, int], int]]:
+    """The method a request runs and its point count ``f(d, n)``.
+
+    ``method=None`` picks the default (omega for binary forms, counting
+    for ternary forms); peel gets ``work_limit`` bound.  An unknown form,
+    or a method of the other form, raises ValueError.
+    """
+    if form not in ("binary", "ternary"):
+        raise ValueError(f"unknown form {form!r}")
+    table = BINARY_METHODS if form == "binary" else TERNARY_METHODS
+    if method is None:
+        method = "omega" if form == "binary" else "counting"
+    if method not in table:
+        raise ValueError(f"method {method!r} invalid for {form} forms")
+    fn = table[method]
+    if method == "peel":
+        fn = partial(fn, work_limit=work_limit)
+    return method, fn
+
+
 def poincare_series(
     form: str,
     d: int,
@@ -161,44 +189,31 @@ def poincare_series(
 ) -> List[Tuple[int, int]]:
     """Per-degree invariant counts for n = 0..n_max.
 
-    One truncated expansion (or one counting grid) is computed up front
-    and reused for every degree, so whole-series generation is much
-    cheaper than n_max independent point queries.
+    counting builds one counting grid, and genfunc and pqbinom one
+    truncated expansion, up front and read every degree from it, so a
+    whole series is much cheaper than n_max independent point queries.
+    genfunc and pqbinom build only the weight box  a <= w+1, b <= w,
+    w = d*n_max//3, that the extraction operator reads; pqbinom keeps
+    the product G_0 ... G_d split in two halves and reads each operator
+    coefficient as a dot product of the halves.  The other methods run
+    one point count per degree.
     """
-    if form not in ("binary", "ternary"):
-        raise ValueError(f"unknown form {form!r}")
+    method, point = resolve_method(form, method, work_limit)
     _check_dn(d, n_max)
-    if method is None:
-        method = "omega" if form == "binary" else "counting"
-
-    if form == "binary":
-        if method not in BINARY_METHODS:
-            raise ValueError(f"method {method!r} invalid for binary forms")
-        fn = BINARY_METHODS[method]
-        rows = [(n, fn(d, n)) for n in range(n_max + 1)]
+    if form == "ternary" and method == "counting":
+        rows = _counting_series(d, n_max)
+    elif form == "ternary" and method == "genfunc":
+        coeffs = _inverse_product_series(d, n_max).coeffs
+        rows = _extracted_series(
+            d, n_max, lambda n, w: _apply_operator(coeffs[n], w)
+        )
+    elif form == "ternary" and method == "pqbinom":
+        halves = _pq_halves(d, n_max)
+        rows = _extracted_series(
+            d, n_max, lambda n, w: _pq_extract(halves, n, w)
+        )
     else:
-        if method not in TERNARY_METHODS:
-            raise ValueError(f"method {method!r} invalid for ternary forms")
-        if method == "counting":
-            rows = _counting_series(d, n_max)
-        elif method == "peel":
-            rows = [
-                (n, nu_ternary_peel(d, n, work_limit=work_limit))
-                for n in range(n_max + 1)
-            ]
-        else:
-            build = (
-                _inverse_product_series
-                if method == "genfunc"
-                else _pq_product_series
-            )
-            series = build(d, n_max)
-            rows = []
-            for n in range(n_max + 1):
-                if (d * n) % 3:
-                    rows.append((n, 0))
-                else:
-                    rows.append((n, _apply_operator(series.coeff(n), d * n // 3)))
+        rows = [(n, point(d, n)) for n in range(n_max + 1)]
     if not include_zeros:
         rows = [(n, v) for n, v in rows if v]
     return rows
@@ -223,6 +238,16 @@ def _counting_series(d: int, n_max: int) -> List[Tuple[int, int]]:
     return rows
 
 
+def _extracted_series(
+    d: int, n_max: int, extract: Callable[[int, int], int]
+) -> List[Tuple[int, int]]:
+    """Rows n = 0..n_max, with extract(n, d*n/3) where 3 | d*n, else 0."""
+    return [
+        (n, 0 if (d * n) % 3 else extract(n, d * n // 3))
+        for n in range(n_max + 1)
+    ]
+
+
 def _apply_operator(coeff_poly: LaurentPoly, w: int) -> int:
     """Extract the (pq)^w coefficient of the operator polynomial applied
     to coeff_poly."""
@@ -232,47 +257,76 @@ def _apply_operator(coeff_poly: LaurentPoly, w: int) -> int:
     )
 
 
-# Cached expansions, grown on demand; guarded so concurrent series
-# generation stays correct.
-_SERIES_LOCK = threading.Lock()
+def _operator_box(d: int, order: int) -> Tuple[int, int]:
+    """Exponent bounds of every coefficient the operator reads from the
+    t^n terms, n <= order: p^a q^b with a <= w+1, b <= w, w = d*order//3.
+    The box only grows with the order, so an expansion clipped at one
+    order serves every lower one exactly."""
+    w = d * order // 3
+    return (w + 1, w)
+
+
+# Cached expansions per d, each clipped to the box of its order, grown on
+# demand.  Plain dicts, emptied by clear_caches(); nothing here is made
+# safe for concurrent use.
 _INVPROD_CACHE: Dict[int, TruncatedSeries] = {}
-_PQPROD_CACHE: Dict[int, TruncatedSeries] = {}
+_PQPROD_CACHE: Dict[int, Tuple[TruncatedSeries, TruncatedSeries]] = {}
 
 
 def _inverse_product_series(d: int, order: int) -> TruncatedSeries:
-    with _SERIES_LOCK:
-        cached = _INVPROD_CACHE.get(d)
-        if cached is not None and cached.order >= order:
-            return cached
-    series = expand_inverse_product(variables(d), order)
-    with _SERIES_LOCK:
-        cached = _INVPROD_CACHE.get(d)
-        if cached is None or cached.order < order:
-            _INVPROD_CACHE[d] = series
-    return series
-
-
-def _pq_product_series(d: int, order: int) -> TruncatedSeries:
-    with _SERIES_LOCK:
-        cached = _PQPROD_CACHE.get(d)
-        if cached is not None and cached.order >= order:
-            return cached
-    prod = TruncatedSeries(
-        [pq_binomial(0, j) for j in range(order + 1)], order=order
-    )
-    for m in range(1, d + 1):
-        gm = TruncatedSeries(
-            [pq_binomial(m, j) for j in range(order + 1)], order=order
+    cached = _INVPROD_CACHE.get(d)
+    if cached is None or cached.order < order:
+        cached = expand_inverse_product(
+            variables(d), order, box=_operator_box(d, order)
         )
-        prod = series_mul(prod, gm, order)
-    with _SERIES_LOCK:
-        cached = _PQPROD_CACHE.get(d)
-        if cached is None or cached.order < order:
-            _PQPROD_CACHE[d] = prod
-    return prod
+        _INVPROD_CACHE[d] = cached
+    return cached
+
+
+def _pq_halves(d: int, order: int) -> Tuple[TruncatedSeries, TruncatedSeries]:
+    """G_0 ... G_d multiplied in two halves, each clipped to the operator
+    box; their product, never formed, is the pq-binomial series."""
+    cached = _PQPROD_CACHE.get(d)
+    if cached is None or cached[0].order < order:
+        box = _operator_box(d, order)
+        half = (d + 1) // 2
+        cached = (
+            _pq_product(range(half), order, box),
+            _pq_product(range(half, d + 1), order, box),
+        )
+        _PQPROD_CACHE[d] = cached
+    return cached
+
+
+def _pq_product(ms: range, order: int, box: Tuple[int, int]) -> TruncatedSeries:
+    """prod_{m in ms} G_m clipped to box; G_m has t^j coefficient
+    pq_binomial(m, j)."""
+    prod = None
+    for m in ms:
+        gm = TruncatedSeries(
+            [_clip(c, box) for c in pq_binomial_row(m, order)], order=order
+        )
+        prod = gm if prod is None else series_mul(prod, gm, order, box)
+    return prod if prod is not None else TruncatedSeries.one(order)
+
+
+def _clip(poly: LaurentPoly, box: Tuple[int, int]) -> LaurentPoly:
+    amax, bmax = box
+    return LaurentPoly(
+        {(a, b): c for (a, b), c in poly.terms.items() if a <= amax and b <= bmax}
+    )
+
+
+def _pq_extract(
+    halves: Tuple[TruncatedSeries, TruncatedSeries], n: int, w: int
+) -> int:
+    """The operator applied to the t^n coefficient of the product of the
+    two halves, read as five dot products."""
+    targets = [(w - a, w - b) for a, b in OPERATOR_TERMS]
+    values = product_coeffs(halves[0], halves[1], n, targets)
+    return sum(c * v for c, v in zip(OPERATOR_TERMS.values(), values))
 
 
 def clear_caches() -> None:
-    with _SERIES_LOCK:
-        _INVPROD_CACHE.clear()
-        _PQPROD_CACHE.clear()
+    _INVPROD_CACHE.clear()
+    _PQPROD_CACHE.clear()

@@ -6,13 +6,20 @@ integers.  Exponents may be negative.  A :class:`TruncatedSeries` is a
 polynomial in a third formal variable ``t`` kept only up to a fixed
 order, with LaurentPoly coefficients.
 
-All values are immutable after construction and every operation is a
-pure function, so everything here is safe to share between threads.
+Every operation returns a new object and leaves its operands unchanged.
+Nothing enforces this (``LaurentPoly.terms`` is a plain dict), and no
+concurrent use has been tested.
+
+``series_mul`` and ``expand_inverse_product`` take an optional weight box
+``(A, B)`` and then keep only the terms p^a q^b with ``a <= A`` and
+``b <= B``; ``product_coeffs`` reads single coefficients of a product
+without forming it.  A caller that needs a few coefficients of a long
+product, all at exponents inside a box, never builds the rest.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Exponents = Tuple[int, int]
 
@@ -110,12 +117,6 @@ class LaurentPoly:
         return LaurentPoly(acc)
 
     __rmul__ = __mul__
-
-    def shift(self, da: int, db: int) -> "LaurentPoly":
-        """Multiply by the monomial p^da * q^db (fast path)."""
-        out = LaurentPoly()
-        out.terms = {(a + da, b + db): c for (a, b), c in self.terms.items()}
-        return out
 
     def substitute(self, p: int | None = None, q: int | None = None) -> "LaurentPoly":
         """Substitute integer values for p and/or q.
@@ -246,42 +247,125 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, coeffs={self.coeffs!r})"
 
 
-def series_mul(x: TruncatedSeries, y: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Cauchy product truncated at t^order."""
+def series_mul(
+    x: TruncatedSeries,
+    y: TruncatedSeries,
+    order: int,
+    box: Optional[Exponents] = None,
+) -> TruncatedSeries:
+    """Cauchy product truncated at t^order, and clipped to ``box``.
+
+    With ``box = (A, B)`` every term pair whose product p^a q^b has
+    ``a > A`` or ``b > B`` is skipped, so the result is the unclipped
+    product restricted to the box.  Each call is exact for any
+    exponents.  Feeding a clipped product into a further clipped product
+    is exact only when all exponents are >= 0: a dropped term times a
+    negative exponent could have landed back inside the box.
+    """
     if x.order < order or y.order < order:
         raise OrderTooSmallError(
             f"operand orders ({x.order}, {y.order}) below requested {order}"
         )
+    xs = [list(p.terms.items()) for p in x.coeffs[: order + 1]]
+    # sorted by p-exponent, so the scan of y stops at the box's edge
+    ys = [sorted(p.terms.items()) for p in y.coeffs[: order + 1]]
+    if box is None:
+        # bounds that no term pair reaches: the same loop, unclipped
+        amax = _max_exponent(xs, 0) + _max_exponent(ys, 0)
+        bmax = _max_exponent(xs, 1) + _max_exponent(ys, 1)
+    else:
+        amax, bmax = box
     out = []
     for j in range(order + 1):
         acc: Dict[Exponents, int] = {}
         get = acc.get
         for i in range(j + 1):
-            xt = x.coeffs[i].terms
-            yt = y.coeffs[j - i].terms
+            xt = xs[i]
+            yt = ys[j - i]
             if not xt or not yt:
                 continue
-            for (a, b), c in xt.items():
-                for (u, v), e in yt.items():
-                    k = (a + u, b + v)
-                    acc[k] = get(k, 0) + c * e
+            for (a, b), c in xt:
+                ra = amax - a
+                rb = bmax - b
+                for (u, v), e in yt:
+                    if u > ra:
+                        break
+                    if v <= rb:
+                        k = (a + u, b + v)
+                        acc[k] = get(k, 0) + c * e
         out.append(LaurentPoly(acc))
     return TruncatedSeries(out, order=order)
 
 
+def _max_exponent(rows: List[List[Tuple[Exponents, int]]], axis: int) -> int:
+    return max((k[axis] for row in rows for k, _ in row), default=0)
+
+
+def product_coeffs(
+    x: TruncatedSeries, y: TruncatedSeries, j: int, targets: Sequence[Exponents]
+) -> List[int]:
+    """Coefficients of t^j p^a q^b in x*y, one per (a, b) in ``targets``.
+
+    Each is the dot product  sum_i sum_(u,v) x_i[u,v] * y_{j-i}[a-u, b-v],
+    so the product series is never formed.
+    """
+    if j < 0 or x.order < j or y.order < j:
+        raise OrderTooSmallError(
+            f"operand orders ({x.order}, {y.order}) below requested {j}"
+        )
+    out = []
+    for a, b in targets:
+        total = 0
+        for i in range(j + 1):
+            xt = x.coeffs[i].terms
+            yt = y.coeffs[j - i].terms
+            if len(xt) > len(yt):
+                xt, yt = yt, xt
+            get = yt.get
+            for (u, v), c in xt.items():
+                e = get((a - u, b - v))
+                if e:
+                    total += c * e
+        out.append(total)
+    return out
+
+
 def expand_inverse_product(
-    factors: Iterable[Exponents], order: int
+    factors: Iterable[Exponents], order: int, box: Optional[Exponents] = None
 ) -> TruncatedSeries:
     """Expand the inverse of prod over (k, l) of (1 - t p^k q^l).
 
     Each factor contributes a geometric series; they are folded in one
     at a time with the recurrence  S'[j] = S[j] + p^k q^l * S'[j-1],
     which keeps the work proportional to the support size.
+
+    With ``box = (A, B)`` each shifted term with p-exponent above A or
+    q-exponent above B is dropped as it is made.  That is exact (the
+    result is the full expansion restricted to the box) only because
+    every exponent is >= 0, so a dropped term never comes back; a box
+    together with a factor that has a negative exponent raises
+    ValueError.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    coeffs = [LaurentPoly.one()] + [LaurentPoly.zero() for _ in range(order)]
+    factors = list(factors)
+    if box is None:
+        # bounds that no term reaches: the same loop, unclipped
+        amax = order * max([0] + [k for k, _ in factors])
+        bmax = order * max([0] + [l for _, l in factors])
+    elif any(k < 0 or l < 0 for k, l in factors):
+        raise ValueError("a box needs factors with nonnegative exponents")
+    else:
+        amax, bmax = box
+    one = {(0, 0): 1} if amax >= 0 and bmax >= 0 else {}
+    coeffs: List[Dict[Exponents, int]] = [one] + [{} for _ in range(order)]
     for (k, l) in factors:
         for j in range(1, order + 1):
-            coeffs[j] = coeffs[j] + coeffs[j - 1].shift(k, l)
-    return TruncatedSeries(coeffs, order=order)
+            cur = coeffs[j]
+            get = cur.get
+            for (a, b), c in coeffs[j - 1].items():
+                a += k
+                b += l
+                if a <= amax and b <= bmax:
+                    cur[(a, b)] = get((a, b), 0) + c
+    return TruncatedSeries([LaurentPoly(c) for c in coeffs], order=order)

@@ -7,6 +7,8 @@ division is asserted exact; a remainder aborts the computation.
 
 from __future__ import annotations
 
+from typing import List
+
 from .poly import LaurentPoly, TruncatedSeries, expand_inverse_product
 
 
@@ -37,6 +39,20 @@ def pq_binomial(d: int, k: int) -> LaurentPoly:
         result = result * _p_minus_q(d + i)
         result = result.divexact(_p_minus_q(i))
     return result
+
+
+def pq_binomial_row(m: int, order: int) -> List[LaurentPoly]:
+    """[pq_binomial(m, 0), ..., pq_binomial(m, order)], each entry grown
+    from the one before by one multiply and one exact division:
+
+        pq_binomial(m, j) = pq_binomial(m, j-1) * (p^{m+j}-q^{m+j}) / (p^j-q^j).
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    row = [pq_binomial(m, 0)]
+    for j in range(1, order + 1):
+        row.append((row[-1] * _p_minus_q(m + j)).divexact(_p_minus_q(j)))
+    return row
 
 
 def pq_binomial_series(m: int, order: int) -> TruncatedSeries:

@@ -10,6 +10,7 @@ import time
 from math import comb
 
 from forminv.counts import (
+    TERNARY_METHODS,
     WorkLimitExceeded,
     gamma_binary,
     gamma_binary_full,
@@ -65,6 +66,10 @@ def test_criterion_2_method_agreement():
                 rows = poincare_series("ternary", d, n_max, method=method)
                 assert rows == base, f"{method} disagrees at d={d}"
                 checked += len(rows)
+                # point queries, read from the expansion the series left
+                point = TERNARY_METHODS[method]
+                points = [(n, point(d, n)) for n in range(n_max + 1)]
+                assert points == base, f"{method} points disagree at d={d}"
     peeled = 0
     for d in range(1, 5):
         base = dict(poincare_series("ternary", d, 12, method="counting"))
@@ -76,7 +81,7 @@ def test_criterion_2_method_agreement():
             assert got == base[n], f"peel disagrees at d={d}, n={n}"
             peeled += 1
     assert peeled >= 4 * 13  # d <= 4, n <= 12 must all run
-    _report(2, f"{checked} series points, {peeled} peel points")
+    _report(2, f"{checked} series and point values, {peeled} peel points")
 
 
 def test_criterion_3_trivial_rep_functional():

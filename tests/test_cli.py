@@ -66,6 +66,28 @@ class TestCount:
         assert code == 2
         assert "invalid" in err
 
+    def test_ternary_method_for_binary_form(self, capsys):
+        code, out, err = run(
+            capsys,
+            "count", "--form", "binary", "--d", "2", "--n", "2",
+            "--method", "genfunc",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: method 'genfunc' invalid for binary forms\n"
+
+    def test_out_of_memory(self, capsys, monkeypatch):
+        from forminv import counts
+
+        def exhausted(d, n):
+            raise MemoryError
+
+        monkeypatch.setitem(counts.TERNARY_METHODS, "counting", exhausted)
+        code, out, err = run(
+            capsys, "count", "--form", "ternary", "--d", "3", "--n", "4"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: out of memory")
+
     def test_work_limit_exceeded(self, capsys):
         code, _, err = run(
             capsys,
@@ -153,6 +175,37 @@ class TestSeries:
         )
         full_rows = [l for l in full.splitlines() if not l.endswith("\t0")]
         assert full_rows == sparse.splitlines()
+
+    def test_binary_method_for_ternary_form(self, capsys):
+        code, out, err = run(
+            capsys,
+            "series", "--form", "ternary", "--d", "3", "--max", "4",
+            "--method", "omega",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: method 'omega' invalid for ternary forms\n"
+
+    def test_json_names_default_method(self, capsys):
+        code, out, _ = run(
+            capsys, "series", "--form", "binary", "--d", "2", "--max", "2",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["method"] == "omega"
+
+    def test_out_of_memory(self, capsys, monkeypatch):
+        from forminv import counts
+
+        def exhausted(d, order):
+            raise MemoryError
+
+        monkeypatch.setattr(counts, "_pq_halves", exhausted)
+        code, out, err = run(
+            capsys, "series", "--form", "ternary", "--d", "3", "--max", "6",
+            "--method", "pqbinom",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: out of memory")
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "series.txt"

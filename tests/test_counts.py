@@ -3,7 +3,9 @@ from math import comb
 
 import pytest
 
+from forminv import counts
 from forminv.counts import (
+    TERNARY_METHODS,
     WorkLimitExceeded,
     gamma_binary,
     gamma_binary_full,
@@ -13,6 +15,7 @@ from forminv.counts import (
     nu_ternary_peel,
     nu_ternary_pqbinom,
     poincare_series,
+    resolve_method,
 )
 from forminv.sl3 import decompose, e_lambda
 from forminv.weights import weight_table
@@ -221,3 +224,63 @@ class TestPoincareSeries:
     def test_invalid_form(self):
         with pytest.raises(ValueError):
             poincare_series("quaternary", 2, 4)
+
+
+class TestResolveMethod:
+    def test_defaults(self):
+        assert resolve_method("binary") == ("omega", gamma_binary)
+        assert resolve_method("ternary") == ("counting", nu_ternary_counting)
+
+    def test_peel_gets_work_limit(self):
+        method, fn = resolve_method("ternary", "peel", work_limit=10)
+        assert method == "peel"
+        with pytest.raises(WorkLimitExceeded):
+            fn(4, 10)
+
+    def test_mismatch(self):
+        with pytest.raises(ValueError, match="invalid for binary forms"):
+            resolve_method("binary", "genfunc")
+        with pytest.raises(ValueError, match="invalid for ternary forms"):
+            resolve_method("ternary", "omega")
+        with pytest.raises(ValueError, match="unknown form"):
+            resolve_method("quaternary")
+
+
+EXTRACTION_ROUTES = pytest.mark.parametrize(
+    "method", ["genfunc", "pqbinom"]
+)
+
+
+class TestClippedExpansions:
+    """genfunc and pqbinom keep expansions clipped to the operator box of
+    the order they were built at; every later request must stay exact."""
+
+    @EXTRACTION_ROUTES
+    def test_cold_points_match_counting(self, method):
+        point = TERNARY_METHODS[method]
+        for d in range(1, 8):
+            base = poincare_series("ternary", d, 12)
+            for n, want in base:
+                counts.clear_caches()
+                assert point(d, n) == want, (d, n)
+
+    @EXTRACTION_ROUTES
+    def test_series_then_points(self, method):
+        point = TERNARY_METHODS[method]
+        for d in (3, 5, 6):
+            base = poincare_series("ternary", d, 18)
+            counts.clear_caches()
+            assert poincare_series("ternary", d, 18, method=method) == base
+            for n, want in base:
+                assert point(d, n) == want, (d, n)
+
+    @EXTRACTION_ROUTES
+    def test_point_then_longer_series(self, method):
+        point = TERNARY_METHODS[method]
+        for d, n in ((3, 6), (5, 12), (4, 9)):
+            base = poincare_series("ternary", d, 21)
+            counts.clear_caches()
+            assert point(d, n) == dict(base)[n]
+            assert poincare_series("ternary", d, 21, method=method) == base
+            # and a shorter series from the longer cached expansion
+            assert poincare_series("ternary", d, n, method=method) == base[: n + 1]

@@ -3,7 +3,12 @@ from math import comb
 import pytest
 
 from forminv.poly import LaurentPoly
-from forminv.qbinom import gaussian_binomial, pq_binomial, pq_binomial_series
+from forminv.qbinom import (
+    gaussian_binomial,
+    pq_binomial,
+    pq_binomial_row,
+    pq_binomial_series,
+)
 
 
 def qpoly(coeffs):
@@ -93,3 +98,21 @@ class TestPqBinomialSeries:
         s = pq_binomial_series(m, 8)
         for j in range(9):
             assert s.coeff(j) == pq_binomial(m, j)
+
+
+class TestPqBinomialRow:
+    @pytest.mark.parametrize("m", range(8))
+    def test_grown_row_is_pq_binomials(self, m):
+        row = pq_binomial_row(m, 15)
+        assert len(row) == 16
+        for j, entry in enumerate(row):
+            assert entry == pq_binomial(m, j)
+
+    def test_order_zero(self):
+        assert pq_binomial_row(3, 0) == [LaurentPoly.one()]
+
+    def test_negative_arguments(self):
+        with pytest.raises(ValueError):
+            pq_binomial_row(-1, 3)
+        with pytest.raises(ValueError):
+            pq_binomial_row(2, -1)
