@@ -8,7 +8,7 @@ from .poly import (
     expand_inverse_product,
     series_mul,
 )
-from .qbinom import gaussian_binomial, pq_binomial, pq_binomial_series
+from .qbinom import gaussian_binomial, pq_binomial
 from .weights import (
     CountTable,
     c_ternary,
@@ -24,7 +24,6 @@ from .sl3 import (
     decompose,
     dimension,
     e_lambda,
-    kostant_partition,
     weight_multiplicity,
 )
 from .counts import (
@@ -62,7 +61,6 @@ __all__ = [
     "gamma_binary_full",
     "gamma_binary_qbinom",
     "gaussian_binomial",
-    "kostant_partition",
     "monomial_count",
     "nu_ternary_counting",
     "nu_ternary_genfunc",
@@ -73,7 +71,6 @@ __all__ = [
     "peel_work_estimate",
     "poincare_series",
     "pq_binomial",
-    "pq_binomial_series",
     "series_mul",
     "variables",
     "weight_multiplicity",

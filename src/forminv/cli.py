@@ -149,6 +149,11 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # a range that runs no check must not print PASS
+    if args.d_max < 1:
+        raise ValueError("--d-max must be >= 1")
+    if args.n_max < 0 or args.lambda_max < 0:
+        raise ValueError("--n-max and --lambda-max must be >= 0")
     lines: List[str] = []
     ok = True
 
@@ -233,9 +238,11 @@ def _verify_table_totals(d_max: int, n_max: int) -> Optional[str]:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.repeat < 1:
         raise ValueError("--repeat must be >= 1")
+    if args.max < 0:
+        raise ValueError("--max must be >= 0")
     out_lines = ["method,n,millis"]
     for method in ("counting", "genfunc", "pqbinom", "peel"):
-        fn = TERNARY_METHODS[method]
+        _, fn = resolve_method("ternary", method, args.work_limit)
         for n in range(args.max + 1):
             best = None
             hit_limit = False
@@ -243,10 +250,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 counts.clear_caches()
                 start = time.perf_counter()
                 try:
-                    if method == "peel":
-                        fn(args.d, n, work_limit=args.work_limit)
-                    else:
-                        fn(args.d, n)
+                    fn(args.d, n)
                 except WorkLimitExceeded:
                     hit_limit = True
                     break

@@ -11,12 +11,21 @@ linearly independent degree-n invariants,
 
 All methods return exact Python ints and agree with each other; the
 redundancy is the point.
+
+counting, genfunc and pqbinom share one driver.  Each is a reader
+builder: ``(d, order)`` -> ``read(n, targets)``, which returns the
+t^n p^a q^b coefficients, one per (a, b) in ``targets``, of the series
+prod_{k+l<=d} (1 - t p^k q^l)^{-1} for any n <= order.  Each route
+makes those coefficients its own way (the packed counting DP, the
+inverse-product recurrence, pq-binomial exact division); only the
+five-point functional ``sl3.FIVE_POINT`` is shared, and
+``_operator_value`` applies it.  Peel never reads it.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import weights
 from .poly import (
@@ -28,20 +37,19 @@ from .poly import (
 )
 # pq_binomial is not called here; perfbench/tracer.py requires this binding.
 from .qbinom import gaussian_binomial, pq_binomial, pq_binomial_row  # noqa: F401
-from .sl3 import decompose
+from .sl3 import FIVE_POINT, decompose
 from .weights import _check_dn, c_ternary, omega_binary, variables, weight_table
 
 DEFAULT_WORK_LIMIT = 10 ** 8
 
-# The coefficient-extraction operator 1 + pq + q^2/p - 2q - q^2:
-# exponent pair -> coefficient.
+# The five-point functional moved from weights to exponents by the
+# paper's map (i, j) -> p^{(i-j)/3} q^{(i+2j)/3}: the extraction operator
+# 1 + pq + q^2/p - 2q - q^2, as exponent pair -> coefficient.
 OPERATOR_TERMS: Dict[Tuple[int, int], int] = {
-    (0, 0): 1,
-    (1, 1): 1,
-    (-1, 2): 1,
-    (0, 1): -2,
-    (0, 2): -1,
+    ((i - j) // 3, (i + 2 * j) // 3): c for (i, j), c in FIVE_POINT.items()
 }
+
+Reader = Callable[[int, Sequence[Tuple[int, int]]], List[int]]
 
 
 class WorkLimitExceeded(RuntimeError):
@@ -87,35 +95,24 @@ def gamma_binary_full(d: int, n: int, k: int) -> int:
 
 
 def nu_ternary_counting(d: int, n: int) -> int:
-    """Signed combination of five weight-multiplicity counts:
-    c(0,0) + c(3,0) + c(0,3) - 2 c(1,1) - c(2,2)."""
+    """The five-point functional ``sl3.FIVE_POINT`` on the weight
+    multiplicities c(d, n, i, j) of the degree-n monomials."""
     _check_dn(d, n)
-    return (
-        c_ternary(d, n, 0, 0)
-        + c_ternary(d, n, 3, 0)
-        + c_ternary(d, n, 0, 3)
-        - 2 * c_ternary(d, n, 1, 1)
-        - c_ternary(d, n, 2, 2)
-    )
+    return sum(c * c_ternary(d, n, i, j) for (i, j), c in FIVE_POINT.items())
 
 
 def nu_ternary_genfunc(d: int, n: int) -> int:
     """Coefficient extraction from the expansion of
     (prod_{k+l<=d} (1 - t p^k q^l))^{-1}."""
     _check_dn(d, n)
-    if (d * n) % 3:
-        return 0
-    series = _inverse_product_series(d, n)
-    return _apply_operator(series.coeff(n), d * n // 3)
+    return _operator_value(_reader("genfunc", d, n), d, n)
 
 
 def nu_ternary_pqbinom(d: int, n: int) -> int:
     """Same extraction, with the series assembled as the product of the
     pq-binomial generating series G_0 ... G_d."""
     _check_dn(d, n)
-    if (d * n) % 3:
-        return 0
-    return _pq_extract(_pq_halves(d, n), n, d * n // 3)
+    return _operator_value(_reader("pqbinom", d, n), d, n)
 
 
 def nu_ternary_peel(
@@ -189,29 +186,19 @@ def poincare_series(
 ) -> List[Tuple[int, int]]:
     """Per-degree invariant counts for n = 0..n_max.
 
-    counting builds one counting grid, and genfunc and pqbinom one
-    truncated expansion, up front and read every degree from it, so a
-    whole series is much cheaper than n_max independent point queries.
-    genfunc and pqbinom build only the weight box  a <= w+1, b <= w,
-    w = d*n_max//3, that the extraction operator reads; pqbinom keeps
-    the product G_0 ... G_d split in two halves and reads each operator
-    coefficient as a dot product of the halves.  The other methods run
+    counting, genfunc and pqbinom build one reader at order n_max (one
+    counting grid or one expansion clipped to the operator box) and
+    apply the operator to it at every degree, so a whole series is much
+    cheaper than n_max independent point queries.  The reader stays in a
+    one-slot memo, so genfunc or pqbinom point queries at the same d and
+    n <= n_max that follow reuse it.  Peel and the binary methods run
     one point count per degree.
     """
     method, point = resolve_method(form, method, work_limit)
     _check_dn(d, n_max)
-    if form == "ternary" and method == "counting":
-        rows = _counting_series(d, n_max)
-    elif form == "ternary" and method == "genfunc":
-        coeffs = _inverse_product_series(d, n_max).coeffs
-        rows = _extracted_series(
-            d, n_max, lambda n, w: _apply_operator(coeffs[n], w)
-        )
-    elif form == "ternary" and method == "pqbinom":
-        halves = _pq_halves(d, n_max)
-        rows = _extracted_series(
-            d, n_max, lambda n, w: _pq_extract(halves, n, w)
-        )
+    if method in _READERS:
+        read = _reader(method, d, n_max)
+        rows = [(n, _operator_value(read, d, n)) for n in range(n_max + 1)]
     else:
         rows = [(n, point(d, n)) for n in range(n_max + 1)]
     if not include_zeros:
@@ -219,42 +206,14 @@ def poincare_series(
     return rows
 
 
-def _counting_series(d: int, n_max: int) -> List[Tuple[int, int]]:
-    cell = weights.solution_count_grid(d, n_max).cell
-    rows = []
-    for n in range(n_max + 1):
-        if (d * n) % 3:
-            rows.append((n, 0))
-            continue
-        w = d * n // 3
-        v = (
-            cell(n, w, w)
-            + cell(n, w - 1, w - 1)
-            + cell(n, w + 1, w - 2)
-            - 2 * cell(n, w, w - 1)
-            - cell(n, w, w - 2)
-        )
-        rows.append((n, v))
-    return rows
-
-
-def _extracted_series(
-    d: int, n_max: int, extract: Callable[[int, int], int]
-) -> List[Tuple[int, int]]:
-    """Rows n = 0..n_max, with extract(n, d*n/3) where 3 | d*n, else 0."""
-    return [
-        (n, 0 if (d * n) % 3 else extract(n, d * n // 3))
-        for n in range(n_max + 1)
-    ]
-
-
-def _apply_operator(coeff_poly: LaurentPoly, w: int) -> int:
-    """Extract the (pq)^w coefficient of the operator polynomial applied
-    to coeff_poly."""
-    return sum(
-        c * coeff_poly.coeff(w - a, w - b)
-        for (a, b), c in OPERATOR_TERMS.items()
-    )
+def _operator_value(read: Reader, d: int, n: int) -> int:
+    """The operator OPERATOR_TERMS applied to the t^n coefficient that
+    ``read`` gives, read at (pq)^w, w = d*n/3; 0 unless 3 | d*n."""
+    if (d * n) % 3:
+        return 0
+    w = d * n // 3
+    values = read(n, [(w - a, w - b) for a, b in OPERATOR_TERMS])
+    return sum(c * v for c, v in zip(OPERATOR_TERMS.values(), values))
 
 
 def _operator_box(d: int, order: int) -> Tuple[int, int]:
@@ -266,36 +225,29 @@ def _operator_box(d: int, order: int) -> Tuple[int, int]:
     return (w + 1, w)
 
 
-# Cached expansions per d, each clipped to the box of its order, grown on
-# demand.  Plain dicts, emptied by clear_caches(); nothing here is made
-# safe for concurrent use.
-_INVPROD_CACHE: Dict[int, TruncatedSeries] = {}
-_PQPROD_CACHE: Dict[int, Tuple[TruncatedSeries, TruncatedSeries]] = {}
+def _counting_reader(d: int, order: int) -> Reader:
+    cell = weights.solution_count_grid(d, order).cell
+    return lambda n, targets: [cell(n, a, b) for a, b in targets]
 
 
-def _inverse_product_series(d: int, order: int) -> TruncatedSeries:
-    cached = _INVPROD_CACHE.get(d)
-    if cached is None or cached.order < order:
-        cached = expand_inverse_product(
-            variables(d), order, box=_operator_box(d, order)
-        )
-        _INVPROD_CACHE[d] = cached
-    return cached
+def _genfunc_reader(d: int, order: int) -> Reader:
+    coeffs = expand_inverse_product(
+        variables(d), order, box=_operator_box(d, order)
+    ).coeffs
+    return lambda n, targets: [coeffs[n].coeff(a, b) for a, b in targets]
 
 
-def _pq_halves(d: int, order: int) -> Tuple[TruncatedSeries, TruncatedSeries]:
+def _pqbinom_reader(d: int, order: int) -> Reader:
     """G_0 ... G_d multiplied in two halves, each clipped to the operator
-    box; their product, never formed, is the pq-binomial series."""
-    cached = _PQPROD_CACHE.get(d)
-    if cached is None or cached[0].order < order:
-        box = _operator_box(d, order)
-        half = (d + 1) // 2
-        cached = (
-            _pq_product(range(half), order, box),
-            _pq_product(range(half, d + 1), order, box),
-        )
-        _PQPROD_CACHE[d] = cached
-    return cached
+    box; a coefficient of their product, never formed, is a dot product
+    of the halves."""
+    box = _operator_box(d, order)
+    half = (d + 1) // 2
+    return partial(
+        product_coeffs,
+        _pq_product(range(half), order, box),
+        _pq_product(range(half, d + 1), order, box),
+    )
 
 
 def _pq_product(ms: range, order: int, box: Tuple[int, int]) -> TruncatedSeries:
@@ -317,16 +269,29 @@ def _clip(poly: LaurentPoly, box: Tuple[int, int]) -> LaurentPoly:
     )
 
 
-def _pq_extract(
-    halves: Tuple[TruncatedSeries, TruncatedSeries], n: int, w: int
-) -> int:
-    """The operator applied to the t^n coefficient of the product of the
-    two halves, read as five dot products."""
-    targets = [(w - a, w - b) for a, b in OPERATOR_TERMS]
-    values = product_coeffs(halves[0], halves[1], n, targets)
-    return sum(c * v for c, v in zip(OPERATOR_TERMS.values(), values))
+_READERS: Dict[str, Callable[[int, int], Reader]] = {
+    "counting": _counting_reader,
+    "genfunc": _genfunc_reader,
+    "pqbinom": _pqbinom_reader,
+}
+
+# The most recent reader, as (method, d, order, read).  It serves any
+# request with the same method and d at order <= its own, so a series
+# followed by point queries at its degrees builds once: without it the
+# point loops of the four-way agreement check rebuild an expansion per
+# degree and take about six times as long.  A request it cannot serve
+# replaces it, so it holds at most the latest expansion.  Emptied by
+# clear_caches(); not made safe for concurrent use.
+_memo: Optional[Tuple[str, int, int, Reader]] = None
+
+
+def _reader(method: str, d: int, order: int) -> Reader:
+    global _memo
+    if _memo is None or _memo[:2] != (method, d) or _memo[2] < order:
+        _memo = (method, d, order, _READERS[method](d, order))
+    return _memo[3]
 
 
 def clear_caches() -> None:
-    _INVPROD_CACHE.clear()
-    _PQPROD_CACHE.clear()
+    global _memo
+    _memo = None

@@ -142,12 +142,6 @@ class LaurentPoly:
             raise ValueError(f"not a constant polynomial: {self!r}")
         return self.terms.get((0, 0), 0)
 
-    def swap_vars(self) -> "LaurentPoly":
-        """Exchange p and q."""
-        out = LaurentPoly()
-        out.terms = {(b, a): c for (a, b), c in self.terms.items()}
-        return out
-
     def divexact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises ExactDivisionError on any remainder.
 

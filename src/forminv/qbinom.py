@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .poly import LaurentPoly, TruncatedSeries, expand_inverse_product
+from .poly import LaurentPoly
 
 
 def gaussian_binomial(d: int, n: int) -> LaurentPoly:
@@ -53,17 +53,6 @@ def pq_binomial_row(m: int, order: int) -> List[LaurentPoly]:
     for j in range(1, order + 1):
         row.append((row[-1] * _p_minus_q(m + j)).divexact(_p_minus_q(j)))
     return row
-
-
-def pq_binomial_series(m: int, order: int) -> TruncatedSeries:
-    """Generating series of the pq-binomials with upper entry m.
-
-    Equals the inverse product over {(k, l): k+l = m} of (1 - t p^k q^l);
-    its t^j coefficient is pq_binomial(m, j).
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return expand_inverse_product([(k, m - k) for k in range(m + 1)], order)
 
 
 def _one_minus_q(i: int) -> LaurentPoly:

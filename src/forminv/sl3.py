@@ -24,13 +24,9 @@ class InvalidCharacterError(ValueError):
     """The input diagram is not a nonnegative sum of irreducible characters."""
 
 
-def kostant_partition(k1: int, k2: int) -> int:
-    """Ways to write k1*a1 + k2*a2 as a nonnegative sum of the three
-    positive roots a1, a2, a1+a2: min(k1, k2) + 1 on the nonnegative
-    quadrant, else 0."""
-    if k1 < 0 or k2 < 0:
-        return 0
-    return min(k1, k2) + 1
+# The paper's five-point functional: weight (i, j) -> the coefficient of
+# its multiplicity n(i, j) in a weight diagram.
+FIVE_POINT: Dict[Weight, int] = {(0, 0): 1, (3, 0): 1, (0, 3): 1, (1, 1): -2, (2, 2): -1}
 
 
 # Weyl group of sl3 acting on fundamental-weight coordinates, with signs.
@@ -96,14 +92,12 @@ def character(lam: HighestWeight) -> WeightDiagram:
 
 
 def e_lambda(lam: HighestWeight) -> int:
-    """Signed five-point functional on the weight diagram of lam.
+    """The five-point functional FIVE_POINT on the weight diagram of lam.
 
-    n(0,0) + n(3,0) + n(0,3) - 2 n(1,1) - n(2,2); equals 1 exactly for
-    the trivial representation and 0 otherwise, which is what turns
-    weight counts into invariant counts.
+    Equals 1 exactly for the trivial representation and 0 otherwise,
+    which is what turns weight counts into invariant counts.
     """
-    n = lambda i, j: weight_multiplicity(lam, (i, j))
-    return n(0, 0) + n(3, 0) + n(0, 3) - 2 * n(1, 1) - n(2, 2)
+    return sum(c * weight_multiplicity(lam, mu) for mu, c in FIVE_POINT.items())
 
 
 def _check_weyl_invariant(diagram: WeightDiagram) -> None:

@@ -199,7 +199,8 @@ class TestSeries:
         def exhausted(d, order):
             raise MemoryError
 
-        monkeypatch.setattr(counts, "_pq_halves", exhausted)
+        counts.clear_caches()  # a reader left by an earlier test would serve it
+        monkeypatch.setitem(counts._READERS, "pqbinom", exhausted)
         code, out, err = run(
             capsys, "series", "--form", "ternary", "--d", "3", "--max", "6",
             "--method", "pqbinom",
@@ -247,6 +248,20 @@ class TestVerify:
         assert "FAIL" in out
         assert "d=3, n=4" in out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--d-max", "0"), "--d-max must be >= 1"),
+            (("--d-max", "-1"), "--d-max must be >= 1"),
+            (("--n-max", "-1"), "--n-max and --lambda-max must be >= 0"),
+            (("--lambda-max", "-1"), "--n-max and --lambda-max must be >= 0"),
+        ],
+    )
+    def test_rejects_vacuous_ranges(self, capsys, flags, message):
+        code, out, err = run(capsys, "verify", *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
 class TestBench:
     def test_format(self, capsys):
@@ -279,6 +294,11 @@ class TestBench:
         )
         assert code == 2
         assert err
+
+    def test_rejects_negative_max(self, capsys):
+        code, out, err = run(capsys, "bench", "--d", "2", "--max", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: --max must be >= 0\n"
 
 
 class TestUsageErrors:

@@ -5,6 +5,7 @@ import pytest
 
 from forminv import counts
 from forminv.counts import (
+    OPERATOR_TERMS,
     TERNARY_METHODS,
     WorkLimitExceeded,
     gamma_binary,
@@ -284,3 +285,18 @@ class TestClippedExpansions:
             assert poincare_series("ternary", d, 21, method=method) == base
             # and a shorter series from the longer cached expansion
             assert poincare_series("ternary", d, n, method=method) == base[: n + 1]
+
+    def test_interleaved_methods_and_degrees(self):
+        base = {d: dict(poincare_series("ternary", d, 18)) for d in (4, 5)}
+        counts.clear_caches()
+        assert poincare_series("ternary", 5, 18, method="genfunc") == sorted(
+            base[5].items()
+        )
+        assert nu_ternary_pqbinom(5, 12) == base[5][12]
+        assert nu_ternary_genfunc(4, 15) == base[4][15]
+        assert nu_ternary_genfunc(5, 9) == base[5][9]
+
+
+def test_operator_terms_are_the_papers_operator():
+    # 1 + pq + q^2/p - 2q - q^2
+    assert OPERATOR_TERMS == {(0, 0): 1, (1, 1): 1, (-1, 2): 1, (0, 1): -2, (0, 2): -1}

@@ -10,28 +10,9 @@ from forminv.sl3 import (
     decompose,
     dimension,
     e_lambda,
-    kostant_partition,
     weight_multiplicity,
 )
 from forminv.weights import weight_table
-
-
-class TestKostantPartition:
-    def test_empty_sum(self):
-        assert kostant_partition(0, 0) == 1
-
-    def test_1_1(self):
-        # {a1 + a2} and {a1, a2}
-        assert kostant_partition(1, 1) == 2
-
-    def test_negative(self):
-        assert kostant_partition(-1, 5) == 0
-        assert kostant_partition(5, -1) == 0
-
-    def test_closed_form(self):
-        for k1 in range(6):
-            for k2 in range(6):
-                assert kostant_partition(k1, k2) == min(k1, k2) + 1
 
 
 class TestWeightMultiplicity:
