@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import counts, sl3, weights
 from .counts import (
@@ -165,10 +165,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ok = False
             lines.append(f"FAIL  {name}: {failure}")
 
-    check(
-        "ternary method agreement",
-        _verify_ternary_agreement(args.d_max, args.n_max, args.work_limit),
+    failure, peels = _verify_ternary_agreement(
+        args.d_max, args.n_max, args.work_limit
     )
+    if failure is None and not peels:
+        failure = f"no peel comparison ran within --work-limit {args.work_limit}"
+    check(f"ternary method agreement ({peels} peel comparisons)", failure)
     check("binary method agreement", _verify_binary_agreement(args.d_max, args.n_max))
     check("trivial-rep functional sweep", _verify_functional(args.lambda_max))
     check(
@@ -183,22 +185,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _verify_ternary_agreement(
     d_max: int, n_max: int, work_limit: int
-) -> Optional[str]:
+) -> Tuple[Optional[str], int]:
+    """The first disagreement (or None) and the number of peel comparisons
+    made; peel skips every (d, n) whose estimate exceeds ``work_limit``."""
+    peels = 0
     for d in range(1, d_max + 1):
         base = poincare_series("ternary", d, n_max, method="counting")
         for method in ("genfunc", "pqbinom"):
             rows = poincare_series("ternary", d, n_max, method=method)
             for (n, a), (_, b) in zip(base, rows):
                 if a != b:
-                    return f"counting={a} but {method}={b} at d={d}, n={n}"
+                    return f"counting={a} but {method}={b} at d={d}, n={n}", peels
         for n, a in base:
             try:
                 b = counts.nu_ternary_peel(d, n, work_limit=work_limit)
             except WorkLimitExceeded:
                 continue
+            peels += 1
             if a != b:
-                return f"counting={a} but peel={b} at d={d}, n={n}"
-    return None
+                return f"counting={a} but peel={b} at d={d}, n={n}", peels
+    return None, peels
 
 
 def _verify_binary_agreement(d_max: int, n_max: int) -> Optional[str]:
@@ -272,6 +278,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        # every subcommand takes --work-limit; below 1 no budgeted work runs
+        if args.work_limit < 1:
+            raise ValueError("--work-limit must be >= 1")
         return args.func(args)
     except WorkLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -131,10 +131,11 @@ def nu_ternary_peel(
 
 def peel_work_estimate(d: int, n: int) -> int:
     """Rough state count of the peel route: the weight-table DP plus the
-    quadratic cost of peeling the dominant sector."""
+    quadratic cost of peeling the dominant sector.  The half of the box
+    is rounded up, so the single weight at n = 0 still counts."""
     dn = d * n
     table_states = weights.num_variables(d) * (n + 1) * (dn + 1) ** 2
-    dominant = (dn + 1) ** 2 // 2
+    dominant = ((dn + 1) ** 2 + 1) // 2
     return table_states + dominant ** 2
 
 

@@ -19,6 +19,7 @@ product, all at exponents inside a box, never builds the rest.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Exponents = Tuple[int, int]
@@ -145,20 +146,28 @@ class LaurentPoly:
     def divexact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises ExactDivisionError on any remainder.
 
-        Plain multivariate division in lex order.  The iteration guard
-        turns a non-terminating inexact division (possible because
-        Laurent exponents are unbounded below) into an error.
+        Plain multivariate division in lex order.  Leading terms come from
+        a heap of negated keys: every key a step adds is lex-below the
+        current lead, and a key whose term cancelled is skipped when it
+        surfaces.  The iteration guard turns a non-terminating inexact
+        division (possible because Laurent exponents are unbounded below)
+        into an error.
         """
         if not divisor.terms:
             raise ZeroDivisionError("division by the zero polynomial")
         dlead = max(divisor.terms)
         dcoeff = divisor.terms[dlead]
         rem = dict(self.terms)
+        heap = [(-a, -b) for a, b in rem]
+        heapify(heap)
         quot: Dict[Exponents, int] = {}
         guard = _division_guard(self, divisor)
         while rem:
-            lead = max(rem)
-            c = rem[lead]
+            na, nb = heappop(heap)
+            lead = (-na, -nb)
+            c = rem.get(lead)
+            if c is None:
+                continue
             if c % dcoeff:
                 raise ExactDivisionError(
                     f"leading coefficient {c} not divisible by {dcoeff}"
@@ -168,11 +177,14 @@ class LaurentPoly:
             quot[mono] = quot.get(mono, 0) + k
             for (da, db), dv in divisor.terms.items():
                 key = (mono[0] + da, mono[1] + db)
-                v = rem.get(key, 0) - k * dv
-                if v:
-                    rem[key] = v
+                old = rem.get(key)
+                if old is None:
+                    rem[key] = -k * dv
+                    heappush(heap, (-key[0], -key[1]))
+                elif old == k * dv:
+                    del rem[key]
                 else:
-                    rem.pop(key, None)
+                    rem[key] = old - k * dv
             guard -= 1
             if guard < 0:
                 raise ExactDivisionError("division does not terminate: inexact")

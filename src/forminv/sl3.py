@@ -18,6 +18,7 @@ from typing import Dict, Tuple
 Weight = Tuple[int, int]
 HighestWeight = Tuple[int, int]
 WeightDiagram = Dict[Weight, int]
+WeylImages = Tuple[Tuple[int, int, int], ...]
 
 
 class InvalidCharacterError(ValueError):
@@ -29,47 +30,61 @@ class InvalidCharacterError(ValueError):
 FIVE_POINT: Dict[Weight, int] = {(0, 0): 1, (3, 0): 1, (0, 3): 1, (1, 1): -2, (2, 2): -1}
 
 
-# Weyl group of sl3 acting on fundamental-weight coordinates, with signs.
-_WEYL = (
-    (1, lambda a, b: (a, b)),            # identity
-    (-1, lambda a, b: (-a, a + b)),      # s1
-    (-1, lambda a, b: (a + b, -b)),      # s2
-    (1, lambda a, b: (b, -a - b)),       # s1 s2
-    (1, lambda a, b: (-a - b, a)),       # s2 s1
-    (-1, lambda a, b: (-b, -a)),         # longest element
-)
-
-
-def weight_multiplicity(lam: HighestWeight, mu: Weight) -> int:
-    """Multiplicity of the weight mu in the irrep with highest weight lam.
-
-    Signed alternation: sum over Weyl elements w of
-    sign(w) * K(w(lam + rho) - (mu + rho)) with rho = (1, 1), where the
-    argument is converted from fundamental-weight to simple-root
-    coordinates (non-integral conversions contribute 0).
-    """
-    m1, m2 = lam
-    if m1 < 0 or m2 < 0:
+def _check_dominant(lam: HighestWeight) -> None:
+    if lam[0] < 0 or lam[1] < 0:
         raise ValueError("highest weight components must be nonnegative")
-    la, lb = m1 + 1, m2 + 1
+
+
+def _weyl_images(lam: HighestWeight) -> WeylImages:
+    """(sign, w(lam + rho)) for the six Weyl elements w, identity first,
+    as flat triples (sign, a, b) in fundamental-weight coordinates."""
+    _check_dominant(lam)
+    a, b = lam[0] + 1, lam[1] + 1
+    return (
+        (1, a, b),  # identity
+        (-1, -a, a + b),  # s1
+        (-1, a + b, -b),  # s2
+        (1, b, -a - b),  # s1 s2
+        (1, -a - b, a),  # s2 s1
+        (-1, -b, -a),  # longest element
+    )
+
+
+def _alternation(images: WeylImages, mu: Weight) -> int:
+    """Sum over w of sign(w) * K(w(lam + rho) - (mu + rho)), rho = (1, 1).
+
+    ``images`` comes from ``_weyl_images(lam)``.  The argument of K is
+    taken to simple-root coordinates (k1, k2) = ((2x + y)/3, (x + 2y)/3);
+    K(k1, k2) = min(k1, k2) + 1 on the nonnegative quadrant of the root
+    lattice and 0 elsewhere.  Every w(lam + rho) is lam + rho minus a
+    nonnegative root combination, so all six arguments lie in one coset
+    of the root lattice and none is above the identity's: when the
+    identity term is 0, so is every other term.
+    """
     ta, tb = mu[0] + 1, mu[1] + 1
-    total = 0
-    for sign, act in _WEYL:
-        va, vb = act(la, lb)
-        x, y = va - ta, vb - tb
+    _, a, b = images[0]
+    x, y = a - ta, b - tb
+    n1, n2 = 2 * x + y, x + 2 * y
+    if n1 % 3 or n1 < 0 or n2 < 0:
+        return 0
+    total = min(n1, n2) // 3 + 1
+    for sign, a, b in images[1:]:
+        x, y = a - ta, b - tb
         n1, n2 = 2 * x + y, x + 2 * y
-        if n1 % 3 or n2 % 3:
-            continue
-        k1, k2 = n1 // 3, n2 // 3
-        if k1 >= 0 and k2 >= 0:
-            total += sign * (min(k1, k2) + 1)
+        if n1 >= 0 and n2 >= 0:
+            total += sign * (min(n1, n2) // 3 + 1)
     return total
 
 
+def weight_multiplicity(lam: HighestWeight, mu: Weight) -> int:
+    """Multiplicity of the weight mu in the irrep with highest weight lam,
+    by the signed Weyl alternation over the sl3 partition function."""
+    return _alternation(_weyl_images(lam), mu)
+
+
 def dimension(lam: HighestWeight) -> int:
+    _check_dominant(lam)
     m1, m2 = lam
-    if m1 < 0 or m2 < 0:
-        raise ValueError("highest weight components must be nonnegative")
     return (m1 + 1) * (m2 + 1) * (m1 + m2 + 2) // 2
 
 
@@ -80,12 +95,12 @@ def character(lam: HighestWeight) -> WeightDiagram:
     lam stays inside it and the support is its convex hull), so the box
     is scanned and zero multiplicities dropped.
     """
-    m1, m2 = lam
-    span = m1 + m2
+    images = _weyl_images(lam)
+    span = lam[0] + lam[1]
     out: WeightDiagram = {}
     for i in range(-span, span + 1):
         for j in range(-span, span + 1):
-            m = weight_multiplicity(lam, (i, j))
+            m = _alternation(images, (i, j))
             if m:
                 out[(i, j)] = m
     return out
@@ -101,12 +116,19 @@ def e_lambda(lam: HighestWeight) -> int:
 
 
 def _check_weyl_invariant(diagram: WeightDiagram) -> None:
+    get = diagram.get
     for (a, b), m in diagram.items():
-        for _, act in _WEYL:
-            if diagram.get(act(a, b), 0) != m:
-                raise InvalidCharacterError(
-                    f"diagram is not Weyl-invariant at weight {(a, b)}"
-                )
+        if not (
+            get((-a, a + b), 0)
+            == get((a + b, -b), 0)
+            == get((b, -a - b), 0)
+            == get((-a - b, a), 0)
+            == get((-b, -a), 0)
+            == m
+        ):
+            raise InvalidCharacterError(
+                f"diagram is not Weyl-invariant at weight {(a, b)}"
+            )
 
 
 def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
@@ -117,20 +139,27 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     dominant support of each constituent lies inside the residual's
     support.  Any negative residual (or a non-Weyl-invariant input)
     signals that the input was not a valid character.
+
+    The dominant weights are sorted once by (i + j, i), descending, and
+    walked in that order: peeling only removes weights, so the first one
+    still in the residual is its highest, and each highest weight's Weyl
+    images are computed once for its whole scan.
     """
     _check_weyl_invariant(diagram)
-    residual = {w: m for w, m in diagram.items() if w[0] >= 0 and w[1] >= 0}
+    residual = {w: m for w, m in diagram.items() if m and w[0] >= 0 and w[1] >= 0}
     out: Dict[HighestWeight, int] = {}
-    while residual:
-        hw = max(residual, key=lambda w: (w[0] + w[1], w[0]))
-        g = residual[hw]
+    for hw in sorted(residual, key=lambda w: (w[0] + w[1], w[0]), reverse=True):
+        g = residual.get(hw)
+        if g is None:
+            continue
         if g < 0:
             raise InvalidCharacterError(
                 f"negative multiplicity {g} at dominant weight {hw}"
             )
         out[hw] = g
+        images = _weyl_images(hw)
         for mu in list(residual):
-            m = weight_multiplicity(hw, mu)
+            m = _alternation(images, mu)
             if not m:
                 continue
             v = residual[mu] - g * m

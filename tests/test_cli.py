@@ -263,6 +263,48 @@ class TestVerify:
         assert err == f"error: {message}\n"
 
 
+    def test_reports_peel_comparisons(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "verify", "--d-max", "2", "--n-max", "3", "--lambda-max", "2",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "PASS  ternary method agreement (8 peel comparisons)"
+        )
+
+    def test_fails_when_no_peel_comparison_runs(self, capsys):
+        # limit 1 is below peel's estimate at every (d, n), n = 0 included
+        code, out, _ = run(
+            capsys,
+            "verify", "--d-max", "2", "--n-max", "3", "--lambda-max", "2",
+            "--work-limit", "1",
+        )
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "FAIL  ternary method agreement (0 peel comparisons): "
+            "no peel comparison ran within --work-limit 1"
+        )
+        assert out.splitlines()[-1] == "FAIL"
+
+
+class TestWorkLimitFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--form", "ternary", "--d", "3", "--n", "4"),
+            ("series", "--form", "ternary", "--d", "3", "--max", "4"),
+            ("verify", "--d-max", "2", "--n-max", "3", "--lambda-max", "2"),
+            ("bench", "--d", "2", "--max", "2"),
+        ],
+    )
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_rejects_limit_below_one(self, capsys, argv, limit):
+        code, out, err = run(capsys, *argv, "--work-limit", limit)
+        assert (code, out) == (2, "")
+        assert err == "error: --work-limit must be >= 1\n"
+
+
 class TestBench:
     def test_format(self, capsys):
         code, out, _ = run(capsys, "bench", "--d", "3", "--max", "4")

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from forminv import counts
+from forminv import counts, sl3
 from forminv.counts import (
     OPERATOR_TERMS,
     TERNARY_METHODS,
@@ -15,11 +15,12 @@ from forminv.counts import (
     nu_ternary_genfunc,
     nu_ternary_peel,
     nu_ternary_pqbinom,
+    peel_work_estimate,
     poincare_series,
     resolve_method,
 )
 from forminv.sl3 import decompose, e_lambda
-from forminv.weights import weight_table
+from forminv.weights import num_variables, weight_table
 
 
 def brute_gamma_binary(d, n):
@@ -160,6 +161,25 @@ class TestNuTernary:
                 total = sum(g * e_lambda(hw) for hw, g in parts.items())
                 assert total == parts.get((0, 0), 0)
                 assert total == nu_ternary_counting(d, n)
+
+    def test_peel_work_estimate_bounds_measured_work(self, monkeypatch):
+        # measured work: the weight table's DP cells plus the
+        # (highest weight, mu) pairs the peel evaluates
+        pairs = 0
+        real = sl3._alternation
+
+        def counted(images, mu):
+            nonlocal pairs
+            pairs += 1
+            return real(images, mu)
+
+        monkeypatch.setattr(sl3, "_alternation", counted)
+        for d in range(1, 5):
+            for n in range(11):
+                pairs = 0
+                nu_ternary_peel(d, n)
+                cells = num_variables(d) * (n + 1) * (d * n + 1) ** 2
+                assert peel_work_estimate(d, n) >= cells + pairs, (d, n, pairs)
 
     def test_work_limit(self):
         with pytest.raises(WorkLimitExceeded):

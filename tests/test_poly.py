@@ -26,6 +26,11 @@ coefficients = st.integers(min_value=-9, max_value=9)
 polys = st.dictionaries(
     st.tuples(exponents, exponents), coefficients, max_size=6
 ).map(LaurentPoly)
+nonzero = coefficients.filter(bool)
+# mostly negative exponents, never the zero polynomial
+laurent_polys = st.dictionaries(
+    st.tuples(st.integers(-7, 2), st.integers(-7, 2)), nonzero, min_size=1, max_size=8
+).map(LaurentPoly)
 
 
 class TestAdd:
@@ -123,6 +128,15 @@ class TestDivexact:
         if y.is_zero():
             return
         assert (x * y).divexact(y) == x
+
+    @given(laurent_polys, laurent_polys, st.tuples(exponents, exponents), nonzero)
+    @settings(max_examples=100)
+    def test_roundtrip_negative_exponents(self, x, y, mono, c):
+        assert (x * y).divexact(y) == x
+        if len(y.terms) > 1:
+            # a monomial is a unit, so only a monomial y divides x*y + c*mono
+            with pytest.raises(ExactDivisionError):
+                (x * y + LaurentPoly.monomial(*mono, c)).divexact(y)
 
 
 class TestSubstitute:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forminv import sl3
 from forminv.sl3 import (
     InvalidCharacterError,
     character,
@@ -13,6 +14,69 @@ from forminv.sl3 import (
     weight_multiplicity,
 )
 from forminv.weights import weight_table
+
+
+# The Weyl alternation written out directly: six Weyl lambdas and every
+# term evaluated, with no early exit.  The independent reference for
+# weight_multiplicity.
+REFERENCE_WEYL = (
+    (1, lambda a, b: (a, b)),  # identity
+    (-1, lambda a, b: (-a, a + b)),  # s1
+    (-1, lambda a, b: (a + b, -b)),  # s2
+    (1, lambda a, b: (b, -a - b)),  # s1 s2
+    (1, lambda a, b: (-a - b, a)),  # s2 s1
+    (-1, lambda a, b: (-b, -a)),  # longest element
+)
+
+
+def reference_weight_multiplicity(lam, mu):
+    la, lb = lam[0] + 1, lam[1] + 1
+    ta, tb = mu[0] + 1, mu[1] + 1
+    total = 0
+    for sign, act in REFERENCE_WEYL:
+        va, vb = act(la, lb)
+        x, y = va - ta, vb - tb
+        n1, n2 = 2 * x + y, x + 2 * y
+        if n1 % 3 or n2 % 3:
+            continue
+        k1, k2 = n1 // 3, n2 // 3
+        if k1 >= 0 and k2 >= 0:
+            total += sign * (min(k1, k2) + 1)
+    return total
+
+
+def recompose(multiset):
+    """The weight diagram of sum g * character(hw); g = 0 leaves zeros."""
+    diagram = {}
+    for hw, g in multiset.items():
+        for w, m in character(hw).items():
+            diagram[w] = diagram.get(w, 0) + g * m
+    return diagram
+
+
+class TestAgainstReference:
+    BOX = [(i, j) for i in range(-24, 25) for j in range(-24, 25)]
+
+    def test_weight_multiplicity_box(self):
+        # every mu of the box, non-dominant ones included, so the
+        # identity-term early exit is checked wherever it fires
+        for m1 in range(13):
+            for m2 in range(13):
+                lam = (m1, m2)
+                got = [weight_multiplicity(lam, mu) for mu in self.BOX]
+                want = [reference_weight_multiplicity(lam, mu) for mu in self.BOX]
+                assert got == want, lam
+
+    def test_character(self):
+        for m1 in range(9):
+            for m2 in range(9):
+                lam = (m1, m2)
+                want = {
+                    mu: m
+                    for mu in self.BOX
+                    if (m := reference_weight_multiplicity(lam, mu))
+                }
+                assert character(lam) == want, lam
 
 
 class TestWeightMultiplicity:
@@ -75,6 +139,12 @@ class TestCharacter:
                     assert diag.get((-i, i + j)) == mult  # s1
                     assert diag.get((i + j, -j)) == mult  # s2
 
+    def test_rejects_negative_highest_weight(self):
+        # (-5, 1) scans an empty box, so the check must not rely on it
+        for lam in ((-1, 0), (0, -1), (-5, 1)):
+            with pytest.raises(ValueError):
+                character(lam)
+
     def test_duality(self):
         for m in range(7):
             for k in range(7):
@@ -121,11 +191,34 @@ class TestDecompose:
     @given(st.dictionaries(highest_weights, st.integers(1, 3), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_recompose_identity(self, multiset):
-        diagram = {}
-        for hw, g in multiset.items():
-            for w, m in character(hw).items():
-                diagram[w] = diagram.get(w, 0) + g * m
+        assert decompose(recompose(multiset)) == multiset
+
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 9), st.integers(0, 9)),
+            st.integers(0, 4),
+            max_size=5,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_nonnegative_sum_of_characters(self, multiset):
+        expected = {hw: g for hw, g in multiset.items() if g}
+        assert decompose(recompose(multiset)) == expected
+
+    def test_each_highest_weight_scans_once(self, monkeypatch):
+        # one Weyl orbit per peeled highest weight, none for the rest
+        calls = []
+        real = sl3._weyl_images
+
+        def recorded(lam):
+            calls.append(lam)
+            return real(lam)
+
+        multiset = {(3, 1): 2, (1, 1): 1, (0, 0): 3}
+        diagram = recompose(multiset)
+        monkeypatch.setattr(sl3, "_weyl_images", recorded)
         assert decompose(diagram) == multiset
+        assert calls == [(3, 1), (1, 1), (0, 0)]
 
     def test_not_weyl_invariant(self):
         with pytest.raises(InvalidCharacterError):
@@ -146,10 +239,7 @@ class TestDecompose:
                 (rng.randint(0, 5), rng.randint(0, 5)): rng.randint(1, 2)
                 for _ in range(rng.randint(1, 3))
             }
-            diagram = {}
-            for hw, g in multiset.items():
-                for w, m in character(hw).items():
-                    diagram[w] = diagram.get(w, 0) + g * m
+            diagram = recompose(multiset)
             result = decompose(diagram)
             total = sum(g * dimension(hw) for hw, g in result.items())
             assert total == sum(diagram.values())
