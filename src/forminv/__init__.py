@@ -10,7 +10,6 @@ from .poly import (
 )
 from .qbinom import gaussian_binomial, pq_binomial
 from .weights import (
-    CountTable,
     c_ternary,
     monomial_count,
     num_variables,
@@ -43,7 +42,6 @@ from .counts import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CountTable",
     "DEFAULT_WORK_LIMIT",
     "ExactDivisionError",
     "InvalidCharacterError",

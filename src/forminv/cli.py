@@ -97,7 +97,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
 
 
@@ -230,7 +234,7 @@ def _verify_functional(lambda_max: int) -> Optional[str]:
 def _verify_table_totals(d_max: int, n_max: int) -> Optional[str]:
     for d in range(1, d_max + 1):
         for n in range(n_max + 1):
-            got = weights.weight_table(d, n).total()
+            got = sum(weights.weight_table(d, n).values())
             want = weights.monomial_count(d, n)
             if got != want:
                 return f"total {got} != {want} at d={d}, n={n}"

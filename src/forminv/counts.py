@@ -63,11 +63,7 @@ class WorkLimitExceeded(RuntimeError):
 def gamma_binary(d: int, n: int) -> int:
     """Invariants of degree n of the binary form of degree d, as the
     difference of the zero-weight and weight-2 monomial counts."""
-    _check_dn(d, n)
-    if (d * n) % 2:
-        return 0
-    half = d * n // 2
-    return omega_binary(d, n, half) - omega_binary(d, n, half - 1)
+    return gamma_binary_full(d, n, 0)
 
 
 def gamma_binary_qbinom(d: int, n: int) -> int:
@@ -126,7 +122,7 @@ def nu_ternary_peel(
         raise WorkLimitExceeded(
             f"peel at d={d}, n={n} needs ~{est} states (limit {work_limit})"
         )
-    return decompose(weight_table(d, n).entries).get((0, 0), 0)
+    return decompose(weight_table(d, n)).get((0, 0), 0)
 
 
 def peel_work_estimate(d: int, n: int) -> int:
@@ -253,21 +249,15 @@ def _pqbinom_reader(d: int, order: int) -> Reader:
 
 def _pq_product(ms: range, order: int, box: Tuple[int, int]) -> TruncatedSeries:
     """prod_{m in ms} G_m clipped to box; G_m has t^j coefficient
-    pq_binomial(m, j)."""
-    prod = None
+    pq_binomial(m, j).  Every exponent is >= 0, so clipping each product
+    is exact (see ``series_mul``).  G_m goes in unclipped as the outer
+    operand: as the inner one, its terms past the box's q-edge would be
+    scanned again for every term of prod."""
+    prod = TruncatedSeries.one(order)
     for m in ms:
-        gm = TruncatedSeries(
-            [_clip(c, box) for c in pq_binomial_row(m, order)], order=order
-        )
-        prod = gm if prod is None else series_mul(prod, gm, order, box)
-    return prod if prod is not None else TruncatedSeries.one(order)
-
-
-def _clip(poly: LaurentPoly, box: Tuple[int, int]) -> LaurentPoly:
-    amax, bmax = box
-    return LaurentPoly(
-        {(a, b): c for (a, b), c in poly.terms.items() if a <= amax and b <= bmax}
-    )
+        gm = TruncatedSeries(pq_binomial_row(m, order), order=order)
+        prod = series_mul(gm, prod, order, box)
+    return prod
 
 
 _READERS: Dict[str, Callable[[int, int], Reader]] = {

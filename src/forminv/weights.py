@@ -7,63 +7,45 @@ the same for ternary forms, where a degree-n monomial in the variables
 a_{r,s} (r+s <= d) has weight sums w1 = sum r*alpha_{r,s} and
 w2 = sum s*alpha_{r,s}.
 
-The ternary counts come from one unbounded-knapsack dynamic program over
-count x w1 x w2, with each count layer packed into a single Python int
-(Kronecker substitution applied to the DP state).  In layer c, the
-number of degree-c monomials with weight sums (w1, w2) takes ``slot``
-bits at offset ``w1*row + w2*slot``:
+Every count comes from one kernel, ``_packed_layers``: an
+unbounded-knapsack dynamic program whose count layers are each packed
+into a single Python int (Kronecker substitution applied to the DP
+state).  Cell k of layer c takes ``slot`` bits at offset k*slot and
+holds a number of degree-c monomials.  Adding a variable whose weight
+moves a cell by ``shift`` bits is one step per layer, for c = 1..n,
 
-  * ``slot = monomial_count(d, n).bit_length() + 1``;
-  * a w1 row holds w2cap + 1 cells followed by d zero padding slots, so
-    ``row = (w2cap + 1 + d) * slot``.
+    layer[c] = (layer[c] + (layer[c-1] << shift)) & mask,
 
-Adding the variable a_{r,s} is one step per layer, for c = 1..n,
+where ``mask`` keeps the cells inside the caps.  No addition carries
+into the next cell: every cell, padding included, holds a nonnegative
+count of monomials of degree at most n, and ``slot`` is one bit wider
+than a bound on that count (``monomial_count(d, n)`` for the ternary
+grid; ``comb(n+d, d)`` for the binary layers, their sum included).  A
+cell is read back with one shift and one mask.
 
-    layer[c] = (layer[c] + (layer[c-1] << (r*row + s*slot))) & mask,
+``omega_binary`` packs one weight per slot and shifts by part*slot.  The
+ternary grid packs weight sums (w1, w2) at offset ``w1*row + w2*slot``,
+where a w1 row holds w2cap + 1 cells followed by d zero padding slots,
+so ``row = (w2cap + 1 + d) * slot``; variable a_{r,s} shifts by
+r*row + s*slot.  A shift by s <= d moves cells past w2cap only into the
+padding of their own row, and the mask clears them before the next step.
 
-where ``mask`` keeps the cells with w1 <= w1cap and w2 <= w2cap.  A shift
-by s <= d moves cells past w2cap only into the padding of their own row,
-and the mask clears them before the next step.  No addition carries into
-the next cell: every cell, padding included, holds a nonnegative count of
-monomials of degree at most n, which is at most monomial_count(d, n) and
-fits its slot.  A cell is read back with one shift and one mask.
-
-``omega_binary`` is the same trick in one dimension.  Results are exact
-Python ints at any size.  Nothing is cached: a grid is rebuilt on every
-call.
+Results are exact Python ints at any size.  Nothing is cached: a grid is
+rebuilt on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 Weight = Tuple[int, int]
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Weight -> multiplicity map for the degree-n monomials at fixed d."""
-
-    d: int
-    n: int
-    entries: Dict[Weight, int] = field(default_factory=dict)
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def get(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
 
 
 class CountGrid:
     """Packed count layers of the ternary DP (layout in the module
     docstring): ``cell(c, w1, w2)`` is the number of degree-c monomials
     with weight sums (w1, w2).
-
-    A plain class, not a dataclass: defining a frozen dataclass costs
-    about 2 ms at import, a tenth of ``import forminv.cli``.
     """
 
     __slots__ = ("layers", "w1cap", "w2cap", "slot", "row")
@@ -117,8 +99,7 @@ def omega_binary(d: int, n: int, w: int) -> int:
     pick alpha_1..alpha_d with total count <= n and weighted sum w:
     partitions of w into at most n parts, each part <= d.  Layer c packs
     the partitions into exactly c parts, one slot per weight up to w
-    (by the reflection w <-> d*n - w, at most d*n/2); the cell sum over
-    all layers is at most comb(n+d, d).
+    (by the reflection w <-> d*n - w, at most d*n/2).
     """
     _check_dn(d, n, w)
     if w < 0 or w > d * n:
@@ -126,12 +107,18 @@ def omega_binary(d: int, n: int, w: int) -> int:
     w = min(w, d * n - w)
     slot = comb(n + d, d).bit_length() + 1
     mask = (1 << ((w + 1) * slot)) - 1
+    layers = _packed_layers((part * slot for part in range(1, d + 1)), n, mask)
+    return (sum(layers) >> (w * slot)) & ((1 << slot) - 1)
+
+
+def _packed_layers(shifts: Iterable[int], n: int, mask: int) -> List[int]:
+    """Layers 0..n of the packed DP (module docstring), one variable per
+    shift."""
     layers = [1] + [0] * n
-    for part in range(1, d + 1):
-        shift = part * slot
+    for shift in shifts:
         for c in range(1, n + 1):
             layers[c] = (layers[c] + (layers[c - 1] << shift)) & mask
-    return (sum(layers) >> (w * slot)) & ((1 << slot) - 1)
+    return layers
 
 
 def _count_layers(d: int, n: int, w1cap: int, w2cap: int) -> CountGrid:
@@ -140,11 +127,7 @@ def _count_layers(d: int, n: int, w1cap: int, w2cap: int) -> CountGrid:
     row = (w2cap + 1 + d) * slot
     # most significant row first: d padding slots, then w2cap + 1 cells
     mask = int(("0" * (d * slot) + "1" * ((w2cap + 1) * slot)) * (w1cap + 1), 2)
-    layers = [1] + [0] * n
-    for r, s in variables(d):
-        shift = r * row + s * slot
-        for c in range(1, n + 1):
-            layers[c] = (layers[c] + (layers[c - 1] << shift)) & mask
+    layers = _packed_layers((r * row + s * slot for r, s in variables(d)), n, mask)
     return CountGrid(tuple(layers), w1cap, w2cap, slot, row)
 
 
@@ -180,8 +163,9 @@ def c_ternary(d: int, n: int, i: int, j: int) -> int:
     return _count_layers(d, n, w1, w2).cell(n, w1, w2)
 
 
-def weight_table(d: int, n: int) -> CountTable:
-    """Full weight multiplicity table of the degree-n monomials.
+def weight_table(d: int, n: int) -> Dict[Weight, int]:
+    """The weight diagram of the degree-n monomials: weight (i, j) ->
+    multiplicity, nonzero entries only.
 
     A monomial with weight sums (w1, w2) sits at weight
     (i, j) = (n*d - 2*w1 - w2, w1 - w2); the map is injective, so each
@@ -199,7 +183,7 @@ def weight_table(d: int, n: int) -> CountTable:
             c = (row >> (w2 * slot)) & cell_mask
             if c:
                 entries[(n * d - 2 * w1 - w2, w1 - w2)] = c
-    return CountTable(d=d, n=n, entries=entries)
+    return entries
 
 
 def monomial_count(d: int, n: int) -> int:

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import forminv
 from forminv import cli
 
 
@@ -96,6 +100,17 @@ class TestCount:
         )
         assert code == 3
         assert err
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(
+            capsys,
+            "count", "--form", "ternary", "--d", "3", "--n", "4",
+            "--out", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write --out {target}: ")
+        assert not target.exists()
 
 
 class TestSeries:
@@ -263,6 +278,17 @@ class TestVerify:
         assert err == f"error: {message}\n"
 
 
+    def test_unwritable_out(self, capsys, tmp_path):
+        # exit 2, not 1: an I/O error is not a failed check
+        target = tmp_path / "missing" / "y"
+        code, out, err = run(
+            capsys,
+            "verify", "--d-max", "2", "--n-max", "3", "--lambda-max", "2",
+            "--out", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write --out {target}: ")
+
     def test_reports_peel_comparisons(self, capsys):
         code, out, _ = run(
             capsys,
@@ -355,3 +381,17 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh isolated interpreter, so nothing this test run imported counts
+    src = str(Path(forminv.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import forminv.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

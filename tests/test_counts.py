@@ -157,7 +157,7 @@ class TestNuTernary:
         # recovers the trivial multiplicity
         for d in range(1, 4):
             for n in range(9):
-                parts = decompose(weight_table(d, n).entries)
+                parts = decompose(weight_table(d, n))
                 total = sum(g * e_lambda(hw) for hw, g in parts.items())
                 assert total == parts.get((0, 0), 0)
                 assert total == nu_ternary_counting(d, n)

@@ -179,14 +179,14 @@ class TestDecompose:
 
     def test_symmetric_square_of_linear_table(self):
         # six weights, total 6 = dimension of the peeled irreducible
-        result = decompose(weight_table(1, 2).entries)
+        result = decompose(weight_table(1, 2))
         assert len(result) == 1
         ((hw, mult),) = result.items()
         assert mult == 1
         assert dimension(hw) == 6
 
     def test_cubic_quartic_invariant(self):
-        assert decompose(weight_table(3, 4).entries).get((0, 0), 0) == 1
+        assert decompose(weight_table(3, 4)).get((0, 0), 0) == 1
 
     @given(st.dictionaries(highest_weights, st.integers(1, 3), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
