@@ -98,11 +98,10 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
     else:
         try:
-            fh = open(out, "w")
+            with open(out, "w") as fh:
+                fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
-        with fh:
-            fh.write(text)
 
 
 def cmd_count(args: argparse.Namespace) -> int:

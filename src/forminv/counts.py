@@ -4,7 +4,8 @@ Binary forms: the weight-count difference and its q-binomial restatement.
 Ternary forms: four mutually independent methods for the number of
 linearly independent degree-n invariants,
 
-  * counting  -- five lattice-point counts combined with signs,
+  * counting  -- five cells of one lattice-point counting grid,
+                 combined with signs,
   * genfunc   -- coefficient extraction from the inverse-product series,
   * pqbinom   -- the same series assembled from pq-binomial factors,
   * peel      -- highest-weight peeling of the full weight table.
@@ -12,33 +13,32 @@ linearly independent degree-n invariants,
 All methods return exact Python ints and agree with each other; the
 redundancy is the point.
 
-counting, genfunc and pqbinom share one driver.  Each is a reader
-builder: ``(d, order)`` -> ``read(n, targets)``, which returns the
-t^n p^a q^b coefficients, one per (a, b) in ``targets``, of the series
+counting, genfunc and pqbinom share one driver, for a series and for a
+single point alike.  Each is a reader builder: ``(d, order)`` ->
+``coeff(n, a, b)``, the t^n p^a q^b coefficient of the series
 prod_{k+l<=d} (1 - t p^k q^l)^{-1} for any n <= order.  Each route
-makes those coefficients its own way (the packed counting DP, the
-inverse-product recurrence, pq-binomial exact division); only the
-five-point functional ``sl3.FIVE_POINT`` is shared, and
-``_operator_value`` applies it.  Peel never reads it.
+makes that coefficient its own way (a cell of the packed counting grid,
+the inverse-product recurrence, a dot product of pq-binomial halves);
+only the five-point functional ``sl3.FIVE_POINT`` is shared, and
+``_operator_value`` is the one place that applies it.  Peel never reads
+it.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import weights
-from .poly import (
-    LaurentPoly,
-    TruncatedSeries,
-    expand_inverse_product,
-    product_coeffs,
-    series_mul,
-)
-# pq_binomial is not called here; perfbench/tracer.py requires this binding.
-from .qbinom import gaussian_binomial, pq_binomial, pq_binomial_row  # noqa: F401
+from .poly import TruncatedSeries, expand_inverse_product, product_coeff, series_mul
+from .qbinom import gaussian_binomial, pq_binomial_row
 from .sl3 import FIVE_POINT, decompose
-from .weights import _check_dn, c_ternary, omega_binary, variables, weight_table
+from .weights import _check_dn, omega_binary, variables, weight_table
+
+# pq_binomial and c_ternary are not called here; perfbench/tracer.py
+# requires these bindings.
+from .qbinom import pq_binomial  # noqa: F401
+from .weights import c_ternary  # noqa: F401
 
 DEFAULT_WORK_LIMIT = 10 ** 8
 
@@ -49,7 +49,8 @@ OPERATOR_TERMS: Dict[Tuple[int, int], int] = {
     ((i - j) // 3, (i + 2 * j) // 3): c for (i, j), c in FIVE_POINT.items()
 }
 
-Reader = Callable[[int, Sequence[Tuple[int, int]]], List[int]]
+# coeff(n, a, b): the t^n p^a q^b coefficient of the series.
+Reader = Callable[[int, int, int], int]
 
 
 class WorkLimitExceeded(RuntimeError):
@@ -68,12 +69,14 @@ def gamma_binary(d: int, n: int) -> int:
 
 def gamma_binary_qbinom(d: int, n: int) -> int:
     """Same count via the q-binomial: coefficient of q^{dn/2} in
-    (1 - q) * gaussian_binomial(d, n)."""
+    (1 - q) * gaussian_binomial(d, n), read as the difference of two
+    coefficients of the q-binomial."""
     _check_dn(d, n)
     if (d * n) % 2:
         return 0
-    poly = (LaurentPoly.one() - LaurentPoly.monomial(0, 1)) * gaussian_binomial(d, n)
-    return poly.coeff(0, d * n // 2)
+    g = gaussian_binomial(d, n)
+    w = d * n // 2
+    return g.coeff(0, w) - g.coeff(0, w - 1)
 
 
 def gamma_binary_full(d: int, n: int, k: int) -> int:
@@ -92,23 +95,21 @@ def gamma_binary_full(d: int, n: int, k: int) -> int:
 
 def nu_ternary_counting(d: int, n: int) -> int:
     """The five-point functional ``sl3.FIVE_POINT`` on the weight
-    multiplicities c(d, n, i, j) of the degree-n monomials."""
-    _check_dn(d, n)
-    return sum(c * c_ternary(d, n, i, j) for (i, j), c in FIVE_POINT.items())
+    multiplicities c(d, n, i, j) of the degree-n monomials, read as five
+    cells of one counting grid."""
+    return _point("counting", d, n)
 
 
 def nu_ternary_genfunc(d: int, n: int) -> int:
     """Coefficient extraction from the expansion of
     (prod_{k+l<=d} (1 - t p^k q^l))^{-1}."""
-    _check_dn(d, n)
-    return _operator_value(_reader("genfunc", d, n), d, n)
+    return _point("genfunc", d, n)
 
 
 def nu_ternary_pqbinom(d: int, n: int) -> int:
     """Same extraction, with the series assembled as the product of the
     pq-binomial generating series G_0 ... G_d."""
-    _check_dn(d, n)
-    return _operator_value(_reader("pqbinom", d, n), d, n)
+    return _point("pqbinom", d, n)
 
 
 def nu_ternary_peel(
@@ -187,15 +188,15 @@ def poincare_series(
     counting grid or one expansion clipped to the operator box) and
     apply the operator to it at every degree, so a whole series is much
     cheaper than n_max independent point queries.  The reader stays in a
-    one-slot memo, so genfunc or pqbinom point queries at the same d and
+    one-slot memo, so point queries of the same method at the same d and
     n <= n_max that follow reuse it.  Peel and the binary methods run
     one point count per degree.
     """
     method, point = resolve_method(form, method, work_limit)
     _check_dn(d, n_max)
     if method in _READERS:
-        read = _reader(method, d, n_max)
-        rows = [(n, _operator_value(read, d, n)) for n in range(n_max + 1)]
+        coeff = _reader(method, d, n_max)
+        rows = [(n, _operator_value(coeff, d, n)) for n in range(n_max + 1)]
     else:
         rows = [(n, point(d, n)) for n in range(n_max + 1)]
     if not include_zeros:
@@ -203,14 +204,22 @@ def poincare_series(
     return rows
 
 
-def _operator_value(read: Reader, d: int, n: int) -> int:
+def _point(method: str, d: int, n: int) -> int:
+    """One degree of a reader route.  Where 3 does not divide d*n the
+    count is 0 and no reader is built (nor the memo replaced)."""
+    _check_dn(d, n)
+    if (d * n) % 3:
+        return 0
+    return _operator_value(_reader(method, d, n), d, n)
+
+
+def _operator_value(coeff: Reader, d: int, n: int) -> int:
     """The operator OPERATOR_TERMS applied to the t^n coefficient that
-    ``read`` gives, read at (pq)^w, w = d*n/3; 0 unless 3 | d*n."""
+    ``coeff`` reads, at (pq)^w, w = d*n/3; 0 unless 3 | d*n."""
     if (d * n) % 3:
         return 0
     w = d * n // 3
-    values = read(n, [(w - a, w - b) for a, b in OPERATOR_TERMS])
-    return sum(c * v for c, v in zip(OPERATOR_TERMS.values(), values))
+    return sum(c * coeff(n, w - a, w - b) for (a, b), c in OPERATOR_TERMS.items())
 
 
 def _operator_box(d: int, order: int) -> Tuple[int, int]:
@@ -223,15 +232,14 @@ def _operator_box(d: int, order: int) -> Tuple[int, int]:
 
 
 def _counting_reader(d: int, order: int) -> Reader:
-    cell = weights.solution_count_grid(d, order).cell
-    return lambda n, targets: [cell(n, a, b) for a, b in targets]
+    return weights.solution_count_grid(d, order).cell
 
 
 def _genfunc_reader(d: int, order: int) -> Reader:
     coeffs = expand_inverse_product(
         variables(d), order, box=_operator_box(d, order)
     ).coeffs
-    return lambda n, targets: [coeffs[n].coeff(a, b) for a, b in targets]
+    return lambda n, a, b: coeffs[n].coeff(a, b)
 
 
 def _pqbinom_reader(d: int, order: int) -> Reader:
@@ -241,7 +249,7 @@ def _pqbinom_reader(d: int, order: int) -> Reader:
     box = _operator_box(d, order)
     half = (d + 1) // 2
     return partial(
-        product_coeffs,
+        product_coeff,
         _pq_product(range(half), order, box),
         _pq_product(range(half, d + 1), order, box),
     )
@@ -266,7 +274,7 @@ _READERS: Dict[str, Callable[[int, int], Reader]] = {
     "pqbinom": _pqbinom_reader,
 }
 
-# The most recent reader, as (method, d, order, read).  It serves any
+# The most recent reader, as (method, d, order, coeff).  It serves any
 # request with the same method and d at order <= its own, so a series
 # followed by point queries at its degrees builds once: without it the
 # point loops of the four-way agreement check rebuild an expansion per

@@ -12,7 +12,7 @@ concurrent use has been tested.
 
 ``series_mul`` and ``expand_inverse_product`` take an optional weight box
 ``(A, B)`` and then keep only the terms p^a q^b with ``a <= A`` and
-``b <= B``; ``product_coeffs`` reads single coefficients of a product
+``b <= B``; ``product_coeff`` reads a single coefficient of a product
 without forming it.  A caller that needs a few coefficients of a long
 product, all at exponents inside a box, never builds the rest.
 """
@@ -20,7 +20,7 @@ product, all at exponents inside a box, never builds the rest.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 Exponents = Tuple[int, int]
 
@@ -307,33 +307,30 @@ def _max_exponent(rows: List[List[Tuple[Exponents, int]]], axis: int) -> int:
     return max((k[axis] for row in rows for k, _ in row), default=0)
 
 
-def product_coeffs(
-    x: TruncatedSeries, y: TruncatedSeries, j: int, targets: Sequence[Exponents]
-) -> List[int]:
-    """Coefficients of t^j p^a q^b in x*y, one per (a, b) in ``targets``.
+def product_coeff(
+    x: TruncatedSeries, y: TruncatedSeries, j: int, a: int, b: int
+) -> int:
+    """Coefficient of t^j p^a q^b in x*y.
 
-    Each is the dot product  sum_i sum_(u,v) x_i[u,v] * y_{j-i}[a-u, b-v],
+    It is the dot product  sum_i sum_(u,v) x_i[u,v] * y_{j-i}[a-u, b-v],
     so the product series is never formed.
     """
     if j < 0 or x.order < j or y.order < j:
         raise OrderTooSmallError(
             f"operand orders ({x.order}, {y.order}) below requested {j}"
         )
-    out = []
-    for a, b in targets:
-        total = 0
-        for i in range(j + 1):
-            xt = x.coeffs[i].terms
-            yt = y.coeffs[j - i].terms
-            if len(xt) > len(yt):
-                xt, yt = yt, xt
-            get = yt.get
-            for (u, v), c in xt.items():
-                e = get((a - u, b - v))
-                if e:
-                    total += c * e
-        out.append(total)
-    return out
+    total = 0
+    for i in range(j + 1):
+        xt = x.coeffs[i].terms
+        yt = y.coeffs[j - i].terms
+        if len(xt) > len(yt):
+            xt, yt = yt, xt
+        get = yt.get
+        for (u, v), c in xt.items():
+            e = get((a - u, b - v))
+            if e:
+                total += c * e
+    return total
 
 
 def expand_inverse_product(

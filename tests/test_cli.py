@@ -313,6 +313,18 @@ class TestVerify:
         )
         assert out.splitlines()[-1] == "FAIL"
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_out_write_failure_is_a_usage_error(self, capsys):
+        # every check passes; only writing the report fails, and that
+        # must not read as a failed check (exit 1)
+        code, out, err = run(
+            capsys,
+            "verify", "--d-max", "2", "--n-max", "3", "--lambda-max", "2",
+            "--out", "/dev/full",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write --out /dev/full: ")
+
 
 class TestWorkLimitFlag:
     @pytest.mark.parametrize(

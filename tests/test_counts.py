@@ -19,8 +19,8 @@ from forminv.counts import (
     poincare_series,
     resolve_method,
 )
-from forminv.sl3 import decompose, e_lambda
-from forminv.weights import num_variables, weight_table
+from forminv.sl3 import FIVE_POINT, decompose, e_lambda
+from forminv.weights import c_ternary, num_variables, weight_table
 
 
 def brute_gamma_binary(d, n):
@@ -138,6 +138,12 @@ class TestNuTernary:
                     assert nu_ternary_counting(d, n) == 0
                     assert nu_ternary_genfunc(d, n) == 0
                     assert nu_ternary_pqbinom(d, n) == 0
+
+    def test_divisibility_vanishing_builds_no_reader(self):
+        counts.clear_caches()
+        for point in (nu_ternary_counting, nu_ternary_genfunc, nu_ternary_pqbinom):
+            assert point(7, 20) == 0
+        assert counts._memo is None
 
     def test_nonnegative(self):
         for d in range(1, 6):
@@ -270,11 +276,25 @@ class TestResolveMethod:
 EXTRACTION_ROUTES = pytest.mark.parametrize(
     "method", ["genfunc", "pqbinom"]
 )
+READER_ROUTES = pytest.mark.parametrize(
+    "method", ["counting", "genfunc", "pqbinom"]
+)
 
 
 class TestClippedExpansions:
-    """genfunc and pqbinom keep expansions clipped to the operator box of
-    the order they were built at; every later request must stay exact."""
+    """counting, genfunc and pqbinom keep a grid or an expansion clipped
+    to the operator box of the order it was built at; every later
+    request must stay exact."""
+
+    def test_cold_counting_points_match_five_counts(self):
+        # the paper's formula, one c_ternary count per point of FIVE_POINT
+        for d in range(8):
+            for n in range(16):
+                counts.clear_caches()
+                want = sum(
+                    c * c_ternary(d, n, i, j) for (i, j), c in FIVE_POINT.items()
+                )
+                assert nu_ternary_counting(d, n) == want, (d, n)
 
     @EXTRACTION_ROUTES
     def test_cold_points_match_counting(self, method):
@@ -285,7 +305,7 @@ class TestClippedExpansions:
                 counts.clear_caches()
                 assert point(d, n) == want, (d, n)
 
-    @EXTRACTION_ROUTES
+    @READER_ROUTES
     def test_series_then_points(self, method):
         point = TERNARY_METHODS[method]
         for d in (3, 5, 6):
@@ -295,7 +315,7 @@ class TestClippedExpansions:
             for n, want in base:
                 assert point(d, n) == want, (d, n)
 
-    @EXTRACTION_ROUTES
+    @READER_ROUTES
     def test_point_then_longer_series(self, method):
         point = TERNARY_METHODS[method]
         for d, n in ((3, 6), (5, 12), (4, 9)):

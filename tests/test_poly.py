@@ -8,7 +8,7 @@ from forminv.poly import (
     OrderTooSmallError,
     TruncatedSeries,
     expand_inverse_product,
-    product_coeffs,
+    product_coeff,
     series_mul,
 )
 
@@ -283,10 +283,10 @@ class TestClipped:
         order = min(x.order, y.order)
         full = series_mul(x, y, order)
         for j in range(order + 1):
-            assert product_coeffs(x, y, j, targets) == [
+            assert [product_coeff(x, y, j, a, b) for a, b in targets] == [
                 full.coeff(j).coeff(a, b) for a, b in targets
             ]
 
     def test_product_coeffs_order_too_small(self):
         with pytest.raises(OrderTooSmallError):
-            product_coeffs(TruncatedSeries.one(1), TruncatedSeries.one(3), 2, [(0, 0)])
+            product_coeff(TruncatedSeries.one(1), TruncatedSeries.one(3), 2, 0, 0)
