@@ -18,7 +18,8 @@ single point alike.  Each is a reader builder: ``(d, order)`` ->
 ``coeff(n, a, b)``, the t^n p^a q^b coefficient of the series
 prod_{k+l<=d} (1 - t p^k q^l)^{-1} for any n <= order.  Each route
 makes that coefficient its own way (a cell of the packed counting grid,
-the inverse-product recurrence, a dot product of pq-binomial halves);
+the inverse-product recurrence, one slot of a product of two graded
+packed halves of the pq-binomial factors);
 only the five-point functional ``sl3.FIVE_POINT`` is shared, and
 ``_operator_value`` is the one place that applies it.  Peel never reads
 it.
@@ -30,13 +31,14 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import weights
-from .poly import TruncatedSeries, expand_inverse_product, product_coeff, series_mul
+from .poly import LaurentPoly, expand_inverse_product
 from .qbinom import gaussian_binomial, pq_binomial_row
 from .sl3 import FIVE_POINT, decompose
 from .weights import _check_dn, omega_binary, variables, weight_table
 
-# pq_binomial and c_ternary are not called here; perfbench/tracer.py
-# requires these bindings.
+# pq_binomial, c_ternary and series_mul are not called here;
+# perfbench/tracer.py requires these bindings.
+from .poly import series_mul  # noqa: F401
 from .qbinom import pq_binomial  # noqa: F401
 from .weights import c_ternary  # noqa: F401
 
@@ -244,28 +246,98 @@ def _genfunc_reader(d: int, order: int) -> Reader:
 
 def _pqbinom_reader(d: int, order: int) -> Reader:
     """G_0 ... G_d multiplied in two halves, each clipped to the operator
-    box; a coefficient of their product, never formed, is a dot product
-    of the halves."""
+    box and held as graded packed ints (``_pq_half``).  A coefficient of
+    their product, never formed, is slot b of a sum of piece products:
+
+        coeff(n, a, b) = slot b of  sum_i sum_D1 lo[i][D1] * hi[n-i][a+b-D1].
+
+    That sum holds, in every slot, part of a coefficient of the full
+    series, so no slot carries into the next one.  Exact for any
+    (a, b) inside the box.
+    """
     box = _operator_box(d, order)
+    slot = weights.monomial_count(d, order).bit_length() + 1
+    cell = (1 << slot) - 1
     half = (d + 1) // 2
-    return partial(
-        product_coeff,
-        _pq_product(range(half), order, box),
-        _pq_product(range(half, d + 1), order, box),
-    )
+    lo = _pq_half(range(half), order, box, slot)
+    hi = _pq_half(range(half, d + 1), order, box, slot)
+
+    def coeff(n: int, a: int, b: int) -> int:
+        if a < 0 or b < 0:
+            return 0
+        deg, total = a + b, 0
+        for i in range(n + 1):
+            get = hi[n - i].get
+            for d1, x in lo[i].items():
+                y = get(deg - d1)
+                if y:
+                    total += x * y
+        return (total >> (b * slot)) & cell
+
+    return coeff
 
 
-def _pq_product(ms: range, order: int, box: Tuple[int, int]) -> TruncatedSeries:
-    """prod_{m in ms} G_m clipped to box; G_m has t^j coefficient
-    pq_binomial(m, j).  Every exponent is >= 0, so clipping each product
-    is exact (see ``series_mul``).  G_m goes in unclipped as the outer
-    operand: as the inner one, its terms past the box's q-edge would be
-    scanned again for every term of prod."""
-    prod = TruncatedSeries.one(order)
+def _pq_half(
+    ms: range, order: int, box: Tuple[int, int], slot: int
+) -> List[Dict[int, int]]:
+    """prod_{m in ms} G_m clipped to box, as graded packed ints: entry j
+    maps each total degree D = a + b of the t^j coefficient to one int
+    holding the coefficient of p^(D-b) q^b in slot b (``slot`` bits at
+    offset b*slot).
+
+    The t^k coefficient of G_m is pq_binomial(m, k), homogeneous of
+    degree m*k with coefficients >= 0, so it is one piece, and
+    multiplying in G_m is one int multiply per pair of pieces.  Every
+    exponent is >= 0, so masking each product to the box,
+    max(0, D-A) <= b <= min(B, D), is exact: a dropped term never comes
+    back.  Every slot of a product, masked or not, is part of a count of
+    monomials of degree <= order, which ``slot`` bits hold without carry.
+    """
+    amax, bmax = box
+    top = amax + bmax
+
+    def mask(deg: int) -> int:
+        first = max(0, deg - amax)
+        width = min(bmax, deg) - first + 1
+        return ((1 << (width * slot)) - 1) << (first * slot) if width > 0 else 0
+
+    masks = [mask(deg) for deg in range(top + 1)]
+    prod: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(order)]
     for m in ms:
-        gm = TruncatedSeries(pq_binomial_row(m, order), order=order)
-        prod = series_mul(gm, prod, order, box)
+        # entries of degree m*k > A + B lie wholly outside the box
+        kmax = min(order, top // m) if m else order
+        row = [
+            _pack(g, m * k, slot) & masks[m * k]
+            for k, g in enumerate(pq_binomial_row(m, kmax))
+        ]
+        nxt: List[Dict[int, int]] = []
+        for j in range(order + 1):
+            acc: Dict[int, int] = {}
+            get = acc.get
+            for k in range(min(j, len(row) - 1) + 1):
+                g, dk = row[k], m * k
+                for deg, x in prod[j - k].items():
+                    deg += dk
+                    if deg <= top:
+                        acc[deg] = get(deg, 0) + g * x
+            nxt.append({deg: v & masks[deg] for deg, v in acc.items()})
+        prod = nxt
     return prod
+
+
+def _pack(g: LaurentPoly, deg: int, slot: int) -> int:
+    """The homogeneous degree-``deg`` polynomial g as one int, the
+    coefficient of p^(deg-b) q^b in slot b.  A term off that degree, or a
+    negative coefficient, would break the no-carry argument of
+    ``_pq_half``: ArithmeticError."""
+    packed = 0
+    for (a, b), c in g.terms.items():
+        if a + b != deg or a < 0 or b < 0 or c < 0:
+            raise ArithmeticError(
+                f"pq-binomial term {c}*p^{a}q^{b} breaks packing at degree {deg}"
+            )
+        packed += c << (b * slot)
+    return packed
 
 
 _READERS: Dict[str, Callable[[int, int], Reader]] = {

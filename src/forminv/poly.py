@@ -12,9 +12,8 @@ concurrent use has been tested.
 
 ``series_mul`` and ``expand_inverse_product`` take an optional weight box
 ``(A, B)`` and then keep only the terms p^a q^b with ``a <= A`` and
-``b <= B``; ``product_coeff`` reads a single coefficient of a product
-without forming it.  A caller that needs a few coefficients of a long
-product, all at exponents inside a box, never builds the rest.
+``b <= B``.  A caller that needs a few coefficients of a long product or
+expansion, all at exponents inside a box, never builds the rest.
 """
 
 from __future__ import annotations
@@ -305,32 +304,6 @@ def series_mul(
 
 def _max_exponent(rows: List[List[Tuple[Exponents, int]]], axis: int) -> int:
     return max((k[axis] for row in rows for k, _ in row), default=0)
-
-
-def product_coeff(
-    x: TruncatedSeries, y: TruncatedSeries, j: int, a: int, b: int
-) -> int:
-    """Coefficient of t^j p^a q^b in x*y.
-
-    It is the dot product  sum_i sum_(u,v) x_i[u,v] * y_{j-i}[a-u, b-v],
-    so the product series is never formed.
-    """
-    if j < 0 or x.order < j or y.order < j:
-        raise OrderTooSmallError(
-            f"operand orders ({x.order}, {y.order}) below requested {j}"
-        )
-    total = 0
-    for i in range(j + 1):
-        xt = x.coeffs[i].terms
-        yt = y.coeffs[j - i].terms
-        if len(xt) > len(yt):
-            xt, yt = yt, xt
-        get = yt.get
-        for (u, v), c in xt.items():
-            e = get((a - u, b - v))
-            if e:
-                total += c * e
-    return total
 
 
 def expand_inverse_product(

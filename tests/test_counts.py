@@ -2,6 +2,8 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forminv import counts, sl3
 from forminv.counts import (
@@ -19,8 +21,16 @@ from forminv.counts import (
     poincare_series,
     resolve_method,
 )
+from forminv.poly import LaurentPoly, TruncatedSeries, series_mul
+from forminv.qbinom import pq_binomial_row
 from forminv.sl3 import FIVE_POINT, decompose, e_lambda
-from forminv.weights import c_ternary, num_variables, weight_table
+from forminv.weights import (
+    c_ternary,
+    monomial_count,
+    num_variables,
+    solution_count_grid,
+    weight_table,
+)
 
 
 def brute_gamma_binary(d, n):
@@ -335,6 +345,77 @@ class TestClippedExpansions:
         assert nu_ternary_pqbinom(5, 12) == base[5][12]
         assert nu_ternary_genfunc(4, 15) == base[4][15]
         assert nu_ternary_genfunc(5, 9) == base[5][9]
+
+
+def unpack_half(half, slot):
+    """A packed half as (j, a, b) -> coefficient, nonzero entries only."""
+    cell = (1 << slot) - 1
+    terms = {}
+    for j, pieces in enumerate(half):
+        for deg, packed in pieces.items():
+            for b in range(deg + 1):
+                c = (packed >> (b * slot)) & cell
+                if c:
+                    terms[(j, deg - b, b)] = c
+            assert packed >> ((deg + 1) * slot) == 0
+    return terms
+
+
+class TestPackedPqbinom:
+    """pqbinom's halves are graded packed ints; they must hold exactly the
+    box-clipped dict product of the same G_m rows."""
+
+    @given(st.integers(0, 7), st.integers(0, 10), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_half_is_clipped_series_product(self, d, order, data):
+        first = data.draw(st.integers(0, d))
+        last = data.draw(st.integers(first, d + 1))
+        box = counts._operator_box(d, order)
+        slot = monomial_count(d, order).bit_length() + 1
+        want = TruncatedSeries.one(order)
+        for m in range(first, last):
+            gm = TruncatedSeries(pq_binomial_row(m, order), order=order)
+            want = series_mul(gm, want, order, box)
+        got = unpack_half(counts._pq_half(range(first, last), order, box, slot), slot)
+        assert got == {
+            (j, a, b): c
+            for j, coeff in enumerate(want.coeffs)
+            for (a, b), c in coeff.terms.items()
+        }
+
+    @pytest.mark.parametrize("d, order", [(1, 9), (4, 10), (6, 7), (7, 10)])
+    def test_reader_is_counting_grid_on_the_box(self, d, order):
+        coeff = counts._pqbinom_reader(d, order)
+        grid = solution_count_grid(d, order)
+        amax, bmax = counts._operator_box(d, order)
+        for n in range(order + 1):
+            for a in range(amax + 1):
+                for b in range(bmax + 1):
+                    assert coeff(n, a, b) == grid.cell(n, a, b), (n, a, b)
+        assert coeff(order, -1, 0) == coeff(order, 0, -1) == 0
+
+    @pytest.mark.parametrize("d, n_max", [(4, 60), (8, 18)])
+    def test_series_beyond_the_acceptance_range(self, d, n_max):
+        counts.clear_caches()
+        want = poincare_series("ternary", d, n_max)
+        assert poincare_series("ternary", d, n_max, method="pqbinom") == want
+
+    @pytest.mark.parametrize(
+        "bad", [LaurentPoly.monomial(0, 0), LaurentPoly.monomial(3, 0, -2)]
+    )
+    def test_unpackable_row_entry_raises(self, monkeypatch, bad):
+        # an off-degree term, or a negative coefficient, in G_3's t^1 entry
+        def row(m, order):
+            entries = pq_binomial_row(m, order)
+            if m == 3:
+                entries[1] = entries[1] + bad
+            return entries
+
+        monkeypatch.setattr(counts, "pq_binomial_row", row)
+        counts.clear_caches()
+        with pytest.raises(ArithmeticError):
+            poincare_series("ternary", 4, 6, method="pqbinom")
+        counts.clear_caches()
 
 
 def test_operator_terms_are_the_papers_operator():

@@ -8,7 +8,6 @@ from forminv.poly import (
     OrderTooSmallError,
     TruncatedSeries,
     expand_inverse_product,
-    product_coeff,
     series_mul,
 )
 
@@ -276,17 +275,3 @@ class TestClipped:
         # without a box a negative exponent is fine
         s = expand_inverse_product([(-1, 2)], 2)
         assert s.coeff(2) == lp({(-2, 4): 1})
-
-    @given(series_of, series_of, st.lists(st.tuples(exponents, exponents), max_size=4))
-    @settings(max_examples=60)
-    def test_product_coeffs_read_the_product(self, x, y, targets):
-        order = min(x.order, y.order)
-        full = series_mul(x, y, order)
-        for j in range(order + 1):
-            assert [product_coeff(x, y, j, a, b) for a, b in targets] == [
-                full.coeff(j).coeff(a, b) for a, b in targets
-            ]
-
-    def test_product_coeffs_order_too_small(self):
-        with pytest.raises(OrderTooSmallError):
-            product_coeff(TruncatedSeries.one(1), TruncatedSeries.one(3), 2, 0, 0)
