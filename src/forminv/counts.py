@@ -19,10 +19,12 @@ single point alike.  Each is a reader builder: ``(d, order)`` ->
 prod_{k+l<=d} (1 - t p^k q^l)^{-1} for any n <= order.  Each route
 makes that coefficient its own way (a cell of the packed counting grid,
 the inverse-product recurrence, one slot of a product of two graded
-packed halves of the pq-binomial factors);
-only the five-point functional ``sl3.FIVE_POINT`` is shared, and
-``_operator_value`` is the one place that applies it.  Peel never reads
-it.
+packed halves of the pq-binomial factors).  counting's and pqbinom's
+readers are exact anywhere in the operator box; genfunc's expansion is
+also floored on a + b (``_operator_floor``), so its reader is exact only
+at the cells the operator reads.  Only the five-point functional
+``sl3.FIVE_POINT`` is shared, and ``_operator_value`` is the one place
+that applies it.  Peel never reads it.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ OPERATOR_TERMS: Dict[Tuple[int, int], int] = {
     ((i - j) // 3, (i + 2 * j) // 3): c for (i, j), c in FIVE_POINT.items()
 }
 
-# coeff(n, a, b): the t^n p^a q^b coefficient of the series.
+# coeff(n, a, b): the t^n p^a q^b coefficient of the series, exact at
+# least at every cell the operator reads for n <= the reader's order
+# (genfunc's is exact only there).
 Reader = Callable[[int, int, int], int]
 
 
@@ -187,12 +191,12 @@ def poincare_series(
     """Per-degree invariant counts for n = 0..n_max.
 
     counting, genfunc and pqbinom build one reader at order n_max (one
-    counting grid or one expansion clipped to the operator box) and
-    apply the operator to it at every degree, so a whole series is much
-    cheaper than n_max independent point queries.  The reader stays in a
-    one-slot memo, so point queries of the same method at the same d and
-    n <= n_max that follow reuse it.  Peel and the binary methods run
-    one point count per degree.
+    counting grid or one expansion clipped to the cells the operator
+    reads) and apply the operator to it at every degree, so a whole
+    series is much cheaper than n_max independent point queries.  The
+    reader stays in a one-slot memo, so point queries of the same method
+    at the same d and n <= n_max that follow reuse it.  Peel and the
+    binary methods run one point count per degree.
     """
     method, point = resolve_method(form, method, work_limit)
     _check_dn(d, n_max)
@@ -237,9 +241,24 @@ def _counting_reader(d: int, order: int) -> Reader:
     return weights.solution_count_grid(d, order).cell
 
 
+def _operator_floor(d: int, order: int) -> int:
+    """Least total degree a + b of the coefficients the operator reads
+    from the t^order term, w = d*order/3: 2w - 2, rounded down.
+
+    At degree n the operator reads a + b >= 2dn/3 - 2, and a t^j term of
+    total degree s reaches at most s + d(n - j) by t^n, so it is needed
+    only if s >= 2dn/3 - 2 - d(n - j).  That bound is weakest at
+    n = order, so an expansion floored at one order serves every lower
+    one at the cells the operator reads."""
+    return (2 * d * order) // 3 - max(a + b for a, b in OPERATOR_TERMS)
+
+
 def _genfunc_reader(d: int, order: int) -> Reader:
     coeffs = expand_inverse_product(
-        variables(d), order, box=_operator_box(d, order)
+        variables(d),
+        order,
+        box=_operator_box(d, order),
+        floor=_operator_floor(d, order),
     ).coeffs
     return lambda n, a, b: coeffs[n].coeff(a, b)
 

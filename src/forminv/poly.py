@@ -14,6 +14,10 @@ concurrent use has been tested.
 ``(A, B)`` and then keep only the terms p^a q^b with ``a <= A`` and
 ``b <= B``.  A caller that needs a few coefficients of a long product or
 expansion, all at exponents inside a box, never builds the rest.
+``expand_inverse_product`` also takes an optional ``floor = S`` on the
+total degree: it keeps only the terms of t^j that can still reach
+``a + b >= S`` by t^order, so a caller that reads only high total
+degrees near the top order never builds the low ones either.
 """
 
 from __future__ import annotations
@@ -307,7 +311,10 @@ def _max_exponent(rows: List[List[Tuple[Exponents, int]]], axis: int) -> int:
 
 
 def expand_inverse_product(
-    factors: Iterable[Exponents], order: int, box: Optional[Exponents] = None
+    factors: Iterable[Exponents],
+    order: int,
+    box: Optional[Exponents] = None,
+    floor: Optional[int] = None,
 ) -> TruncatedSeries:
     """Expand the inverse of prod over (k, l) of (1 - t p^k q^l).
 
@@ -316,32 +323,45 @@ def expand_inverse_product(
     which keeps the work proportional to the support size.
 
     With ``box = (A, B)`` each shifted term with p-exponent above A or
-    q-exponent above B is dropped as it is made.  That is exact (the
-    result is the full expansion restricted to the box) only because
-    every exponent is >= 0, so a dropped term never comes back; a box
-    together with a factor that has a negative exponent raises
-    ValueError.
+    q-exponent above B is dropped as it is made.  With ``floor = S`` a
+    term made at t^j is dropped unless ``a + b >= S - top*(order - j)``,
+    ``top`` the largest k + l of the factors: the terms of t^j that the
+    remaining ``order - j`` shifts can still lift to a + b >= S.  Both
+    are exact (the result is the full expansion restricted to the box
+    and to that band) only because every exponent is >= 0: a + b never
+    falls along the recurrence, so every term a kept term is made from
+    was kept, and a term dropped for the box never comes back.  A box
+    or a floor together with a factor that has a negative exponent
+    raises ValueError.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     factors = list(factors)
+    if (box is not None or floor is not None) and any(
+        k < 0 or l < 0 for k, l in factors
+    ):
+        raise ValueError("a box or a floor needs factors with nonnegative exponents")
+    # bounds that no term reaches, for the same loop unclipped
     if box is None:
-        # bounds that no term reaches: the same loop, unclipped
         amax = order * max([0] + [k for k, _ in factors])
         bmax = order * max([0] + [l for _, l in factors])
-    elif any(k < 0 or l < 0 for k, l in factors):
-        raise ValueError("a box needs factors with nonnegative exponents")
     else:
         amax, bmax = box
-    one = {(0, 0): 1} if amax >= 0 and bmax >= 0 else {}
+    if floor is None:
+        lows = [order * min([0] + [k + l for k, l in factors])] * (order + 1)
+    else:
+        top = max([0] + [k + l for k, l in factors])
+        lows = [floor - top * (order - j) for j in range(order + 1)]
+    one = {(0, 0): 1} if amax >= 0 and bmax >= 0 and lows[0] <= 0 else {}
     coeffs: List[Dict[Exponents, int]] = [one] + [{} for _ in range(order)]
     for (k, l) in factors:
         for j in range(1, order + 1):
             cur = coeffs[j]
             get = cur.get
+            low = lows[j]
             for (a, b), c in coeffs[j - 1].items():
                 a += k
                 b += l
-                if a <= amax and b <= bmax:
+                if a <= amax and b <= bmax and a + b >= low:
                     cur[(a, b)] = get((a, b), 0) + c
     return TruncatedSeries([LaurentPoly(c) for c in coeffs], order=order)

@@ -336,6 +336,45 @@ class TestClippedExpansions:
             # and a shorter series from the longer cached expansion
             assert poincare_series("ternary", d, n, method=method) == base[: n + 1]
 
+    @EXTRACTION_ROUTES
+    @pytest.mark.parametrize("d, n_max", [(4, 60), (8, 18)])
+    def test_series_beyond_the_acceptance_range(self, d, n_max, method):
+        counts.clear_caches()
+        want = poincare_series("ternary", d, n_max)
+        assert poincare_series("ternary", d, n_max, method=method) == want
+
+    @pytest.mark.parametrize("order", [3, 8, 15])
+    def test_genfunc_reader_is_counting_grid_at_operator_cells(self, order):
+        # cell by cell: the operator's coefficients sum to 0, so an error
+        # shared by all five cells would cancel in a series
+        for d in range(8):
+            coeff = counts._genfunc_reader(d, order)
+            grid = solution_count_grid(d, order)
+            for n in range(order + 1):
+                if (d * n) % 3:
+                    continue
+                w = d * n // 3
+                for a, b in OPERATOR_TERMS:
+                    cell = (n, w - a, w - b)
+                    assert coeff(*cell) == grid.cell(*cell), (d, cell)
+
+    def test_genfunc_floor_is_tight(self, monkeypatch):
+        # one more than the operator's floor drops cells it reads, and the
+        # cross-check against counting must see it
+        floor = counts._operator_floor
+        monkeypatch.setattr(
+            counts, "_operator_floor", lambda d, order: floor(d, order) + 1
+        )
+        differ = []
+        for d in range(1, 8):
+            counts.clear_caches()
+            want = poincare_series("ternary", d, 15)
+            counts.clear_caches()
+            if poincare_series("ternary", d, 15, method="genfunc") != want:
+                differ.append(d)
+        counts.clear_caches()
+        assert differ
+
     def test_interleaved_methods_and_degrees(self):
         base = {d: dict(poincare_series("ternary", d, 18)) for d in (4, 5)}
         counts.clear_caches()
@@ -393,12 +432,6 @@ class TestPackedPqbinom:
                 for b in range(bmax + 1):
                     assert coeff(n, a, b) == grid.cell(n, a, b), (n, a, b)
         assert coeff(order, -1, 0) == coeff(order, 0, -1) == 0
-
-    @pytest.mark.parametrize("d, n_max", [(4, 60), (8, 18)])
-    def test_series_beyond_the_acceptance_range(self, d, n_max):
-        counts.clear_caches()
-        want = poincare_series("ternary", d, n_max)
-        assert poincare_series("ternary", d, n_max, method="pqbinom") == want
 
     @pytest.mark.parametrize(
         "bad", [LaurentPoly.monomial(0, 0), LaurentPoly.monomial(3, 0, -2)]

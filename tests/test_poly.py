@@ -238,6 +238,24 @@ def restrict(series, box):
     )
 
 
+def restrict_band(series, floor, top):
+    """The series with every term p^a q^b of t^j below the band
+    a + b >= floor - top*(order - j) dropped."""
+    return TruncatedSeries(
+        [
+            LaurentPoly(
+                {
+                    (a, b): c
+                    for (a, b), c in p.terms.items()
+                    if a + b >= floor - top * (series.order - j)
+                }
+            )
+            for j, p in enumerate(series.coeffs)
+        ],
+        order=series.order,
+    )
+
+
 series_of = st.lists(polys, min_size=1, max_size=4).map(TruncatedSeries)
 boxes = st.tuples(st.integers(-5, 9), st.integers(-5, 9))
 nonneg_factors = st.lists(
@@ -269,9 +287,25 @@ class TestClipped:
         clipped = series_mul(series_mul(x, y, order, box), z, order, box)
         assert clipped == restrict(full, box)
 
+    @given(nonneg_factors, st.integers(0, 5), st.none() | boxes, st.integers(-5, 20))
+    @settings(max_examples=120)
+    def test_floored_inverse_product_is_restricted_expansion(
+        self, factors, order, box, floor
+    ):
+        top = max([0] + [k + l for k, l in factors])
+        want = restrict_band(expand_inverse_product(factors, order), floor, top)
+        if box is not None:
+            want = restrict(want, box)
+        assert expand_inverse_product(factors, order, box, floor) == want
+
     def test_box_with_negative_factor_raises(self):
         with pytest.raises(ValueError):
             expand_inverse_product([(1, 0), (-1, 2)], 3, box=(4, 4))
         # without a box a negative exponent is fine
         s = expand_inverse_product([(-1, 2)], 2)
         assert s.coeff(2) == lp({(-2, 4): 1})
+
+    def test_floor_with_negative_factor_raises(self):
+        # a + b could fall along the recurrence, so the band is not exact
+        with pytest.raises(ValueError):
+            expand_inverse_product([(1, 0), (2, -1)], 3, floor=2)
