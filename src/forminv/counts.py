@@ -8,6 +8,7 @@ linearly independent degree-n invariants,
                  combined with signs,
   * genfunc   -- coefficient extraction from the inverse-product series,
   * pqbinom   -- the same series assembled from pq-binomial factors,
+                 whose packed table is built by the q-Pascal recurrence,
   * peel      -- highest-weight peeling of the full weight table.
 
 All methods return exact Python ints and agree with each other; the
@@ -33,8 +34,8 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import weights
-from .poly import LaurentPoly, expand_inverse_product
-from .qbinom import gaussian_binomial, pq_binomial_row
+from .poly import expand_inverse_product
+from .qbinom import _box_masks, gaussian_binomial, pq_binomial_table
 from .sl3 import FIVE_POINT, decompose
 from .weights import _check_dn, omega_binary, variables, weight_table
 
@@ -277,9 +278,11 @@ def _pqbinom_reader(d: int, order: int) -> Reader:
     box = _operator_box(d, order)
     slot = weights.monomial_count(d, order).bit_length() + 1
     cell = (1 << slot) - 1
+    masks = _box_masks(box, slot)
+    rows = pq_binomial_table(d, order, box, slot)
     half = (d + 1) // 2
-    lo = _pq_half(range(half), order, box, slot)
-    hi = _pq_half(range(half, d + 1), order, box, slot)
+    lo = _pq_half(rows, range(half), order, masks)
+    hi = _pq_half(rows, range(half, d + 1), order, masks)
 
     def coeff(n: int, a: int, b: int) -> int:
         if a < 0 or b < 0:
@@ -297,38 +300,26 @@ def _pqbinom_reader(d: int, order: int) -> Reader:
 
 
 def _pq_half(
-    ms: range, order: int, box: Tuple[int, int], slot: int
+    rows: List[List[int]], ms: range, order: int, masks: List[int]
 ) -> List[Dict[int, int]]:
-    """prod_{m in ms} G_m clipped to box, as graded packed ints: entry j
-    maps each total degree D = a + b of the t^j coefficient to one int
-    holding the coefficient of p^(D-b) q^b in slot b (``slot`` bits at
-    offset b*slot).
+    """prod_{m in ms} G_m clipped to the box of ``masks`` (``_box_masks``),
+    as graded packed ints: entry j maps each total degree D = a + b of
+    the t^j coefficient to one int holding the coefficient of
+    p^(D-b) q^b in slot b.
 
     The t^k coefficient of G_m is pq_binomial(m, k), homogeneous of
-    degree m*k with coefficients >= 0, so it is one piece, and
-    multiplying in G_m is one int multiply per pair of pieces.  Every
-    exponent is >= 0, so masking each product to the box,
-    max(0, D-A) <= b <= min(B, D), is exact: a dropped term never comes
-    back.  Every slot of a product, masked or not, is part of a count of
-    monomials of degree <= order, which ``slot`` bits hold without carry.
+    degree m*k with coefficients >= 0, so it is one piece, rows[m][k] of
+    ``pq_binomial_table`` (already clipped; the row ends where m*k leaves
+    the box), and multiplying in G_m is one int multiply per pair of
+    pieces.  Every exponent is >= 0, so masking each product to the box
+    is exact: a dropped term never comes back.  Every slot of a product,
+    masked or not, is part of a count of monomials of degree <= order,
+    which the slot holds without carry.
     """
-    amax, bmax = box
-    top = amax + bmax
-
-    def mask(deg: int) -> int:
-        first = max(0, deg - amax)
-        width = min(bmax, deg) - first + 1
-        return ((1 << (width * slot)) - 1) << (first * slot) if width > 0 else 0
-
-    masks = [mask(deg) for deg in range(top + 1)]
+    top = len(masks) - 1
     prod: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(order)]
     for m in ms:
-        # entries of degree m*k > A + B lie wholly outside the box
-        kmax = min(order, top // m) if m else order
-        row = [
-            _pack(g, m * k, slot) & masks[m * k]
-            for k, g in enumerate(pq_binomial_row(m, kmax))
-        ]
+        row = rows[m]
         nxt: List[Dict[int, int]] = []
         for j in range(order + 1):
             acc: Dict[int, int] = {}
@@ -342,21 +333,6 @@ def _pq_half(
             nxt.append({deg: v & masks[deg] for deg, v in acc.items()})
         prod = nxt
     return prod
-
-
-def _pack(g: LaurentPoly, deg: int, slot: int) -> int:
-    """The homogeneous degree-``deg`` polynomial g as one int, the
-    coefficient of p^(deg-b) q^b in slot b.  A term off that degree, or a
-    negative coefficient, would break the no-carry argument of
-    ``_pq_half``: ArithmeticError."""
-    packed = 0
-    for (a, b), c in g.terms.items():
-        if a + b != deg or a < 0 or b < 0 or c < 0:
-            raise ArithmeticError(
-                f"pq-binomial term {c}*p^{a}q^{b} breaks packing at degree {deg}"
-            )
-        packed += c << (b * slot)
-    return packed
 
 
 _READERS: Dict[str, Callable[[int, int], Reader]] = {

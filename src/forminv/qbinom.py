@@ -1,13 +1,19 @@
 """Gaussian (q-) and two-variable (pq-) binomial coefficients.
 
-Both are computed from their defining products by exact polynomial
-division, dividing as we multiply so intermediates stay small.  Each
-division is asserted exact; a remainder aborts the computation.
+``gaussian_binomial`` and ``pq_binomial`` are computed from their
+defining products by exact polynomial division, dividing as we multiply
+so intermediates stay small.  Each division is asserted exact; a
+remainder aborts the computation.
+
+``pq_binomial_table`` builds a whole table of pq-binomials, clipped to a
+box of exponents, as packed ints by the q-Pascal recurrence: one shift
+and one add per entry, no polynomial product and no division.
 """
 
 from __future__ import annotations
 
-from typing import List
+from math import comb
+from typing import List, Tuple
 
 from .poly import LaurentPoly
 
@@ -41,18 +47,54 @@ def pq_binomial(d: int, k: int) -> LaurentPoly:
     return result
 
 
-def pq_binomial_row(m: int, order: int) -> List[LaurentPoly]:
-    """[pq_binomial(m, 0), ..., pq_binomial(m, order)], each entry grown
-    from the one before by one multiply and one exact division:
+def pq_binomial_table(
+    mmax: int, order: int, box: Tuple[int, int], slot: int
+) -> List[List[int]]:
+    """Row m, for m = 0..mmax, holds pq_binomial(m, k) clipped to the box
+    p^a q^b, a <= A, b <= B, for every k <= order with m*k <= A + B (the
+    entries of higher degree lie wholly outside the box).
 
-        pq_binomial(m, j) = pq_binomial(m, j-1) * (p^{m+j}-q^{m+j}) / (p^j-q^j).
+    Entry (m, k) is homogeneous of degree D = m*k, packed as one int with
+    the coefficient of p^(D-b) q^b in slot b (``slot`` bits at offset
+    b*slot).  The rows are built by the q-Pascal identity
+
+        pq_binomial(m, k) = p^m pq_binomial(m, k-1) + q^k pq_binomial(m-1, k),
+
+    which in this layout is P[m][k] = P[m][k-1] + (P[m-1][k] << k*slot),
+    from P[0][k] = P[m][0] = 1.  Every coefficient is at most
+    comb(m + k, k), so a slot that holds comb(mmax + order, order) never
+    carries, else ValueError.  Every exponent is >= 0 and only grows
+    along the recurrence, so masking each entry to the box as it is
+    built is exact: a dropped term never comes back.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    row = [pq_binomial(m, 0)]
-    for j in range(1, order + 1):
-        row.append((row[-1] * _p_minus_q(m + j)).divexact(_p_minus_q(j)))
-    return row
+    if mmax < 0 or order < 0 or min(box) < 0:
+        raise ValueError("arguments must be nonnegative")
+    if comb(mmax + order, order) >> slot:
+        raise ValueError(f"{slot}-bit slots cannot hold comb({mmax + order}, {order})")
+    masks = _box_masks(box, slot)
+    top = len(masks) - 1
+    table = [[1] * (order + 1)]
+    for m in range(1, mmax + 1):
+        prev = table[-1]
+        row = [1]
+        for k in range(1, min(order, top // m) + 1):
+            row.append((row[-1] + (prev[k] << (k * slot))) & masks[m * k])
+        table.append(row)
+    return table
+
+
+def _box_masks(box: Tuple[int, int], slot: int) -> List[int]:
+    """For each total degree D <= A + B, the mask of the slots b of a
+    packed degree-D polynomial (coefficient of p^(D-b) q^b in slot b)
+    whose monomial lies in the box a <= A, b <= B:
+    max(0, D - A) <= b <= min(B, D)."""
+    amax, bmax = box
+    masks = []
+    for deg in range(amax + bmax + 1):
+        first = max(0, deg - amax)
+        width = min(bmax, deg) - first + 1
+        masks.append(((1 << (width * slot)) - 1) << (first * slot))
+    return masks
 
 
 def _one_minus_q(i: int) -> LaurentPoly:

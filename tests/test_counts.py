@@ -21,8 +21,8 @@ from forminv.counts import (
     poincare_series,
     resolve_method,
 )
-from forminv.poly import LaurentPoly, TruncatedSeries, series_mul
-from forminv.qbinom import pq_binomial_row
+from forminv.poly import TruncatedSeries, series_mul
+from forminv.qbinom import _box_masks, pq_binomial, pq_binomial_table
 from forminv.sl3 import FIVE_POINT, decompose, e_lambda
 from forminv.weights import (
     c_ternary,
@@ -401,8 +401,9 @@ def unpack_half(half, slot):
 
 
 class TestPackedPqbinom:
-    """pqbinom's halves are graded packed ints; they must hold exactly the
-    box-clipped dict product of the same G_m rows."""
+    """pqbinom's halves are graded packed ints built from the packed
+    pq-binomial table; they must hold exactly the box-clipped dict product
+    of the G_m rows pq_binomial(m, k)."""
 
     @given(st.integers(0, 7), st.integers(0, 10), st.data())
     @settings(max_examples=40, deadline=None)
@@ -413,9 +414,12 @@ class TestPackedPqbinom:
         slot = monomial_count(d, order).bit_length() + 1
         want = TruncatedSeries.one(order)
         for m in range(first, last):
-            gm = TruncatedSeries(pq_binomial_row(m, order), order=order)
+            row = [pq_binomial(m, k) for k in range(order + 1)]
+            gm = TruncatedSeries(row, order=order)
             want = series_mul(gm, want, order, box)
-        got = unpack_half(counts._pq_half(range(first, last), order, box, slot), slot)
+        rows = pq_binomial_table(d, order, box, slot)
+        half = counts._pq_half(rows, range(first, last), order, _box_masks(box, slot))
+        got = unpack_half(half, slot)
         assert got == {
             (j, a, b): c
             for j, coeff in enumerate(want.coeffs)
@@ -432,23 +436,6 @@ class TestPackedPqbinom:
                 for b in range(bmax + 1):
                     assert coeff(n, a, b) == grid.cell(n, a, b), (n, a, b)
         assert coeff(order, -1, 0) == coeff(order, 0, -1) == 0
-
-    @pytest.mark.parametrize(
-        "bad", [LaurentPoly.monomial(0, 0), LaurentPoly.monomial(3, 0, -2)]
-    )
-    def test_unpackable_row_entry_raises(self, monkeypatch, bad):
-        # an off-degree term, or a negative coefficient, in G_3's t^1 entry
-        def row(m, order):
-            entries = pq_binomial_row(m, order)
-            if m == 3:
-                entries[1] = entries[1] + bad
-            return entries
-
-        monkeypatch.setattr(counts, "pq_binomial_row", row)
-        counts.clear_caches()
-        with pytest.raises(ArithmeticError):
-            poincare_series("ternary", 4, 6, method="pqbinom")
-        counts.clear_caches()
 
 
 def test_operator_terms_are_the_papers_operator():

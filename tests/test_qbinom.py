@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from forminv.poly import LaurentPoly, expand_inverse_product
-from forminv.qbinom import gaussian_binomial, pq_binomial, pq_binomial_row
+from forminv.qbinom import gaussian_binomial, pq_binomial, pq_binomial_table
 
 
 def qpoly(coeffs):
@@ -101,19 +101,58 @@ class TestPqBinomialSeries:
             assert s.coeff(j) == pq_binomial(m, j)
 
 
-class TestPqBinomialRow:
-    @pytest.mark.parametrize("m", range(8))
-    def test_grown_row_is_pq_binomials(self, m):
-        row = pq_binomial_row(m, 15)
-        assert len(row) == 16
-        for j, entry in enumerate(row):
-            assert entry == pq_binomial(m, j)
+@pytest.fixture(scope="module")
+def pq_oracle():
+    """pq_binomial(m, k) for m <= 10, k <= 20, by the defining quotient."""
+    return {(m, k): pq_binomial(m, k) for m in range(11) for k in range(21)}
 
-    def test_order_zero(self):
-        assert pq_binomial_row(3, 0) == [LaurentPoly.one()]
 
-    def test_negative_arguments(self):
+def unpack(packed, deg, slot):
+    """A packed homogeneous degree-deg polynomial as {(a, b): c}."""
+    cell = (1 << slot) - 1
+    terms = {}
+    for b in range(deg + 1):
+        c = (packed >> (b * slot)) & cell
+        if c:
+            terms[(deg - b, b)] = c
+    assert packed >> ((deg + 1) * slot) == 0
+    return terms
+
+
+class TestPqBinomialTable:
+    @pytest.mark.parametrize(
+        "mmax, order", [(10, 20), (0, 20), (10, 0), (0, 0), (3, 7)]
+    )
+    # the operator box at d = 10, order 20; a box no entry leaves; small ones
+    @pytest.mark.parametrize("box", [(67, 66), (300, 300), (5, 3), (2, 9), (0, 0)])
+    def test_entries_are_clipped_pq_binomials(self, pq_oracle, mmax, order, box):
+        # the narrowest slot the table accepts, so a carry would show
+        slot = comb(mmax + order, order).bit_length()
+        amax, bmax = box
+        table = pq_binomial_table(mmax, order, box, slot)
+        assert len(table) == mmax + 1
+        for m in range(mmax + 1):
+            row = table[m]
+            # the row ends where m*k leaves the box
+            kmax = min(order, (amax + bmax) // m) if m else order
+            assert len(row) == kmax + 1
+            for k in range(order + 1):
+                want = {
+                    (a, b): c
+                    for (a, b), c in pq_oracle[m, k].terms.items()
+                    if a <= amax and b <= bmax
+                }
+                got = unpack(row[k], m * k, slot) if k <= kmax else {}
+                assert got == want, (m, k)
+
+    def test_short_slot_raises(self):
+        slot = comb(10 + 20, 20).bit_length()
         with pytest.raises(ValueError):
-            pq_binomial_row(-1, 3)
+            pq_binomial_table(10, 20, (67, 66), slot - 1)
+
+    @pytest.mark.parametrize(
+        "args", [(-1, 3, (2, 2)), (2, -1, (2, 2)), (2, 3, (-1, 2))]
+    )
+    def test_negative_arguments(self, args):
         with pytest.raises(ValueError):
-            pq_binomial_row(2, -1)
+            pq_binomial_table(*args, 8)
