@@ -119,6 +119,17 @@ def unpack(packed, deg, slot):
     return terms
 
 
+class TestPqBinomialRow:
+    @pytest.mark.parametrize("m", range(8))
+    def test_grown_row_is_pq_binomials(self, m):
+        # a box holding every degree m*k <= 7*15, so no entry is clipped
+        slot = comb(m + 15, 15).bit_length()
+        row = pq_binomial_table(m, 15, (105, 105), slot)[m]
+        assert len(row) == 16
+        for j, entry in enumerate(row):
+            assert unpack(entry, m * j, slot) == pq_binomial(m, j).terms
+
+
 class TestPqBinomialTable:
     @pytest.mark.parametrize(
         "mmax, order", [(10, 20), (0, 20), (10, 0), (0, 0), (3, 7)]
