@@ -1,12 +1,14 @@
 """Invariant counts for binary and ternary forms, by several routes.
 
-Binary forms: the weight-count difference and its q-binomial restatement.
+Binary forms: the weight-count difference and its q-binomial restatement,
+whose low part is one packed int built by the q-Pascal recurrence.
 Ternary forms: four mutually independent methods for the number of
 linearly independent degree-n invariants,
 
   * counting  -- five cells of one lattice-point counting grid,
                  combined with signs,
   * genfunc   -- coefficient extraction from the inverse-product series,
+                 expanded one variable at a time on graded packed ints,
   * pqbinom   -- the same series assembled from pq-binomial factors,
                  whose packed table is built by the q-Pascal recurrence,
   * peel      -- highest-weight peeling of the full weight table.
@@ -19,30 +21,30 @@ single point alike.  Each is a reader builder: ``(d, order)`` ->
 ``coeff(n, a, b)``, the t^n p^a q^b coefficient of the series
 prod_{k+l<=d} (1 - t p^k q^l)^{-1} for any n <= order.  Each route
 makes that coefficient its own way (a cell of the packed counting grid,
-the inverse-product recurrence, one slot of a product of two graded
-packed halves of the pq-binomial factors).  counting's and pqbinom's
-readers are exact anywhere in the operator box; genfunc's expansion is
-also floored on a + b (``_operator_floor``), so its reader is exact only
-at the cells the operator reads.  Only the five-point functional
-``sl3.FIVE_POINT`` is shared, and ``_operator_value`` is the one place
-that applies it.  Peel never reads it.
+one slot of the graded packed inverse-product expansion, one slot of a
+product of two graded packed halves of the pq-binomial factors).
+counting's and pqbinom's readers are exact anywhere in the operator box;
+genfunc's expansion is also floored on a + b (``_operator_floor``), so
+its reader is exact only at the cells the operator reads.  Only the
+five-point functional ``sl3.FIVE_POINT`` is shared, and
+``_operator_value`` is the one place that applies it.  Peel never reads
+it.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from math import comb
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import weights
-from .poly import expand_inverse_product
-from .qbinom import _box_masks, gaussian_binomial, pq_binomial_table
+from .qbinom import _box_masks, gaussian_binomial_low, pq_binomial_table
 from .sl3 import FIVE_POINT, decompose
 from .weights import _check_dn, omega_binary, variables, weight_table
 
-# pq_binomial, c_ternary and series_mul are not called here;
-# perfbench/tracer.py requires these bindings.
-from .poly import series_mul  # noqa: F401
-from .qbinom import pq_binomial  # noqa: F401
+# None of these is called here; perfbench/tracer.py requires the bindings.
+from .poly import expand_inverse_product, series_mul  # noqa: F401
+from .qbinom import gaussian_binomial, pq_binomial  # noqa: F401
 from .weights import c_ternary  # noqa: F401
 
 DEFAULT_WORK_LIMIT = 10 ** 8
@@ -76,14 +78,16 @@ def gamma_binary(d: int, n: int) -> int:
 
 def gamma_binary_qbinom(d: int, n: int) -> int:
     """Same count via the q-binomial: coefficient of q^{dn/2} in
-    (1 - q) * gaussian_binomial(d, n), read as the difference of two
-    coefficients of the q-binomial."""
+    (1 - q) * [d+n choose n]_q, read as the difference of slots w and
+    w-1 of the packed low part ``gaussian_binomial_low(d, n, w, slot)``."""
     _check_dn(d, n)
     if (d * n) % 2:
         return 0
-    g = gaussian_binomial(d, n)
     w = d * n // 2
-    return g.coeff(0, w) - g.coeff(0, w - 1)
+    slot = comb(d + n, n).bit_length() + 1
+    low = gaussian_binomial_low(d, n, w, slot)
+    below = (low >> ((w - 1) * slot)) & ((1 << slot) - 1) if w else 0
+    return (low >> (w * slot)) - below
 
 
 def gamma_binary_full(d: int, n: int, k: int) -> int:
@@ -255,13 +259,51 @@ def _operator_floor(d: int, order: int) -> int:
 
 
 def _genfunc_reader(d: int, order: int) -> Reader:
-    coeffs = expand_inverse_product(
-        variables(d),
-        order,
-        box=_operator_box(d, order),
-        floor=_operator_floor(d, order),
-    ).coeffs
-    return lambda n, a, b: coeffs[n].coeff(a, b)
+    """One slot of ``_genfunc_expansion``: exact at every cell the
+    operator reads, for n <= order."""
+    coeffs, slot = _genfunc_expansion(d, order)
+    cell = (1 << slot) - 1
+
+    def coeff(n: int, a: int, b: int) -> int:
+        if a < 0 or b < 0:
+            return 0
+        return (coeffs[n].get(a + b, 0) >> (b * slot)) & cell
+
+    return coeff
+
+
+def _genfunc_expansion(d: int, order: int) -> Tuple[List[Dict[int, int]], int]:
+    """prod_{k+l<=d} (1 - t p^k q^l)^{-1} up to t^order, clipped to the
+    operator box and floored on a + b, and the slot width.
+
+    Entry j maps each total degree D = a + b of the t^j coefficient to
+    one int holding the coefficient of p^(D-b) q^b in slot b.  The
+    variables are folded in one at a time by the recurrence
+    S'[j] = S[j] + p^k q^l S'[j-1]; multiplying by p^k q^l moves piece D
+    to D + k + l and shifts it left by l slots.  Each new piece is masked
+    to the box (``_box_masks``), and a piece of t^j is kept only if
+    D >= _operator_floor - d*(order - j), the degrees the remaining
+    order - j shifts can still lift to the floor.  Both are exact because
+    every exponent is >= 0: a + b never falls along the recurrence, and a
+    term dropped for the box never comes back.  Every slot is a count of
+    monomials of degree <= order, which the slot holds without carry.
+    """
+    slot = weights.monomial_count(d, order).bit_length() + 1
+    masks = _box_masks(_operator_box(d, order), slot)
+    top = len(masks) - 1
+    floor = _operator_floor(d, order)
+    lows = [floor - d * (order - j) for j in range(order + 1)]
+    coeffs: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(order)]
+    for k, l in variables(d):
+        step, shift = k + l, l * slot
+        for j in range(1, order + 1):
+            cur, low = coeffs[j], lows[j]
+            get = cur.get
+            for deg, x in coeffs[j - 1].items():
+                deg += step
+                if low <= deg <= top:
+                    cur[deg] = get(deg, 0) + ((x << shift) & masks[deg])
+    return coeffs, slot
 
 
 def _pqbinom_reader(d: int, order: int) -> Reader:

@@ -10,20 +10,14 @@ Every operation returns a new object and leaves its operands unchanged.
 Nothing enforces this (``LaurentPoly.terms`` is a plain dict), and no
 concurrent use has been tested.
 
-``series_mul`` and ``expand_inverse_product`` take an optional weight box
-``(A, B)`` and then keep only the terms p^a q^b with ``a <= A`` and
-``b <= B``.  A caller that needs a few coefficients of a long product or
-expansion, all at exponents inside a box, never builds the rest.
-``expand_inverse_product`` also takes an optional ``floor = S`` on the
-total degree: it keeps only the terms of t^j that can still reach
-``a + b >= S`` by t^order, so a caller that reads only high total
-degrees near the top order never builds the low ones either.
+The routes in ``counts`` work on packed ints and use nothing here.  This
+is the exact, unclipped arithmetic that the tests check them against.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 Exponents = Tuple[int, int]
 
@@ -256,112 +250,41 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, coeffs={self.coeffs!r})"
 
 
-def series_mul(
-    x: TruncatedSeries,
-    y: TruncatedSeries,
-    order: int,
-    box: Optional[Exponents] = None,
-) -> TruncatedSeries:
-    """Cauchy product truncated at t^order, and clipped to ``box``.
-
-    With ``box = (A, B)`` every term pair whose product p^a q^b has
-    ``a > A`` or ``b > B`` is skipped, so the result is the unclipped
-    product restricted to the box.  Each call is exact for any
-    exponents.  Feeding a clipped product into a further clipped product
-    is exact only when all exponents are >= 0: a dropped term times a
-    negative exponent could have landed back inside the box.
-    """
+def series_mul(x: TruncatedSeries, y: TruncatedSeries, order: int) -> TruncatedSeries:
+    """Cauchy product truncated at t^order."""
     if x.order < order or y.order < order:
         raise OrderTooSmallError(
             f"operand orders ({x.order}, {y.order}) below requested {order}"
         )
-    xs = [list(p.terms.items()) for p in x.coeffs[: order + 1]]
-    # sorted by p-exponent, so the scan of y stops at the box's edge
-    ys = [sorted(p.terms.items()) for p in y.coeffs[: order + 1]]
-    if box is None:
-        # bounds that no term pair reaches: the same loop, unclipped
-        amax = _max_exponent(xs, 0) + _max_exponent(ys, 0)
-        bmax = _max_exponent(xs, 1) + _max_exponent(ys, 1)
-    else:
-        amax, bmax = box
     out = []
     for j in range(order + 1):
         acc: Dict[Exponents, int] = {}
         get = acc.get
         for i in range(j + 1):
-            xt = xs[i]
-            yt = ys[j - i]
-            if not xt or not yt:
-                continue
-            for (a, b), c in xt:
-                ra = amax - a
-                rb = bmax - b
-                for (u, v), e in yt:
-                    if u > ra:
-                        break
-                    if v <= rb:
-                        k = (a + u, b + v)
-                        acc[k] = get(k, 0) + c * e
+            yt = y.coeffs[j - i].terms
+            for (a, b), c in x.coeffs[i].terms.items():
+                for (u, v), e in yt.items():
+                    k = (a + u, b + v)
+                    acc[k] = get(k, 0) + c * e
         out.append(LaurentPoly(acc))
     return TruncatedSeries(out, order=order)
 
 
-def _max_exponent(rows: List[List[Tuple[Exponents, int]]], axis: int) -> int:
-    return max((k[axis] for row in rows for k, _ in row), default=0)
-
-
-def expand_inverse_product(
-    factors: Iterable[Exponents],
-    order: int,
-    box: Optional[Exponents] = None,
-    floor: Optional[int] = None,
-) -> TruncatedSeries:
+def expand_inverse_product(factors: Iterable[Exponents], order: int) -> TruncatedSeries:
     """Expand the inverse of prod over (k, l) of (1 - t p^k q^l).
 
     Each factor contributes a geometric series; they are folded in one
     at a time with the recurrence  S'[j] = S[j] + p^k q^l * S'[j-1],
     which keeps the work proportional to the support size.
-
-    With ``box = (A, B)`` each shifted term with p-exponent above A or
-    q-exponent above B is dropped as it is made.  With ``floor = S`` a
-    term made at t^j is dropped unless ``a + b >= S - top*(order - j)``,
-    ``top`` the largest k + l of the factors: the terms of t^j that the
-    remaining ``order - j`` shifts can still lift to a + b >= S.  Both
-    are exact (the result is the full expansion restricted to the box
-    and to that band) only because every exponent is >= 0: a + b never
-    falls along the recurrence, so every term a kept term is made from
-    was kept, and a term dropped for the box never comes back.  A box
-    or a floor together with a factor that has a negative exponent
-    raises ValueError.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    factors = list(factors)
-    if (box is not None or floor is not None) and any(
-        k < 0 or l < 0 for k, l in factors
-    ):
-        raise ValueError("a box or a floor needs factors with nonnegative exponents")
-    # bounds that no term reaches, for the same loop unclipped
-    if box is None:
-        amax = order * max([0] + [k for k, _ in factors])
-        bmax = order * max([0] + [l for _, l in factors])
-    else:
-        amax, bmax = box
-    if floor is None:
-        lows = [order * min([0] + [k + l for k, l in factors])] * (order + 1)
-    else:
-        top = max([0] + [k + l for k, l in factors])
-        lows = [floor - top * (order - j) for j in range(order + 1)]
-    one = {(0, 0): 1} if amax >= 0 and bmax >= 0 and lows[0] <= 0 else {}
-    coeffs: List[Dict[Exponents, int]] = [one] + [{} for _ in range(order)]
+    coeffs: List[Dict[Exponents, int]] = [{(0, 0): 1}] + [{} for _ in range(order)]
     for (k, l) in factors:
         for j in range(1, order + 1):
             cur = coeffs[j]
             get = cur.get
-            low = lows[j]
             for (a, b), c in coeffs[j - 1].items():
-                a += k
-                b += l
-                if a <= amax and b <= bmax and a + b >= low:
-                    cur[(a, b)] = get((a, b), 0) + c
+                key = (a + k, b + l)
+                cur[key] = get(key, 0) + c
     return TruncatedSeries([LaurentPoly(c) for c in coeffs], order=order)

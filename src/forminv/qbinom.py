@@ -1,13 +1,15 @@
 """Gaussian (q-) and two-variable (pq-) binomial coefficients.
 
-``gaussian_binomial`` and ``pq_binomial`` are computed from their
-defining products by exact polynomial division, dividing as we multiply
-so intermediates stay small.  Each division is asserted exact; a
-remainder aborts the computation.
+``gaussian_binomial_low`` and ``pq_binomial_table`` are the ones the
+routes use.  They build q-binomials (the low part of one) and a table of
+pq-binomials (clipped to a box of exponents) as packed ints by the
+q-Pascal recurrence: one shift, one add and one mask per entry, no
+polynomial product and no division.
 
-``pq_binomial_table`` builds a whole table of pq-binomials, clipped to a
-box of exponents, as packed ints by the q-Pascal recurrence: one shift
-and one add per entry, no polynomial product and no division.
+``gaussian_binomial`` and ``pq_binomial`` are their test oracles,
+computed from the defining products by exact polynomial division,
+dividing as we multiply so intermediates stay small.  Each division is
+asserted exact; a remainder aborts the computation.
 """
 
 from __future__ import annotations
@@ -31,6 +33,33 @@ def gaussian_binomial(d: int, n: int) -> LaurentPoly:
         result = result * _one_minus_q(d + i)
         result = result.divexact(_one_minus_q(i))
     return result
+
+
+def gaussian_binomial_low(d: int, n: int, top: int, slot: int) -> int:
+    """gaussian_binomial(d, n) up to q^top, packed as one int with the
+    coefficient of q^e in slot e (``slot`` bits at offset e*slot).
+
+    Built by the q-Pascal identity for Q(m, k) = gaussian_binomial(m, k),
+
+        Q(m, k) = Q(m, k-1) + q^k Q(m-1, k),
+
+    over one row k = 0..n, updated in place for m = 1..d from
+    Q(0, k) = Q(m, 0) = 1: row[k] = (row[k-1] + (row[k] << k*slot)) & mask,
+    the mask keeping slots 0..top.  Every coefficient is at most
+    comb(d + n, n), so a slot that holds it never carries, else
+    ValueError.  Every exponent is >= 0 and only grows along the
+    recurrence, so truncating each entry as it is built is exact.
+    """
+    if d < 0 or n < 0 or top < 0:
+        raise ValueError("arguments must be nonnegative")
+    if comb(d + n, n) >> slot:
+        raise ValueError(f"{slot}-bit slots cannot hold comb({d + n}, {n})")
+    mask = (1 << ((top + 1) * slot)) - 1
+    row = [1] * (n + 1)
+    for _ in range(d):
+        for k in range(1, n + 1):
+            row[k] = (row[k - 1] + (row[k] << (k * slot))) & mask
+    return row[n]
 
 
 def pq_binomial(d: int, k: int) -> LaurentPoly:

@@ -21,7 +21,12 @@ from forminv.counts import (
     poincare_series,
     resolve_method,
 )
-from forminv.poly import TruncatedSeries, series_mul
+from forminv.poly import (
+    LaurentPoly,
+    TruncatedSeries,
+    expand_inverse_product,
+    series_mul,
+)
 from forminv.qbinom import _box_masks, pq_binomial, pq_binomial_table
 from forminv.sl3 import FIVE_POINT, decompose, e_lambda
 from forminv.weights import (
@@ -29,6 +34,7 @@ from forminv.weights import (
     monomial_count,
     num_variables,
     solution_count_grid,
+    variables,
     weight_table,
 )
 
@@ -76,9 +82,9 @@ class TestGammaBinary:
         assert gamma_binary_qbinom(d, n) == expect
 
     def test_methods_agree(self):
-        for d in range(1, 9):
-            for n in range(13):
-                assert gamma_binary(d, n) == gamma_binary_qbinom(d, n)
+        for d in range(13):
+            for n in range(31):
+                assert gamma_binary(d, n) == gamma_binary_qbinom(d, n), (d, n)
 
 
 class TestGammaBinaryFull:
@@ -386,11 +392,54 @@ class TestClippedExpansions:
         assert nu_ternary_genfunc(5, 9) == base[5][9]
 
 
-def unpack_half(half, slot):
-    """A packed half as (j, a, b) -> coefficient, nonzero entries only."""
+def restrict(series, box):
+    """The series with every term outside the box p^a q^b, a <= A, b <= B,
+    dropped."""
+    amax, bmax = box
+    return TruncatedSeries(
+        [
+            LaurentPoly(
+                {(a, b): c for (a, b), c in p.terms.items() if a <= amax and b <= bmax}
+            )
+            for p in series.coeffs
+        ],
+        order=series.order,
+    )
+
+
+def restrict_band(series, floor, top):
+    """The series with every term p^a q^b of t^j below the band
+    a + b >= floor - top*(order - j) dropped."""
+    return TruncatedSeries(
+        [
+            LaurentPoly(
+                {
+                    (a, b): c
+                    for (a, b), c in p.terms.items()
+                    if a + b >= floor - top * (series.order - j)
+                }
+            )
+            for j, p in enumerate(series.coeffs)
+        ],
+        order=series.order,
+    )
+
+
+def series_terms(series):
+    """A series as (j, a, b) -> coefficient, nonzero entries only."""
+    return {
+        (j, a, b): c
+        for j, coeff in enumerate(series.coeffs)
+        for (a, b), c in coeff.terms.items()
+    }
+
+
+def unpack_graded(series, slot):
+    """Graded packed pieces (a pqbinom half, the genfunc expansion) as
+    (j, a, b) -> coefficient, nonzero entries only."""
     cell = (1 << slot) - 1
     terms = {}
-    for j, pieces in enumerate(half):
+    for j, pieces in enumerate(series):
         for deg, packed in pieces.items():
             for b in range(deg + 1):
                 c = (packed >> (b * slot)) & cell
@@ -416,15 +465,11 @@ class TestPackedPqbinom:
         for m in range(first, last):
             row = [pq_binomial(m, k) for k in range(order + 1)]
             gm = TruncatedSeries(row, order=order)
-            want = series_mul(gm, want, order, box)
+            # exact: every exponent is >= 0, so a dropped term never returns
+            want = restrict(series_mul(gm, want, order), box)
         rows = pq_binomial_table(d, order, box, slot)
         half = counts._pq_half(rows, range(first, last), order, _box_masks(box, slot))
-        got = unpack_half(half, slot)
-        assert got == {
-            (j, a, b): c
-            for j, coeff in enumerate(want.coeffs)
-            for (a, b), c in coeff.terms.items()
-        }
+        assert unpack_graded(half, slot) == series_terms(want)
 
     @pytest.mark.parametrize("d, order", [(1, 9), (4, 10), (6, 7), (7, 10)])
     def test_reader_is_counting_grid_on_the_box(self, d, order):
@@ -441,3 +486,27 @@ class TestPackedPqbinom:
 def test_operator_terms_are_the_papers_operator():
     # 1 + pq + q^2/p - 2q - q^2
     assert OPERATOR_TERMS == {(0, 0): 1, (1, 1): 1, (-1, 2): 1, (0, 1): -2, (0, 2): -1}
+
+
+class TestPackedGenfunc:
+    """genfunc's expansion is graded packed ints; unpacked, it must be the
+    dict expansion of the inverse product restricted to the operator box
+    and to the a + b floor band, with no bit outside the box."""
+
+    @pytest.mark.parametrize("d", range(8))
+    def test_expansion_is_restricted_inverse_product(self, d):
+        for order in range(13):
+            pieces, slot = counts._genfunc_expansion(d, order)
+            box = counts._operator_box(d, order)
+            floor = counts._operator_floor(d, order)
+            full = expand_inverse_product(variables(d), order)
+            want = restrict(restrict_band(full, floor, d), box)
+            assert unpack_graded(pieces, slot) == series_terms(want), (d, order)
+
+    @pytest.mark.parametrize("d, order", [(1, 30), (4, 20), (7, 12), (10, 9)])
+    def test_no_bit_outside_the_box(self, d, order):
+        pieces, slot = counts._genfunc_expansion(d, order)
+        masks = _box_masks(counts._operator_box(d, order), slot)
+        for j, coeff in enumerate(pieces):
+            for deg, packed in coeff.items():
+                assert packed & ~masks[deg] == 0, (j, deg)
