@@ -343,7 +343,7 @@ class TestClippedExpansions:
             assert poincare_series("ternary", d, n, method=method) == base[: n + 1]
 
     @EXTRACTION_ROUTES
-    @pytest.mark.parametrize("d, n_max", [(4, 60), (8, 18)])
+    @pytest.mark.parametrize("d, n_max", [(4, 60), (8, 18), (10, 21), (7, 42)])
     def test_series_beyond_the_acceptance_range(self, d, n_max, method):
         counts.clear_caches()
         want = poincare_series("ternary", d, n_max)
