@@ -34,7 +34,6 @@ it.
 from __future__ import annotations
 
 from functools import partial
-from math import comb
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import weights
@@ -79,13 +78,12 @@ def gamma_binary(d: int, n: int) -> int:
 def gamma_binary_qbinom(d: int, n: int) -> int:
     """Same count via the q-binomial: coefficient of q^{dn/2} in
     (1 - q) * [d+n choose n]_q, read as the difference of slots w and
-    w-1 of the packed low part ``gaussian_binomial_low(d, n, w, slot)``."""
+    w-1 of the packed low part ``gaussian_binomial_low(d, n, w)``."""
     _check_dn(d, n)
     if (d * n) % 2:
         return 0
     w = d * n // 2
-    slot = comb(d + n, n).bit_length() + 1
-    low = gaussian_binomial_low(d, n, w, slot)
+    low, slot = gaussian_binomial_low(d, n, w)
     below = (low >> ((w - 1) * slot)) & ((1 << slot) - 1) if w else 0
     return (low >> (w * slot)) - below
 

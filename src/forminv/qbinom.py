@@ -35,9 +35,9 @@ def gaussian_binomial(d: int, n: int) -> LaurentPoly:
     return result
 
 
-def gaussian_binomial_low(d: int, n: int, top: int, slot: int) -> int:
+def gaussian_binomial_low(d: int, n: int, top: int) -> Tuple[int, int]:
     """gaussian_binomial(d, n) up to q^top, packed as one int with the
-    coefficient of q^e in slot e (``slot`` bits at offset e*slot).
+    coefficient of q^e in slot e, and the slot width in bits.
 
     Built by the q-Pascal identity for Q(m, k) = gaussian_binomial(m, k),
 
@@ -46,20 +46,19 @@ def gaussian_binomial_low(d: int, n: int, top: int, slot: int) -> int:
     over one row k = 0..n, updated in place for m = 1..d from
     Q(0, k) = Q(m, 0) = 1: row[k] = (row[k-1] + (row[k] << k*slot)) & mask,
     the mask keeping slots 0..top.  Every coefficient is at most
-    comb(d + n, n), so a slot that holds it never carries, else
-    ValueError.  Every exponent is >= 0 and only grows along the
-    recurrence, so truncating each entry as it is built is exact.
+    comb(d + n, n), so slots of its bit length never carry.  Every
+    exponent is >= 0 and only grows along the recurrence, so truncating
+    each entry as it is built is exact.
     """
     if d < 0 or n < 0 or top < 0:
         raise ValueError("arguments must be nonnegative")
-    if comb(d + n, n) >> slot:
-        raise ValueError(f"{slot}-bit slots cannot hold comb({d + n}, {n})")
+    slot = comb(d + n, n).bit_length()
     mask = (1 << ((top + 1) * slot)) - 1
     row = [1] * (n + 1)
     for _ in range(d):
         for k in range(1, n + 1):
             row[k] = (row[k - 1] + (row[k] << (k * slot))) & mask
-    return row[n]
+    return row[n], slot
 
 
 def pq_binomial(d: int, k: int) -> LaurentPoly:

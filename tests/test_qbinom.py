@@ -178,22 +178,18 @@ class TestGaussianBinomialLow:
     @pytest.mark.parametrize("d", [0, 1, 2, 5, 9])
     @pytest.mark.parametrize("n", [0, 1, 3, 8])
     def test_is_low_part_of_gaussian_binomial(self, d, n):
-        # the narrowest slot it accepts, so a carry would show
-        slot = comb(d + n, n).bit_length()
-        cell = (1 << slot) - 1
         oracle = gaussian_binomial(d, n)
         for top in sorted({0, 1, d * n // 2, d * n, d * n + 3}):
-            low = gaussian_binomial_low(d, n, top, slot)
+            low, slot = gaussian_binomial_low(d, n, top)
+            # the narrowest slot that holds every coefficient, so a
+            # carry would show
+            assert slot == comb(d + n, n).bit_length()
+            cell = (1 << slot) - 1
             assert low >> ((top + 1) * slot) == 0
             got = [(low >> (e * slot)) & cell for e in range(top + 1)]
             assert got == [oracle.coeff(0, e) for e in range(top + 1)], top
 
-    def test_short_slot_raises(self):
-        slot = comb(12 + 30, 30).bit_length()
-        with pytest.raises(ValueError):
-            gaussian_binomial_low(12, 30, 180, slot - 1)
-
     @pytest.mark.parametrize("args", [(-1, 3, 2), (2, -1, 2), (2, 3, -1)])
     def test_negative_arguments(self, args):
         with pytest.raises(ValueError):
-            gaussian_binomial_low(*args, 8)
+            gaussian_binomial_low(*args)
