@@ -4,7 +4,6 @@ Subcommands:
   count   -- one invariant count
   series  -- a Poincare-series table in text/json/csv
   verify  -- cross-method and structural self-checks
-  bench   -- wall-time per method per degree
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 work limit
 exceeded or out of memory.  Data goes to stdout (or --out), diagnostics
@@ -18,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import List, Optional, Tuple
 
 from . import counts, sl3, weights
@@ -66,13 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--lambda-max", type=int, default=20)
     _add_common_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="time each ternary method")
-    p_bench.add_argument("--d", type=int, required=True)
-    p_bench.add_argument("--max", type=int, required=True)
-    p_bench.add_argument("--repeat", type=int, default=1)
-    _add_common_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -238,40 +229,6 @@ def _verify_table_totals(d_max: int, n_max: int) -> Optional[str]:
             if got != want:
                 return f"total {got} != {want} at d={d}, n={n}"
     return None
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.repeat < 1:
-        raise ValueError("--repeat must be >= 1")
-    if args.max < 0:
-        raise ValueError("--max must be >= 0")
-    out_lines = ["method,n,millis"]
-    for method in ("counting", "genfunc", "pqbinom", "peel"):
-        _, fn = resolve_method("ternary", method, args.work_limit)
-        for n in range(args.max + 1):
-            best = None
-            hit_limit = False
-            for _ in range(args.repeat):
-                counts.clear_caches()
-                start = time.perf_counter()
-                try:
-                    fn(args.d, n)
-                except WorkLimitExceeded:
-                    hit_limit = True
-                    break
-                elapsed = (time.perf_counter() - start) * 1000.0
-                if best is None or elapsed < best:
-                    best = elapsed
-            if hit_limit:
-                out_lines.append(f"{method},{n},NA")
-            else:
-                out_lines.append(f"{method},{n},{best:.3f}")
-    _emit("".join(line + "\n" for line in out_lines), args.out)
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -333,7 +333,6 @@ class TestWorkLimitFlag:
             ("count", "--form", "ternary", "--d", "3", "--n", "4"),
             ("series", "--form", "ternary", "--d", "3", "--max", "4"),
             ("verify", "--d-max", "2", "--n-max", "3", "--lambda-max", "2"),
-            ("bench", "--d", "2", "--max", "2"),
         ],
     )
     @pytest.mark.parametrize("limit", ["0", "-5"])
@@ -341,44 +340,6 @@ class TestWorkLimitFlag:
         code, out, err = run(capsys, *argv, "--work-limit", limit)
         assert (code, out) == (2, "")
         assert err == "error: --work-limit must be >= 1\n"
-
-
-class TestBench:
-    def test_format(self, capsys):
-        code, out, _ = run(capsys, "bench", "--d", "3", "--max", "4")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "method,n,millis"
-        rows = [line.split(",") for line in lines[1:]]
-        assert len(rows) == 4 * 5  # four methods, degrees 0..4
-        for method, n, millis in rows:
-            assert method in ("counting", "genfunc", "pqbinom", "peel")
-            assert 0 <= int(n) <= 4
-            assert millis == "NA" or float(millis) >= 0.0
-
-    def test_peel_emits_na_beyond_limit(self, capsys):
-        code, out, _ = run(
-            capsys, "bench", "--d", "3", "--max", "3", "--work-limit", "10"
-        )
-        assert code == 0
-        peel_rows = [
-            line for line in out.splitlines() if line.startswith("peel,")
-        ]
-        # n = 0 is within any limit's reach only if the estimate is tiny;
-        # with limit 10 every degree >= 1 must be NA
-        assert all(row.endswith("NA") for row in peel_rows[1:])
-
-    def test_invalid_repeat(self, capsys):
-        code, _, err = run(
-            capsys, "bench", "--d", "3", "--max", "2", "--repeat", "0"
-        )
-        assert code == 2
-        assert err
-
-    def test_rejects_negative_max(self, capsys):
-        code, out, err = run(capsys, "bench", "--d", "2", "--max", "-1")
-        assert (code, out) == (2, "")
-        assert err == "error: --max must be >= 0\n"
 
 
 class TestUsageErrors:
@@ -390,9 +351,12 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "count", "--form", "ternary")
         assert code == 2
 
-    def test_unknown_command(self, capsys):
-        code, _, _ = run(capsys, "frobnicate")
-        assert code == 2
+    # bench is not a verb: timings come from perfbench/run.py
+    @pytest.mark.parametrize("command", ["frobnicate", "bench"])
+    def test_unknown_command(self, capsys, command):
+        code, out, err = run(capsys, command, "--d", "2", "--max", "2")
+        assert (code, out) == (2, "")
+        assert f"invalid choice: '{command}'" in err
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -86,6 +86,13 @@ class TestGammaBinary:
             for n in range(31):
                 assert gamma_binary(d, n) == gamma_binary_qbinom(d, n), (d, n)
 
+    @given(st.integers(0, 12), st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_hermite_reciprocity(self, d, n):
+        # degree-n invariants of the binary d-ic match degree-d of the n-ic
+        assert gamma_binary(d, n) == gamma_binary(n, d)
+        assert gamma_binary_qbinom(d, n) == gamma_binary_qbinom(n, d)
+
 
 class TestGammaBinaryFull:
     def test_first_power(self):
