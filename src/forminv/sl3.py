@@ -30,24 +30,40 @@ class InvalidCharacterError(ValueError):
 FIVE_POINT: Dict[Weight, int] = {(0, 0): 1, (3, 0): 1, (0, 3): 1, (1, 1): -2, (2, 2): -1}
 
 
+def _check_weight(w: Weight, name: str) -> None:
+    """Raise ValueError unless w is a tuple of two ints.  A bool, like any
+    other int subclass, is not an int here."""
+    if not (type(w) is tuple and len(w) == 2 and type(w[0]) is int and type(w[1]) is int):
+        raise ValueError(f"{name} must be a pair of ints, got {w!r}")
+
+
 def _check_dominant(lam: HighestWeight) -> None:
+    _check_weight(lam, "highest weight")
     if lam[0] < 0 or lam[1] < 0:
         raise ValueError("highest weight components must be nonnegative")
+
+
+def _weyl_orbit(a: int, b: int) -> Tuple[Weight, ...]:
+    """w(a, b) for the six Weyl elements w, in fundamental-weight
+    coordinates: identity, s1, s2, s1 s2, s2 s1, longest element."""
+    return (
+        (a, b),  # identity
+        (-a, a + b),  # s1
+        (a + b, -b),  # s2
+        (b, -a - b),  # s1 s2
+        (-a - b, a),  # s2 s1
+        (-b, -a),  # longest element
+    )
 
 
 def _weyl_images(lam: HighestWeight) -> WeylImages:
     """(sign, w(lam + rho)) for the six Weyl elements w, identity first,
     as flat triples (sign, a, b) in fundamental-weight coordinates."""
     _check_dominant(lam)
-    a, b = lam[0] + 1, lam[1] + 1
-    return (
-        (1, a, b),  # identity
-        (-1, -a, a + b),  # s1
-        (-1, a + b, -b),  # s2
-        (1, b, -a - b),  # s1 s2
-        (1, -a - b, a),  # s2 s1
-        (-1, -b, -a),  # longest element
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5) = _weyl_orbit(
+        lam[0] + 1, lam[1] + 1
     )
+    return ((1, a0, b0), (-1, a1, b1), (-1, a2, b2), (1, a3, b3), (1, a4, b4), (-1, a5, b5))
 
 
 def _alternation(images: WeylImages, mu: Weight) -> int:
@@ -79,7 +95,9 @@ def _alternation(images: WeylImages, mu: Weight) -> int:
 def weight_multiplicity(lam: HighestWeight, mu: Weight) -> int:
     """Multiplicity of the weight mu in the irrep with highest weight lam,
     by the signed Weyl alternation over the sl3 partition function."""
-    return _alternation(_weyl_images(lam), mu)
+    images = _weyl_images(lam)
+    _check_weight(mu, "weight")
+    return _alternation(images, mu)
 
 
 def dimension(lam: HighestWeight) -> int:
@@ -91,18 +109,22 @@ def dimension(lam: HighestWeight) -> int:
 def character(lam: HighestWeight) -> WeightDiagram:
     """Full weight -> multiplicity map of the irrep with highest weight lam.
 
-    The support lies in the box |i|, |j| <= m1 + m2 (the Weyl orbit of
-    lam stays inside it and the support is its convex hull), so the box
-    is scanned and zero multiplicities dropped.
+    Multiplicities are Weyl-invariant, and every weight of the irrep is a
+    Weyl image of a dominant weight mu = lam - k1 alpha1 - k2 alpha2 with
+    k1, k2 >= 0.  The simple roots alpha1 = (2, -1) and alpha2 = (-1, 2)
+    each lower i + j by 1, so the dominant support lies in the triangle
+    i, j >= 0, i + j <= m1 + m2.  Only those weights are evaluated, and
+    each nonzero multiplicity is written to the Weyl orbit of its weight.
     """
     images = _weyl_images(lam)
     span = lam[0] + lam[1]
     out: WeightDiagram = {}
-    for i in range(-span, span + 1):
-        for j in range(-span, span + 1):
+    for i in range(span + 1):
+        for j in range(span - i + 1):
             m = _alternation(images, (i, j))
             if m:
-                out[(i, j)] = m
+                for w in _weyl_orbit(i, j):
+                    out[w] = m
     return out
 
 
@@ -116,16 +138,14 @@ def e_lambda(lam: HighestWeight) -> int:
 
 
 def _check_weyl_invariant(diagram: WeightDiagram) -> None:
+    """Raise InvalidCharacterError unless the simple reflections s1 and s2
+    fix every multiplicity, a missing weight counting 0.  They generate
+    the Weyl group, and a weight outside the diagram whose image is in it
+    is caught at that image, since s1 and s2 are involutions."""
     get = diagram.get
     for (a, b), m in diagram.items():
-        if not (
-            get((-a, a + b), 0)
-            == get((a + b, -b), 0)
-            == get((b, -a - b), 0)
-            == get((-a - b, a), 0)
-            == get((-b, -a), 0)
-            == m
-        ):
+        orbit = _weyl_orbit(a, b)
+        if get(orbit[1], 0) != m or get(orbit[2], 0) != m:
             raise InvalidCharacterError(
                 f"diagram is not Weyl-invariant at weight {(a, b)}"
             )
@@ -137,14 +157,18 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     Peels on the dominant sector only: multiplicities at dominant
     weights determine the decomposition, and for a genuine character the
     dominant support of each constituent lies inside the residual's
-    support.  Any negative residual (or a non-Weyl-invariant input)
-    signals that the input was not a valid character.
+    support.  Any negative residual (or a non-Weyl-invariant input, or a
+    multiplicity that is not an int) signals that the input was not a
+    valid character.
 
     The dominant weights are sorted once by (i + j, i), descending, and
     walked in that order: peeling only removes weights, so the first one
     still in the residual is its highest, and each highest weight's Weyl
     images are computed once for its whole scan.
     """
+    for w, m in diagram.items():
+        if type(m) is not int:
+            raise InvalidCharacterError(f"multiplicity {m!r} at weight {w} is not an int")
     _check_weyl_invariant(diagram)
     residual = {w: m for w, m in diagram.items() if m and w[0] >= 0 and w[1] >= 0}
     out: Dict[HighestWeight, int] = {}

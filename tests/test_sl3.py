@@ -140,7 +140,7 @@ class TestCharacter:
                     assert diag.get((i + j, -j)) == mult  # s2
 
     def test_rejects_negative_highest_weight(self):
-        # (-5, 1) scans an empty box, so the check must not rely on it
+        # (-5, 1) scans an empty chamber, so the check must not rely on it
         for lam in ((-1, 0), (0, -1), (-5, 1)):
             with pytest.raises(ValueError):
                 character(lam)
@@ -151,6 +151,19 @@ class TestCharacter:
                 diag = character((m, k))
                 dual = {(j, i): c for (i, j), c in diag.items()}
                 assert dual == character((k, m))
+
+    @given(st.tuples(st.integers(0, 30), st.integers(0, 30)))
+    @settings(max_examples=60, deadline=None)
+    def test_dominant_chamber_past_reference_box(self, lam):
+        # beyond TestAgainstReference's lam <= (8, 8): the orbit writes
+        # fill the whole diagram, and the chamber reaches i + j = m1 + m2
+        diag = character(lam)
+        assert sum(diag.values()) == dimension(lam)
+        sl3._check_weyl_invariant(diag)
+        span = lam[0] + lam[1]
+        for i in range(span + 1):
+            for j in range(span - i + 1):
+                assert diag.get((i, j), 0) == weight_multiplicity(lam, (i, j)), (i, j)
 
 
 class TestELambda:
@@ -168,6 +181,46 @@ class TestELambda:
             for k in range(8):
                 expect = 1 if (m, k) == (0, 0) else 0
                 assert e_lambda((m, k)) == expect
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: character((True, 0)), id="character-bool"),
+            pytest.param(lambda: character((1.0, 0)), id="character-float"),
+            pytest.param(lambda: character((1,)), id="character-short"),
+            pytest.param(lambda: character((1, 0, 0)), id="character-long"),
+            pytest.param(lambda: character([1, 0]), id="character-list"),
+            pytest.param(lambda: dimension((True, 1)), id="dimension-bool"),
+            pytest.param(lambda: dimension((2, 0.5)), id="dimension-float"),
+            pytest.param(lambda: e_lambda((0.0, 0)), id="e_lambda-float"),
+            pytest.param(
+                lambda: weight_multiplicity((True, 0), (1, 0)),
+                id="weight_multiplicity-bool-lam",
+            ),
+            pytest.param(
+                lambda: weight_multiplicity((1, 0), (0.5, 0)),
+                id="weight_multiplicity-float-mu",
+            ),
+            pytest.param(
+                lambda: weight_multiplicity((1, 0), (True, 0)),
+                id="weight_multiplicity-bool-mu",
+            ),
+            pytest.param(
+                lambda: weight_multiplicity((1, 0), (0,)),
+                id="weight_multiplicity-short-mu",
+            ),
+        ],
+    )
+    def test_rejects_weight_that_is_not_a_pair_of_ints(self, call):
+        with pytest.raises(ValueError, match="pair of ints"):
+            call()
+
+    @pytest.mark.parametrize("mult", [1.5, True, "1"])
+    def test_decompose_rejects_multiplicity_that_is_not_an_int(self, mult):
+        with pytest.raises(InvalidCharacterError, match="not an int"):
+            decompose({(0, 0): mult})
 
 
 highest_weights = st.tuples(st.integers(0, 6), st.integers(0, 6))
