@@ -196,15 +196,13 @@ def poincare_series(
     counting, genfunc and pqbinom build one reader at order n_max (one
     counting grid or one expansion clipped to the cells the operator
     reads) and apply the operator to it at every degree, so a whole
-    series is much cheaper than n_max independent point queries.  The
-    reader stays in a one-slot memo, so point queries of the same method
-    at the same d and n <= n_max that follow reuse it.  Peel and the
-    binary methods run one point count per degree.
+    series is much cheaper than n_max independent point queries.  Peel
+    and the binary methods run one point count per degree.
     """
     method, point = resolve_method(form, method, work_limit)
     _check_dn(d, n_max)
     if method in _READERS:
-        coeff = _reader(method, d, n_max)
+        coeff = _READERS[method](d, n_max)
         rows = [(n, _operator_value(coeff, d, n)) for n in range(n_max + 1)]
     else:
         rows = [(n, point(d, n)) for n in range(n_max + 1)]
@@ -214,12 +212,13 @@ def poincare_series(
 
 
 def _point(method: str, d: int, n: int) -> int:
-    """One degree of a reader route.  Where 3 does not divide d*n the
-    count is 0 and no reader is built (nor the memo replaced)."""
+    """One degree of a reader route: a reader built at order n and read
+    at n alone.  Where 3 does not divide d*n the count is 0 and no reader
+    is built."""
     _check_dn(d, n)
     if (d * n) % 3:
         return 0
-    return _operator_value(_reader(method, d, n), d, n)
+    return _operator_value(_READERS[method](d, n), d, n)
 
 
 def _operator_value(coeff: Reader, d: int, n: int) -> int:
@@ -380,24 +379,3 @@ _READERS: Dict[str, Callable[[int, int], Reader]] = {
     "genfunc": _genfunc_reader,
     "pqbinom": _pqbinom_reader,
 }
-
-# The most recent reader, as (method, d, order, coeff).  It serves any
-# request with the same method and d at order <= its own, so a series
-# followed by point queries at its degrees builds once: without it the
-# point loops of the four-way agreement check rebuild an expansion per
-# degree and take about six times as long.  A request it cannot serve
-# replaces it, so it holds at most the latest expansion.  Emptied by
-# clear_caches(); not made safe for concurrent use.
-_memo: Optional[Tuple[str, int, int, Reader]] = None
-
-
-def _reader(method: str, d: int, order: int) -> Reader:
-    global _memo
-    if _memo is None or _memo[:2] != (method, d) or _memo[2] < order:
-        _memo = (method, d, order, _READERS[method](d, order))
-    return _memo[3]
-
-
-def clear_caches() -> None:
-    global _memo
-    _memo = None

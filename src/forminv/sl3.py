@@ -30,10 +30,14 @@ class InvalidCharacterError(ValueError):
 FIVE_POINT: Dict[Weight, int] = {(0, 0): 1, (3, 0): 1, (0, 3): 1, (1, 1): -2, (2, 2): -1}
 
 
+def _is_weight(w: object) -> bool:
+    """Whether w is a tuple of two ints.  A bool, like any other int
+    subclass, is not an int here."""
+    return type(w) is tuple and len(w) == 2 and type(w[0]) is int and type(w[1]) is int
+
+
 def _check_weight(w: Weight, name: str) -> None:
-    """Raise ValueError unless w is a tuple of two ints.  A bool, like any
-    other int subclass, is not an int here."""
-    if not (type(w) is tuple and len(w) == 2 and type(w[0]) is int and type(w[1]) is int):
+    if not _is_weight(w):
         raise ValueError(f"{name} must be a pair of ints, got {w!r}")
 
 
@@ -157,9 +161,9 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     Peels on the dominant sector only: multiplicities at dominant
     weights determine the decomposition, and for a genuine character the
     dominant support of each constituent lies inside the residual's
-    support.  Any negative residual (or a non-Weyl-invariant input, or a
-    multiplicity that is not an int) signals that the input was not a
-    valid character.
+    support.  Any negative residual (or a non-Weyl-invariant input, a
+    weight that is not a pair of ints, or a multiplicity that is not an
+    int) signals that the input was not a valid character.
 
     The dominant weights are sorted once by (i + j, i), descending, and
     walked in that order: peeling only removes weights, so the first one
@@ -167,6 +171,8 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     images are computed once for its whole scan.
     """
     for w, m in diagram.items():
+        if not _is_weight(w):
+            raise InvalidCharacterError(f"weight {w!r} is not a pair of ints")
         if type(m) is not int:
             raise InvalidCharacterError(f"multiplicity {m!r} at weight {w} is not an int")
     _check_weyl_invariant(diagram)

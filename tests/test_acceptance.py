@@ -66,7 +66,7 @@ def test_criterion_2_method_agreement():
                 rows = poincare_series("ternary", d, n_max, method=method)
                 assert rows == base, f"{method} disagrees at d={d}"
                 checked += len(rows)
-                # point queries, read from the expansion the series left
+                # point queries, each from a reader built at its own degree
                 point = TERNARY_METHODS[method]
                 points = [(n, point(d, n)) for n in range(n_max + 1)]
                 assert points == base, f"{method} points disagree at d={d}"

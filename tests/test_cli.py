@@ -214,12 +214,15 @@ class TestSeries:
         def exhausted(d, order):
             raise MemoryError
 
-        counts.clear_caches()  # a reader left by an earlier test would serve it
-        monkeypatch.setitem(counts._READERS, "pqbinom", exhausted)
-        code, out, err = run(
-            capsys, "series", "--form", "ternary", "--d", "3", "--max", "6",
+        argv = (
+            "series", "--form", "ternary", "--d", "3", "--max", "6",
             "--method", "pqbinom",
         )
+        assert run(capsys, *argv)[0] == 0
+        # the same request again builds its own reader: nothing from the
+        # first run may serve it
+        monkeypatch.setitem(counts._READERS, "pqbinom", exhausted)
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("error: out of memory")
 

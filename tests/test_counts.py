@@ -162,11 +162,14 @@ class TestNuTernary:
                     assert nu_ternary_genfunc(d, n) == 0
                     assert nu_ternary_pqbinom(d, n) == 0
 
-    def test_divisibility_vanishing_builds_no_reader(self):
-        counts.clear_caches()
+    def test_divisibility_vanishing_builds_no_reader(self, monkeypatch):
+        def unbuildable(d, order):
+            raise AssertionError(f"reader built at d={d}, order={order}")
+
+        for method in counts._READERS:
+            monkeypatch.setitem(counts._READERS, method, unbuildable)
         for point in (nu_ternary_counting, nu_ternary_genfunc, nu_ternary_pqbinom):
             assert point(7, 20) == 0
-        assert counts._memo is None
 
     def test_nonnegative(self):
         for d in range(1, 6):
@@ -305,36 +308,25 @@ READER_ROUTES = pytest.mark.parametrize(
 
 
 class TestClippedExpansions:
-    """counting, genfunc and pqbinom keep a grid or an expansion clipped
-    to the operator box of the order it was built at; every later
-    request must stay exact."""
+    """counting, genfunc and pqbinom build a grid or an expansion clipped
+    to the operator box of the order it is built at; it must be exact at
+    every degree up to that order, and a point (a reader built at its own
+    degree) must agree with a series."""
 
     def test_cold_counting_points_match_five_counts(self):
         # the paper's formula, one c_ternary count per point of FIVE_POINT
         for d in range(8):
             for n in range(16):
-                counts.clear_caches()
                 want = sum(
                     c * c_ternary(d, n, i, j) for (i, j), c in FIVE_POINT.items()
                 )
                 assert nu_ternary_counting(d, n) == want, (d, n)
 
-    @EXTRACTION_ROUTES
+    @READER_ROUTES
     def test_cold_points_match_counting(self, method):
         point = TERNARY_METHODS[method]
         for d in range(1, 8):
-            base = poincare_series("ternary", d, 12)
-            for n, want in base:
-                counts.clear_caches()
-                assert point(d, n) == want, (d, n)
-
-    @READER_ROUTES
-    def test_series_then_points(self, method):
-        point = TERNARY_METHODS[method]
-        for d in (3, 5, 6):
             base = poincare_series("ternary", d, 18)
-            counts.clear_caches()
-            assert poincare_series("ternary", d, 18, method=method) == base
             for n, want in base:
                 assert point(d, n) == want, (d, n)
 
@@ -343,16 +335,14 @@ class TestClippedExpansions:
         point = TERNARY_METHODS[method]
         for d, n in ((3, 6), (5, 12), (4, 9)):
             base = poincare_series("ternary", d, 21)
-            counts.clear_caches()
             assert point(d, n) == dict(base)[n]
             assert poincare_series("ternary", d, 21, method=method) == base
-            # and a shorter series from the longer cached expansion
+            # and a shorter series, from a reader built at its own order
             assert poincare_series("ternary", d, n, method=method) == base[: n + 1]
 
     @EXTRACTION_ROUTES
     @pytest.mark.parametrize("d, n_max", [(4, 60), (8, 18), (10, 21), (7, 42)])
     def test_series_beyond_the_acceptance_range(self, d, n_max, method):
-        counts.clear_caches()
         want = poincare_series("ternary", d, n_max)
         assert poincare_series("ternary", d, n_max, method=method) == want
 
@@ -380,23 +370,10 @@ class TestClippedExpansions:
         )
         differ = []
         for d in range(1, 8):
-            counts.clear_caches()
             want = poincare_series("ternary", d, 15)
-            counts.clear_caches()
             if poincare_series("ternary", d, 15, method="genfunc") != want:
                 differ.append(d)
-        counts.clear_caches()
         assert differ
-
-    def test_interleaved_methods_and_degrees(self):
-        base = {d: dict(poincare_series("ternary", d, 18)) for d in (4, 5)}
-        counts.clear_caches()
-        assert poincare_series("ternary", 5, 18, method="genfunc") == sorted(
-            base[5].items()
-        )
-        assert nu_ternary_pqbinom(5, 12) == base[5][12]
-        assert nu_ternary_genfunc(4, 15) == base[4][15]
-        assert nu_ternary_genfunc(5, 9) == base[5][9]
 
 
 def restrict(series, box):

@@ -222,6 +222,21 @@ class TestMalformedInput:
         with pytest.raises(InvalidCharacterError, match="not an int"):
             decompose({(0, 0): mult})
 
+    @pytest.mark.parametrize(
+        "weight",
+        [
+            pytest.param((0.0, 0.0), id="float"),
+            pytest.param((0, 0.0), id="mixed"),
+            pytest.param((True, False), id="bool"),
+            pytest.param((0,), id="short"),
+            pytest.param((0, 0, 0), id="long"),
+            pytest.param("ab", id="str"),
+        ],
+    )
+    def test_decompose_rejects_weight_that_is_not_a_pair_of_ints(self, weight):
+        with pytest.raises(InvalidCharacterError, match="not a pair of ints"):
+            decompose({weight: 1})
+
 
 highest_weights = st.tuples(st.integers(0, 6), st.integers(0, 6))
 
