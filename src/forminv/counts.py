@@ -23,12 +23,13 @@ prod_{k+l<=d} (1 - t p^k q^l)^{-1} for any n <= order.  Each route
 makes that coefficient its own way (a cell of the packed counting grid,
 one slot of the graded packed inverse-product expansion, one slot of a
 product of two graded packed halves of the pq-binomial factors).
-counting's and pqbinom's readers are exact anywhere in the operator box;
-genfunc's expansion is also floored on a + b (``_operator_floor``), so
-its reader is exact only at the cells the operator reads.  Only the
-five-point functional ``sl3.FIVE_POINT`` is shared, and
-``_operator_value`` is the one place that applies it.  Peel never reads
-it.
+pqbinom's reader is exact anywhere in the operator box.  counting's grid
+keeps only the rows of w1 that a cell the operator reads can still reach
+(``weights.solution_count_grid``), and genfunc's expansion is floored on
+a + b (``_operator_floor``), so those two readers are exact only around
+the cells the operator reads.  Only the five-point functional
+``sl3.FIVE_POINT`` is shared, and ``_operator_value`` is the one place
+that applies it.  Peel never reads it.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ OPERATOR_TERMS: Dict[Tuple[int, int], int] = {
 
 # coeff(n, a, b): the t^n p^a q^b coefficient of the series, exact at
 # least at every cell the operator reads for n <= the reader's order
-# (genfunc's is exact only there).
+# (counting's and genfunc's are exact only around those cells).
 Reader = Callable[[int, int, int], int]
 
 

@@ -18,16 +18,16 @@ from math import comb
 from typing import List, Tuple
 
 from .poly import LaurentPoly
+from .weights import _check_dn
 
 
 def gaussian_binomial(d: int, n: int) -> LaurentPoly:
     """(1-q^{d+1})...(1-q^{d+n}) / ((1-q)...(1-q^n)), a polynomial in q.
 
     Counts partitions fitting in a d x n box; degree d*n, nonnegative
-    coefficients.
+    coefficients.  Raises ValueError unless d and n are nonnegative ints.
     """
-    if d < 0 or n < 0:
-        raise ValueError("arguments must be nonnegative")
+    _check_dn(d, n)
     result = LaurentPoly.one()
     for i in range(1, n + 1):
         result = result * _one_minus_q(d + i)
@@ -48,10 +48,12 @@ def gaussian_binomial_low(d: int, n: int, top: int) -> Tuple[int, int]:
     the mask keeping slots 0..top.  Every coefficient is at most
     comb(d + n, n), so slots of its bit length never carry.  Every
     exponent is >= 0 and only grows along the recurrence, so truncating
-    each entry as it is built is exact.
+    each entry as it is built is exact.  Raises ValueError unless every
+    argument is a nonnegative int.
     """
-    if d < 0 or n < 0 or top < 0:
-        raise ValueError("arguments must be nonnegative")
+    _check_dn(d, n, top)
+    if top < 0:
+        raise ValueError("top must be nonnegative")
     slot = comb(d + n, n).bit_length()
     mask = (1 << ((top + 1) * slot)) - 1
     row = [1] * (n + 1)
@@ -64,10 +66,10 @@ def gaussian_binomial_low(d: int, n: int, top: int) -> Tuple[int, int]:
 def pq_binomial(d: int, k: int) -> LaurentPoly:
     """prod_{i=1..k} (p^{d+i}-q^{d+i}) / (p^i-q^i).
 
-    Homogeneous of total degree d*k; symmetric in p and q.
+    Homogeneous of total degree d*k; symmetric in p and q.  Raises
+    ValueError unless d and k are nonnegative ints.
     """
-    if d < 0 or k < 0:
-        raise ValueError("arguments must be nonnegative")
+    _check_dn(d, k)
     result = LaurentPoly.one()
     for i in range(1, k + 1):
         result = result * _p_minus_q(d + i)
@@ -93,10 +95,12 @@ def pq_binomial_table(
     comb(m + k, k), so a slot that holds comb(mmax + order, order) never
     carries, else ValueError.  Every exponent is >= 0 and only grows
     along the recurrence, so masking each entry to the box as it is
-    built is exact: a dropped term never comes back.
+    built is exact: a dropped term never comes back.  Raises ValueError
+    unless every argument is a nonnegative int.
     """
-    if mmax < 0 or order < 0 or min(box) < 0:
-        raise ValueError("arguments must be nonnegative")
+    _check_dn(mmax, order, *box, slot)
+    if min(box) < 0 or slot < 0:
+        raise ValueError("box and slot must be nonnegative")
     if comb(mmax + order, order) >> slot:
         raise ValueError(f"{slot}-bit slots cannot hold comb({mmax + order}, {order})")
     masks = _box_masks(box, slot)

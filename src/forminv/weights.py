@@ -14,21 +14,32 @@ state).  Cell k of layer c takes ``slot`` bits at offset k*slot and
 holds a number of degree-c monomials.  Adding a variable whose weight
 moves a cell by ``shift`` bits is one step per layer, for c = 1..n,
 
-    layer[c] = (layer[c] + (layer[c-1] << shift)) & mask,
+    layer[c] = (layer[c] + (layer[c-1] << shift)) & mask[c],
 
-where ``mask`` keeps the cells inside the caps.  No addition carries
-into the next cell: every cell, padding included, holds a nonnegative
-count of monomials of degree at most n, and ``slot`` is one bit wider
-than a bound on that count (``monomial_count(d, n)`` for the ternary
-grid; ``comb(n+d, d)`` for the binary layers, their sum included).  A
-cell is read back with one shift and one mask.
+where ``mask[c]`` keeps the cells of layer c inside its window.  No
+addition carries into the next cell: every cell, padding included, holds
+a nonnegative count of monomials of degree at most n, and ``slot`` is
+one bit wider than a bound on that count (``monomial_count(d, n)`` for
+the ternary grid; ``comb(n+d, d)`` for the binary layers, their sum
+included).  A cell is read back with one shift and one mask.
 
 ``omega_binary`` packs one weight per slot and shifts by part*slot.  The
-ternary grid packs weight sums (w1, w2) at offset ``w1*row + w2*slot``,
-where a w1 row holds w2cap + 1 cells followed by d zero padding slots,
-so ``row = (w2cap + 1 + d) * slot``; variable a_{r,s} shifts by
+ternary grid packs weight sums (w1, w2) by rows of w1, where a row holds
+w2cap + 1 cells followed by d zero padding slots, so
+``row = (w2cap + 1 + d) * slot``.  Layer c holds a window of rows
+lows[c]..top, and cell (w1, w2) sits at offset
+``(w1 - lows[c])*row + w2*slot``; variable a_{r,s} moves a cell by
 r*row + s*slot.  A shift by s <= d moves cells past w2cap only into the
-padding of their own row, and the mask clears them before the next step.
+padding of their own row, and the mask clears them, and every row above
+the layer's top, before the next step.  Layer c starts
+lows[c] - lows[c-1] rows above layer c-1, so a step into it moves by
+that many rows less, a right shift where the total is negative; the
+rows it pushes below the bottom are below lows[c].
+
+``c_ternary`` and ``weight_table`` build the plain box: the window
+0..w1cap in every layer.  ``solution_count_grid`` keeps only the rows
+that a cell the invariant-count operator reads can still reach, and
+lowers each layer's top as the variables are folded in.
 
 Results are exact Python ints at any size.  Nothing is cached: a grid is
 rebuilt on every call.
@@ -37,7 +48,7 @@ rebuilt on every call.
 from __future__ import annotations
 
 from math import comb
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 Weight = Tuple[int, int]
 
@@ -45,28 +56,43 @@ Weight = Tuple[int, int]
 class CountGrid:
     """Packed count layers of the ternary DP (layout in the module
     docstring): ``cell(c, w1, w2)`` is the number of degree-c monomials
-    with weight sums (w1, w2).
+    with weight sums (w1, w2).  Layer c holds the rows lows[c]..tops[c]
+    of w1 and the cells w2 <= w2cap of each; ``w1cap`` is the top of the
+    last layer.  The plain box starts every layer at row 0 and ends it
+    at w1cap.
     """
 
-    __slots__ = ("layers", "w1cap", "w2cap", "slot", "row")
+    __slots__ = ("layers", "lows", "tops", "w2cap", "slot", "row")
 
     def __init__(
-        self, layers: Tuple[int, ...], w1cap: int, w2cap: int, slot: int, row: int
+        self,
+        layers: Tuple[int, ...],
+        lows: List[int],
+        tops: List[int],
+        w2cap: int,
+        slot: int,
+        row: int,
     ):
         self.layers = layers
-        self.w1cap = w1cap
+        self.lows = lows
+        self.tops = tops
         self.w2cap = w2cap
         self.slot = slot
         self.row = row
 
+    @property
+    def w1cap(self) -> int:
+        return self.tops[-1]
+
     def cell(self, c: int, w1: int, w2: int) -> int:
-        """Zero below the origin; IndexError beyond the caps, where the
-        grid holds no counts."""
+        """Zero below the origin; IndexError outside the rows of layer c
+        or beyond w2cap, where the grid holds no counts."""
         if w1 < 0 or w2 < 0:
             return 0
-        if w1 > self.w1cap or w2 > self.w2cap:
-            raise IndexError(f"cell ({w1}, {w2}) is outside the grid")
-        return (self.layers[c] >> (w1 * self.row + w2 * self.slot)) & (
+        low = self.lows[c]
+        if not low <= w1 <= self.tops[c] or w2 > self.w2cap:
+            raise IndexError(f"cell ({w1}, {w2}) is outside layer {c} of the grid")
+        return (self.layers[c] >> ((w1 - low) * self.row + w2 * self.slot)) & (
             (1 << self.slot) - 1
         )
 
@@ -106,40 +132,110 @@ def omega_binary(d: int, n: int, w: int) -> int:
         return 0
     w = min(w, d * n - w)
     slot = comb(n + d, d).bit_length() + 1
-    mask = (1 << ((w + 1) * slot)) - 1
-    layers = _packed_layers((part * slot for part in range(1, d + 1)), n, mask)
+    shifts = [part * slot for part in range(1, d + 1)]
+    layers = _packed_layers([(shifts, [(1 << ((w + 1) * slot)) - 1] * (n + 1))], n)
     return (sum(layers) >> (w * slot)) & ((1 << slot) - 1)
 
 
-def _packed_layers(shifts: Iterable[int], n: int, mask: int) -> List[int]:
-    """Layers 0..n of the packed DP (module docstring), one variable per
-    shift."""
+def _packed_layers(
+    groups: Iterable[Tuple[Sequence[int], List[int]]], n: int, drops: Sequence[int] = ()
+) -> List[int]:
+    """Layers 0..n of the packed DP (module docstring).  ``groups`` yields
+    the variables' shifts in groups, each with the masks of layers 0..n
+    that its steps apply.
+
+    Each of the last len(drops) layers starts higher than the layer
+    before it: a cell sits drops[i] bits lower in the i-th of them than
+    it would in the layer before, so a step into that layer moves by
+    shift - drops[i] bits, to the right where that is negative.  The
+    other layers take the plain left shift."""
     layers = [1] + [0] * n
-    for shift in shifts:
-        for c in range(1, n + 1):
-            layers[c] = (layers[c] + (layers[c - 1] << shift)) & mask
+    split = n + 1 - len(drops)
+    head, tail = range(1, split), list(enumerate(drops, split))
+    for shifts, masks in groups:
+        for shift in shifts:
+            prev = layers[0]
+            for c in head:
+                prev = layers[c] = (layers[c] + (prev << shift)) & masks[c]
+            for c, drop in tail:
+                move = shift - drop
+                prev = prev << move if move >= 0 else prev >> -move
+                prev = layers[c] = (layers[c] + prev) & masks[c]
     return layers
 
 
-def _count_layers(d: int, n: int, w1cap: int, w2cap: int) -> CountGrid:
-    """The packed DP: layers 0..n with weight sums up to (w1cap, w2cap)."""
+def _grid(
+    d: int, n: int, w2cap: int, lows: List[int], tops: List[List[int]]
+) -> CountGrid:
+    """The packed ternary DP on a window (module docstring): layer c is
+    stored from row lows[c] of w1, and cut at row tops[r][c] while the
+    variables a_{r,s} are folded in (``variables`` order, r ascending).
+    lows[c] must not fall as c grows, nor tops[r][c] grow with r."""
     slot = monomial_count(d, n).bit_length() + 1
     row = (w2cap + 1 + d) * slot
+    rows = [top - low + 1 for top, low in zip(tops[0], lows)]
+    height = max(rows)
     # most significant row first: d padding slots, then w2cap + 1 cells
-    mask = int(("0" * (d * slot) + "1" * ((w2cap + 1) * slot)) * (w1cap + 1), 2)
-    layers = _packed_layers((r * row + s * slot for r, s in variables(d)), n, mask)
-    return CountGrid(tuple(layers), w1cap, w2cap, slot, row)
+    full = int(("0" * (d * slot) + "1" * ((w2cap + 1) * slot)) * height, 2)
+    masks = [full if h == height else full >> ((height - h) * row) for h in rows]
+
+    def groups() -> Iterator[Tuple[Sequence[int], List[int]]]:
+        for r, cut in enumerate(tops):
+            if r and cut != tops[r - 1]:
+                # a layer's mask is rebuilt only when its row count falls
+                for c in range(n + 1):
+                    h = cut[c] - lows[c] + 1
+                    if h != rows[c]:
+                        rows[c], masks[c] = h, full >> ((height - h) * row)
+            yield range(r * row, r * row + (d - r + 1) * slot, slot), masks
+
+    # the layers stored from a row above 0 end the list, as lows never falls
+    drops = [(hi - lo) * row for lo, hi in zip(lows, lows[1:]) if hi]
+    layers = _packed_layers(groups(), n, drops)
+    return CountGrid(tuple(layers), lows, tops[-1], w2cap, slot, row)
+
+
+def _count_layers(d: int, n: int, w1cap: int, w2cap: int) -> CountGrid:
+    """The packed DP on the plain box: layers 0..n with weight sums up
+    to (w1cap, w2cap)."""
+    return _grid(d, n, w2cap, [0] * (n + 1), [[w1cap] * (n + 1)] * (d + 1))
 
 
 def solution_count_grid(d: int, n_max: int) -> CountGrid:
     """Shared grid serving every c-count with d*n/3-sized targets, n <= n_max.
 
-    Capped at w = d*n_max//3 + 1, which covers all five weight targets
-    of the invariant-count formula for every n <= n_max.
+    With cap = d*n_max//3 + 1, layer n holds the rows
+    lows[n] <= w1 <= d*n//3 + 1 and the cells w2 <= cap of each.  Every
+    cell it holds is exact, and ``cell`` raises IndexError outside them.
+    That covers all five weight targets of the invariant-count formula
+    for every n <= n_max; they have w0 = d*n - w1 - w2 <= cap + 1.  No
+    weight w0, w1, w2 of a cell falls along the DP, and a step raises w1
+    by r <= d, so the rows left out are rows no held cell comes from:
+
+    * floor: layer c starts at row lows[c] = max(0, d*c - 2*cap - 1).
+      A cell below it has w0 > cap + 1 and can reach no read cell, and
+      lows rises by at most d per layer, as w1 does per step.  The floor
+      is two rows below the lowest row the operator reads at n = n_max.
+    * top: while every variable still to come has r' >= r, a cell of
+      layer c gains at least r*(n - c) in w1 by degree n, so layer c is
+      cut at row max(d*c//3 + 1, cap - r*(n_max - c)) (never above cap),
+      which is cap - r*(n_max - c) while 3r <= d and d*c//3 + 1 once
+      3r >= d.
     """
     _check_dn(d, n_max)
+    return _grid(d, n_max, d * n_max // 3 + 1, *_window(d, n_max))
+
+
+def _window(d: int, n_max: int) -> Tuple[List[int], List[List[int]]]:
+    """lows[c] and tops[r][c] of ``solution_count_grid``'s window."""
     cap = d * n_max // 3 + 1
-    return _count_layers(d, n_max, cap, cap)
+    lows = [max(0, d * c - 2 * cap - 1) for c in range(n_max + 1)]
+    final = [d * c // 3 + 1 for c in range(n_max + 1)]
+    tops = [
+        [cap - r * (n_max - c) for c in range(n_max + 1)] if 3 * r < d else final
+        for r in range(d + 1)
+    ]
+    return lows, tops
 
 
 def c_ternary(d: int, n: int, i: int, j: int) -> int:

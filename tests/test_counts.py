@@ -30,6 +30,7 @@ from forminv.poly import (
 from forminv.qbinom import _box_masks, pq_binomial, pq_binomial_table
 from forminv.sl3 import FIVE_POINT, decompose, e_lambda
 from forminv.weights import (
+    _count_layers,
     c_ternary,
     monomial_count,
     num_variables,
@@ -457,9 +458,11 @@ class TestPackedPqbinom:
 
     @pytest.mark.parametrize("d, order", [(1, 9), (4, 10), (6, 7), (7, 10)])
     def test_reader_is_counting_grid_on_the_box(self, d, order):
+        # the plain-box grid: solution_count_grid keeps only the rows the
+        # operator's cells can reach
         coeff = counts._pqbinom_reader(d, order)
-        grid = solution_count_grid(d, order)
         amax, bmax = counts._operator_box(d, order)
+        grid = _count_layers(d, order, amax, bmax)
         for n in range(order + 1):
             for a in range(amax + 1):
                 for b in range(bmax + 1):

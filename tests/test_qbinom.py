@@ -193,3 +193,26 @@ class TestGaussianBinomialLow:
     def test_negative_arguments(self, args):
         with pytest.raises(ValueError):
             gaussian_binomial_low(*args)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("bad", [True, 2.0, -1])
+    def test_rejects_bad_arguments(self, bad):
+        # a bool or a float is not an int: gaussian_binomial(2.0, 2) would
+        # have float exponents
+        for call in (
+            lambda: gaussian_binomial(bad, 2),
+            lambda: gaussian_binomial(2, bad),
+            lambda: pq_binomial(bad, 2),
+            lambda: pq_binomial(2, bad),
+            lambda: gaussian_binomial_low(bad, 2, 3),
+            lambda: gaussian_binomial_low(2, bad, 3),
+            lambda: gaussian_binomial_low(2, 2, bad),
+            lambda: pq_binomial_table(bad, 2, (2, 2), 8),
+            lambda: pq_binomial_table(2, bad, (2, 2), 8),
+            lambda: pq_binomial_table(2, 2, (bad, 2), 8),
+            lambda: pq_binomial_table(2, 2, (2, bad), 8),
+            lambda: pq_binomial_table(2, 2, (2, 2), bad),
+        ):
+            with pytest.raises(ValueError):
+                call()

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forminv import weights
+from forminv.counts import poincare_series
 from forminv.poly import expand_inverse_product
 from forminv.weights import (
     _count_layers,
@@ -107,18 +109,111 @@ class TestPackedLayers:
                     assert grid.cell(c, x, 0) == ref[c][x][0]
 
     def test_solution_count_grid_cap(self):
+        # solution_count_grid keeps only a window of the box (TestWindow),
+        # so the whole box at its cap is the plain _count_layers
         grid = solution_count_grid(5, 9)
         cap = 5 * 9 // 3 + 1
+        box = _count_layers(5, 9, cap, cap)
         ref = reference_count_grid(5, 9, cap, cap)
         assert (grid.w1cap, grid.w2cap) == (cap, cap)
         assert all(
-            grid.cell(9, x, y) == ref[9][x][y]
+            box.cell(9, x, y) == ref[9][x][y]
             for x in range(cap + 1)
             for y in range(cap + 1)
         )
         assert grid.cell(9, -1, 0) == 0
         with pytest.raises(IndexError):
             grid.cell(9, cap + 1, 0)
+
+
+class TestWindow:
+    """solution_count_grid stores layer n from row lows[n] up to row
+    d*n//3 + 1 of w1, each row up to w2 = cap, and must be exact at every
+    cell it stores."""
+
+    @pytest.mark.parametrize("d", range(6))
+    def test_window_cells_match_reference(self, d):
+        # one reference at the largest cap serves every smaller n_max
+        ref = reference_count_grid(d, 9, 3 * d + 1, 3 * d + 1)
+        for n_max in range(10):
+            grid = solution_count_grid(d, n_max)
+            cap = d * n_max // 3 + 1
+            for n in range(n_max + 1):
+                low, top = grid.lows[n], d * n // 3 + 1
+                assert grid.tops[n] == top
+                for x in range(low, top + 1):
+                    for y in range(cap + 1):
+                        assert grid.cell(n, x, y) == ref[n][x][y], (n_max, n)
+                # just outside the window
+                outside = [(top + 1, 0), (low, cap + 1)]
+                if low:
+                    outside.append((low - 1, 0))
+                for x, y in outside:
+                    with pytest.raises(IndexError):
+                        grid.cell(n, x, y)
+
+    def test_window_is_narrower_than_the_box(self):
+        grid = solution_count_grid(9, 24)
+        assert grid.lows[24] == 69 and grid.tops[24] == 73
+        assert sum(t - lo + 1 for lo, t in zip(grid.lows, grid.tops)) < 25 * 74 // 2
+
+    def test_window_top_is_tight(self, monkeypatch):
+        # one row lower, the cuts made while 0 < r < d drop counts the
+        # operator reads, and the cross-check must see it
+        window = weights._window
+
+        def lowered(d, n_max):
+            lows, tops = window(d, n_max)
+            inner = [[t - 1 for t in top] for top in tops[1:-1]]
+            return lows, tops[:1] + inner + tops[-1:]
+
+        monkeypatch.setattr(weights, "_window", lowered)
+        differ = []
+        for d in range(1, 8):
+            want = poincare_series("ternary", d, 15, method="genfunc")
+            if poincare_series("ternary", d, 15) != want:
+                differ.append(d)
+        assert differ
+
+    def test_window_top_bounds_the_reads(self, monkeypatch):
+        # one row lower, the last cut leaves out the top row the operator
+        # reads: at d = 1, n = 6 that is cell (6, 3, 0)
+        window = weights._window
+
+        def lowered(d, n_max):
+            lows, tops = window(d, n_max)
+            return lows, tops[:-1] + [[t - 1 for t in tops[-1]]]
+
+        monkeypatch.setattr(weights, "_window", lowered)
+        with pytest.raises(IndexError, match=r"\(3, 0\) is outside layer 6"):
+            poincare_series("ternary", 1, 6)
+
+    @pytest.mark.parametrize("margin, holds", [(2, True), (3, False)])
+    def test_window_floor_margin(self, monkeypatch, margin, holds):
+        # the floor is two rows looser than it needs to be: raised by two
+        # every series through d = 8, n_max = 18 holds, raised by three
+        # a cell the operator reads falls below it
+        want = {
+            (d, n_max): poincare_series("ternary", d, n_max)
+            for d in range(1, 9)
+            for n_max in range(19)
+        }
+        window = weights._window
+
+        def raised(d, n_max):
+            _, tops = window(d, n_max)
+            cap = d * n_max // 3 + 1
+            lows = [max(0, d * c - 2 * cap - 1 + margin) for c in range(n_max + 1)]
+            return lows, tops
+
+        monkeypatch.setattr(weights, "_window", raised)
+        got = {}
+        for key in want:
+            try:
+                got[key] = poincare_series("ternary", *key)
+            except IndexError:
+                pass
+        assert (got == want) is holds
 
 
 class TestValidation:
