@@ -159,13 +159,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ok = False
             lines.append(f"FAIL  {name}: {failure}")
 
-    failure, peels = _verify_ternary_agreement(
-        args.d_max, args.n_max, args.work_limit
-    )
+    failure, peels = _verify_agreement("ternary", args)
     if failure is None and not peels:
         failure = f"no peel comparison ran within --work-limit {args.work_limit}"
     check(f"ternary method agreement ({peels} peel comparisons)", failure)
-    check("binary method agreement", _verify_binary_agreement(args.d_max, args.n_max))
+    check("binary method agreement", _verify_agreement("binary", args)[0])
     check("trivial-rep functional sweep", _verify_functional(args.lambda_max))
     check(
         "weight table totals",
@@ -177,38 +175,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _verify_ternary_agreement(
-    d_max: int, n_max: int, work_limit: int
-) -> Tuple[Optional[str], int]:
-    """The first disagreement (or None) and the number of peel comparisons
-    made; peel skips every (d, n) whose estimate exceeds ``work_limit``."""
+def _verify_agreement(form: str, args: argparse.Namespace) -> Tuple[Optional[str], int]:
+    """The first disagreement (or None) of each series method of the form
+    with its default, the first, for d = 1..--d-max and n = 0..--n-max,
+    and the number of peel comparisons made.  Ternary series are also
+    compared with peel, degree by degree; peel skips every (d, n) whose
+    estimate exceeds --work-limit."""
+    table = BINARY_METHODS if form == "binary" else TERNARY_METHODS
+    first, *others = (method for method in table if method != "peel")
     peels = 0
-    for d in range(1, d_max + 1):
-        base = poincare_series("ternary", d, n_max, method="counting")
-        for method in ("genfunc", "pqbinom"):
-            rows = poincare_series("ternary", d, n_max, method=method)
+    for d in range(1, args.d_max + 1):
+        base = poincare_series(form, d, args.n_max, method=first)
+        for method in others:
+            rows = poincare_series(form, d, args.n_max, method=method)
             for (n, a), (_, b) in zip(base, rows):
                 if a != b:
-                    return f"counting={a} but {method}={b} at d={d}, n={n}", peels
-        for n, a in base:
-            try:
-                b = counts.nu_ternary_peel(d, n, work_limit=work_limit)
-            except WorkLimitExceeded:
-                continue
-            peels += 1
-            if a != b:
-                return f"counting={a} but peel={b} at d={d}, n={n}", peels
+                    return f"{first}={a} but {method}={b} at d={d}, n={n}", peels
+        if "peel" in table:
+            for n, a in base:
+                try:
+                    b = counts.nu_ternary_peel(d, n, work_limit=args.work_limit)
+                except WorkLimitExceeded:
+                    continue
+                peels += 1
+                if a != b:
+                    return f"counting={a} but peel={b} at d={d}, n={n}", peels
     return None, peels
-
-
-def _verify_binary_agreement(d_max: int, n_max: int) -> Optional[str]:
-    for d in range(1, d_max + 1):
-        for n in range(n_max + 1):
-            a = counts.gamma_binary(d, n)
-            b = counts.gamma_binary_qbinom(d, n)
-            if a != b:
-                return f"omega={a} but qbinom={b} at d={d}, n={n}"
-    return None
 
 
 def _verify_functional(lambda_max: int) -> Optional[str]:

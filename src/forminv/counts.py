@@ -1,7 +1,13 @@
 """Invariant counts for binary and ternary forms, by several routes.
 
-Binary forms: the weight-count difference and its q-binomial restatement,
-whose low part is one packed int built by the q-Pascal recurrence.
+Binary forms: two independent methods for the number of degree-n
+invariants, the coefficient of q^{dn/2} in (1 - q) [d+n choose n]_q,
+
+  * omega     -- weight counts of the coefficient monomials, from one
+                 packed partition DP (``weights.omega_reader``),
+  * qbinom    -- the q-binomials themselves, from one packed q-Pascal
+                 row (``qbinom.gaussian_binomial_low``).
+
 Ternary forms: four mutually independent methods for the number of
 linearly independent degree-n invariants,
 
@@ -16,19 +22,23 @@ linearly independent degree-n invariants,
 All methods return exact Python ints and agree with each other; the
 redundancy is the point.
 
-counting, genfunc and pqbinom share one driver, for a series and for a
-single point alike.  Each is a reader builder: ``(d, order)`` ->
-``coeff(n, a, b)``, the t^n p^a q^b coefficient of the series
-prod_{k+l<=d} (1 - t p^k q^l)^{-1} for any n <= order.  Each route
-makes that coefficient its own way (a cell of the packed counting grid,
-one slot of the graded packed inverse-product expansion, one slot of a
-product of two graded packed halves of the pq-binomial factors).
-pqbinom's reader is exact anywhere in the operator box.  counting's grid
-keeps only the rows of w1 that a cell the operator reads can still reach
+Every method but peel is a reader route, and the five share one driver,
+for a series and for a single point alike.  Each is a reader builder
+``(d, order)`` -> ``coeff``, exact for every degree n <= order, and the
+driver applies the form's operator (``_OPERATORS``) to it.  A binary
+reader is ``coeff(n, w)``, the q^w coefficient of [d+n choose n]_q for
+w <= d*order//2, and the operator is 1 - q at q^{dn/2}.  A ternary
+reader is ``coeff(n, a, b)``, the t^n p^a q^b coefficient of the series
+prod_{k+l<=d} (1 - t p^k q^l)^{-1}.  Each ternary route makes that
+coefficient its own way (a cell of the packed counting grid, one slot of
+the graded packed inverse-product expansion, one slot of a product of
+two graded packed halves of the pq-binomial factors).  pqbinom's reader
+is exact anywhere in the operator box.  counting's grid keeps only the
+rows of w1 that a cell the operator reads can still reach
 (``weights.solution_count_grid``), and genfunc's expansion is floored on
 a + b (``_operator_floor``), so those two readers are exact only around
 the cells the operator reads.  Only the five-point functional
-``sl3.FIVE_POINT`` is shared, and ``_operator_value`` is the one place
+``sl3.FIVE_POINT`` is shared, and ``_ternary_operator`` is the one place
 that applies it.  Peel never reads it.
 """
 
@@ -40,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import weights
 from .qbinom import _box_masks, gaussian_binomial_low, pq_binomial_table
 from .sl3 import FIVE_POINT, decompose
-from .weights import _check_dn, omega_binary, variables, weight_table
+from .weights import _check_dn, variables, weight_table
 
 # None of these is called here; perfbench/tracer.py requires the bindings.
 from .poly import expand_inverse_product, series_mul  # noqa: F401
@@ -56,10 +66,12 @@ OPERATOR_TERMS: Dict[Tuple[int, int], int] = {
     ((i - j) // 3, (i + 2 * j) // 3): c for (i, j), c in FIVE_POINT.items()
 }
 
-# coeff(n, a, b): the t^n p^a q^b coefficient of the series, exact at
-# least at every cell the operator reads for n <= the reader's order
-# (counting's and genfunc's are exact only around those cells).
-Reader = Callable[[int, int, int], int]
+# coeff(n, w) for a binary route: the q^w coefficient of its degree-n
+# series.  coeff(n, a, b) for a ternary route: the t^n p^a q^b
+# coefficient of the series.  Either is exact at least at every cell the
+# operator reads for n <= the reader's order (counting's and genfunc's
+# are exact only around those cells).
+Reader = Callable[..., int]
 
 
 class WorkLimitExceeded(RuntimeError):
@@ -72,31 +84,26 @@ class WorkLimitExceeded(RuntimeError):
 
 def gamma_binary(d: int, n: int) -> int:
     """Invariants of degree n of the binary form of degree d, as the
-    difference of the zero-weight and weight-2 monomial counts."""
-    return gamma_binary_full(d, n, 0)
+    difference of the zero-weight and weight-2 monomial counts: two
+    slots of one partition DP (``weights.omega_reader``)."""
+    return _point("omega", d, n)
 
 
 def gamma_binary_qbinom(d: int, n: int) -> int:
     """Same count via the q-binomial: coefficient of q^{dn/2} in
-    (1 - q) * [d+n choose n]_q, read as the difference of slots w and
-    w-1 of the packed low part ``gaussian_binomial_low(d, n, w)``."""
-    _check_dn(d, n)
-    if (d * n) % 2:
-        return 0
-    w = d * n // 2
-    low, slot = gaussian_binomial_low(d, n, w)
-    below = (low >> ((w - 1) * slot)) & ((1 << slot) - 1) if w else 0
-    return (low >> (w * slot)) - below
+    (1 - q) * [d+n choose n]_q, two slots of the q-Pascal row
+    (``qbinom.gaussian_binomial_low``)."""
+    return _point("qbinom", d, n)
 
 
 def gamma_binary_full(d: int, n: int, k: int) -> int:
     """Multiplicity of the (k+1)-dimensional irreducible summand in the
-    degree-n piece of the binary form's coefficient ring."""
+    degree-n piece of the binary form's coefficient ring: (1 - q) at
+    q^w, w = (d*n - k)/2, read from one omega reader."""
     _check_dn(d, n, k)
     if k < 0 or k > d * n or (d * n - k) % 2:
         return 0
-    w = (d * n - k) // 2
-    return omega_binary(d, n, w) - omega_binary(d, n, w - 1)
+    return _binary_operator(weights.omega_reader(d, n), n, (d * n - k) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +134,6 @@ def nu_ternary_peel(
 ) -> int:
     """Trivial-representation multiplicity via highest-weight peeling of
     the full weight table.  Guarded by a state-count work limit."""
-    _check_dn(d, n)
     est = peel_work_estimate(d, n)
     if est > work_limit:
         raise WorkLimitExceeded(
@@ -139,7 +145,9 @@ def nu_ternary_peel(
 def peel_work_estimate(d: int, n: int) -> int:
     """Rough state count of the peel route: the weight-table DP plus the
     quadratic cost of peeling the dominant sector.  The half of the box
-    is rounded up, so the single weight at n = 0 still counts."""
+    is rounded up, so the single weight at n = 0 still counts.  Raises
+    ValueError unless d and n are nonnegative ints."""
+    _check_dn(d, n)
     dn = d * n
     table_states = weights.num_variables(d) * (n + 1) * (dn + 1) ** 2
     dominant = ((dn + 1) ** 2 + 1) // 2
@@ -194,17 +202,17 @@ def poincare_series(
 ) -> List[Tuple[int, int]]:
     """Per-degree invariant counts for n = 0..n_max.
 
-    counting, genfunc and pqbinom build one reader at order n_max (one
-    counting grid or one expansion clipped to the cells the operator
-    reads) and apply the operator to it at every degree, so a whole
-    series is much cheaper than n_max independent point queries.  Peel
-    and the binary methods run one point count per degree.
+    Every method but peel builds one reader at order n_max (one DP, grid
+    or expansion clipped to the cells the operator reads) and applies the
+    form's operator to it at every degree, so a whole series is much
+    cheaper than n_max independent point queries.  Only peel runs one
+    point count per degree.
     """
     method, point = resolve_method(form, method, work_limit)
     _check_dn(d, n_max)
     if method in _READERS:
         coeff = _READERS[method](d, n_max)
-        rows = [(n, _operator_value(coeff, d, n)) for n in range(n_max + 1)]
+        rows = [(n, _operator_value(coeff, form, d, n)) for n in range(n_max + 1)]
     else:
         rows = [(n, point(d, n)) for n in range(n_max + 1)]
     if not include_zeros:
@@ -214,21 +222,42 @@ def poincare_series(
 
 def _point(method: str, d: int, n: int) -> int:
     """One degree of a reader route: a reader built at order n and read
-    at n alone.  Where 3 does not divide d*n the count is 0 and no reader
-    is built."""
+    at n alone.  Where the form's k does not divide d*n the count is 0
+    and no reader is built."""
     _check_dn(d, n)
-    if (d * n) % 3:
+    form = "binary" if method in BINARY_METHODS else "ternary"
+    if (d * n) % _OPERATORS[form][0]:
         return 0
-    return _operator_value(_READERS[method](d, n), d, n)
+    return _operator_value(_READERS[method](d, n), form, d, n)
 
 
-def _operator_value(coeff: Reader, d: int, n: int) -> int:
-    """The operator OPERATOR_TERMS applied to the t^n coefficient that
-    ``coeff`` reads, at (pq)^w, w = d*n/3; 0 unless 3 | d*n."""
-    if (d * n) % 3:
+def _operator_value(coeff: Reader, form: str, d: int, n: int) -> int:
+    """The form's operator (``_OPERATORS``) applied to the degree-n
+    coefficient that ``coeff`` reads, at w = d*n/k; 0 unless k | d*n."""
+    k, operator = _OPERATORS[form]
+    if (d * n) % k:
         return 0
-    w = d * n // 3
+    return operator(coeff, n, d * n // k)
+
+
+def _binary_operator(coeff: Reader, n: int, w: int) -> int:
+    """1 - q at q^w: the q^w minus the q^(w-1) coefficient of the degree-n
+    series that ``coeff`` reads."""
+    return coeff(n, w) - coeff(n, w - 1)
+
+
+def _ternary_operator(coeff: Reader, n: int, w: int) -> int:
+    """OPERATOR_TERMS at (pq)^w of the t^n coefficient that ``coeff``
+    reads."""
     return sum(c * coeff(n, w - a, w - b) for (a, b), c in OPERATOR_TERMS.items())
+
+
+# Each form's operator, read at w = d*n/k: 1 - q at q^w for binary
+# forms, k = 2; OPERATOR_TERMS at (pq)^w for ternary forms, k = 3.
+_OPERATORS: Dict[str, Tuple[int, Callable[[Reader, int, int], int]]] = {
+    "binary": (2, _binary_operator),
+    "ternary": (3, _ternary_operator),
+}
 
 
 def _operator_box(d: int, order: int) -> Tuple[int, int]:
@@ -376,6 +405,8 @@ def _pq_half(
 
 
 _READERS: Dict[str, Callable[[int, int], Reader]] = {
+    "omega": weights.omega_reader,
+    "qbinom": gaussian_binomial_low,
     "counting": _counting_reader,
     "genfunc": _genfunc_reader,
     "pqbinom": _pqbinom_reader,

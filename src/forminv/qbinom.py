@@ -1,10 +1,11 @@
 """Gaussian (q-) and two-variable (pq-) binomial coefficients.
 
 ``gaussian_binomial_low`` and ``pq_binomial_table`` are the ones the
-routes use.  They build q-binomials (the low part of one) and a table of
-pq-binomials (clipped to a box of exponents) as packed ints by the
-q-Pascal recurrence: one shift, one add and one mask per entry, no
-polynomial product and no division.
+routes use.  They build q-binomials (the low parts of a row of them,
+read by the binary qbinom route) and a table of pq-binomials (clipped to
+a box of exponents) as packed ints by the q-Pascal recurrence: one
+shift, one add and one mask per entry, no polynomial product and no
+division.
 
 ``gaussian_binomial`` and ``pq_binomial`` are their test oracles,
 computed from the defining products by exact polynomial division,
@@ -15,7 +16,7 @@ asserted exact; a remainder aborts the computation.
 from __future__ import annotations
 
 from math import comb
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from .poly import LaurentPoly
 from .weights import _check_dn
@@ -35,32 +36,36 @@ def gaussian_binomial(d: int, n: int) -> LaurentPoly:
     return result
 
 
-def gaussian_binomial_low(d: int, n: int, top: int) -> Tuple[int, int]:
-    """gaussian_binomial(d, n) up to q^top, packed as one int with the
-    coefficient of q^e in slot e, and the slot width in bits.
+def gaussian_binomial_low(d: int, order: int) -> Callable[[int, int], int]:
+    """coeff(k, e): the coefficient of q^e in gaussian_binomial(d, k) for
+    every k <= order and e <= d*order//2, and 0 for e < 0.
 
     Built by the q-Pascal identity for Q(m, k) = gaussian_binomial(m, k),
 
         Q(m, k) = Q(m, k-1) + q^k Q(m-1, k),
 
-    over one row k = 0..n, updated in place for m = 1..d from
+    over one row k = 0..order, each entry packed as one int with the
+    coefficient of q^e in slot e, updated in place for m = 1..d from
     Q(0, k) = Q(m, 0) = 1: row[k] = (row[k-1] + (row[k] << k*slot)) & mask,
-    the mask keeping slots 0..top.  Every coefficient is at most
-    comb(d + n, n), so slots of its bit length never carry.  Every
-    exponent is >= 0 and only grows along the recurrence, so truncating
-    each entry as it is built is exact.  Raises ValueError unless every
-    argument is a nonnegative int.
+    the mask keeping slots 0..d*order//2.  Every coefficient is at most
+    comb(d + order, order), so slots of its bit length never carry.
+    Every exponent is >= 0 and only grows along the recurrence, so
+    truncating each entry as it is built is exact.  Raises ValueError
+    unless d and order are nonnegative ints.
     """
-    _check_dn(d, n, top)
-    if top < 0:
-        raise ValueError("top must be nonnegative")
-    slot = comb(d + n, n).bit_length()
-    mask = (1 << ((top + 1) * slot)) - 1
-    row = [1] * (n + 1)
+    _check_dn(d, order)
+    slot = comb(d + order, order).bit_length()
+    mask = (1 << ((d * order // 2 + 1) * slot)) - 1
+    row = [1] * (order + 1)
     for _ in range(d):
-        for k in range(1, n + 1):
+        for k in range(1, order + 1):
             row[k] = (row[k - 1] + (row[k] << (k * slot))) & mask
-    return row[n], slot
+    cell = (1 << slot) - 1
+
+    def coeff(k: int, e: int) -> int:
+        return (row[k] >> (e * slot)) & cell if e >= 0 else 0
+
+    return coeff
 
 
 def pq_binomial(d: int, k: int) -> LaurentPoly:

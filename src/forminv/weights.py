@@ -1,11 +1,12 @@
 """Exact lattice-point counting for weight multiplicities of coefficient
 monomials.
 
-``omega_binary`` counts monomials of the binary form's coefficient ring
-by weight; ``c_ternary``, ``solution_count_grid`` and ``weight_table`` do
-the same for ternary forms, where a degree-n monomial in the variables
-a_{r,s} (r+s <= d) has weight sums w1 = sum r*alpha_{r,s} and
-w2 = sum s*alpha_{r,s}.
+``omega_reader`` counts monomials of the binary form's coefficient ring
+by weight, every degree up to its order from one DP, and
+``omega_binary`` reads one count from it; ``c_ternary``,
+``solution_count_grid`` and ``weight_table`` do the same for ternary
+forms, where a degree-n monomial in the variables a_{r,s} (r+s <= d)
+has weight sums w1 = sum r*alpha_{r,s} and w2 = sum s*alpha_{r,s}.
 
 Every count comes from one kernel, ``_packed_layers``: an
 unbounded-knapsack dynamic program whose count layers are each packed
@@ -20,10 +21,11 @@ where ``mask[c]`` keeps the cells of layer c inside its window.  No
 addition carries into the next cell: every cell, padding included, holds
 a nonnegative count of monomials of degree at most n, and ``slot`` is
 one bit wider than a bound on that count (``monomial_count(d, n)`` for
-the ternary grid; ``comb(n+d, d)`` for the binary layers, their sum
-included).  A cell is read back with one shift and one mask.
+the ternary grid; ``comb(n+d, d)`` for the binary layers).  A cell is
+read back with one shift and one mask.
 
-``omega_binary`` packs one weight per slot and shifts by part*slot.  The
+``omega_reader`` packs one weight per slot, and the binary variable
+alpha_p of weight p shifts by p*slot (alpha_0 by 0).  The
 ternary grid packs weight sums (w1, w2) by rows of w1, where a row holds
 w2cap + 1 cells followed by d zero padding slots, so
 ``row = (w2cap + 1 + d) * slot``.  Layer c holds a window of rows
@@ -41,14 +43,14 @@ rows it pushes below the bottom are below lows[c].
 that a cell the invariant-count operator reads can still reach, and
 lowers each layer's top as the variables are folded in.
 
-Results are exact Python ints at any size.  Nothing is cached: a grid is
-rebuilt on every call.
+Results are exact Python ints at any size.  Nothing is cached: a grid or
+a binary DP is rebuilt on every call.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 Weight = Tuple[int, int]
 
@@ -123,18 +125,36 @@ def omega_binary(d: int, n: int, w: int) -> int:
 
     alpha_0 absorbs the unused count, so this is the number of ways to
     pick alpha_1..alpha_d with total count <= n and weighted sum w:
-    partitions of w into at most n parts, each part <= d.  Layer c packs
-    the partitions into exactly c parts, one slot per weight up to w
-    (by the reflection w <-> d*n - w, at most d*n/2).
+    partitions of w into at most n parts, each part <= d.  Read from
+    ``omega_reader(d, n)`` at min(w, d*n - w) <= d*n/2, by the reflection
+    w <-> d*n - w; a weight outside 0..d*n reads as 0.
     """
     _check_dn(d, n, w)
-    if w < 0 or w > d * n:
-        return 0
-    w = min(w, d * n - w)
-    slot = comb(n + d, d).bit_length() + 1
-    shifts = [part * slot for part in range(1, d + 1)]
-    layers = _packed_layers([(shifts, [(1 << ((w + 1) * slot)) - 1] * (n + 1))], n)
-    return (sum(layers) >> (w * slot)) & ((1 << slot) - 1)
+    return omega_reader(d, n)(n, min(w, d * n - w))
+
+
+def omega_reader(d: int, order: int) -> Callable[[int, int], int]:
+    """coeff(n, w) = omega_binary(d, n, w) for every n <= order and
+    w <= d*order//2, and 0 for w < 0, from one DP.
+
+    The DP runs over the variables alpha_0..alpha_d, alpha_p of weight p,
+    so layer n holds the degree-n monomials counted by weight, one slot
+    per weight up to d*order//2: alpha_p shifts by p*slot, alpha_0 by 0.
+    Every slot of layer n is at most the number comb(n + d, d) of
+    degree-n monomials, which the slot holds without carry.  Raises
+    ValueError unless d and order are nonnegative ints.
+    """
+    _check_dn(d, order)
+    slot = comb(order + d, d).bit_length() + 1
+    shifts = [p * slot for p in range(d + 1)]
+    mask = (1 << ((d * order // 2 + 1) * slot)) - 1
+    layers = _packed_layers([(shifts, [mask] * (order + 1))], order)
+    cell = (1 << slot) - 1
+
+    def coeff(n: int, w: int) -> int:
+        return (layers[n] >> (w * slot)) & cell if w >= 0 else 0
+
+    return coeff
 
 
 def _packed_layers(

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forminv import counts, sl3
+from forminv import counts, sl3, weights
 from forminv.counts import (
+    BINARY_METHODS,
     OPERATOR_TERMS,
     TERNARY_METHODS,
     WorkLimitExceeded,
@@ -113,8 +114,8 @@ class TestGammaBinaryFull:
                 assert gamma_binary_full(d, n, 0) == gamma_binary(d, n)
 
     def test_dimension_bookkeeping_sweep(self):
-        for d in range(1, 6):
-            for n in range(8):
+        for d in range(1, 9):
+            for n in range(21):
                 total = sum(
                     gamma_binary_full(d, n, k) * (k + 1)
                     for k in range(d * n + 1)
@@ -171,6 +172,8 @@ class TestNuTernary:
             monkeypatch.setitem(counts._READERS, method, unbuildable)
         for point in (nu_ternary_counting, nu_ternary_genfunc, nu_ternary_pqbinom):
             assert point(7, 20) == 0
+        for point in (gamma_binary, gamma_binary_qbinom):
+            assert point(7, 19) == 0
 
     def test_nonnegative(self):
         for d in range(1, 6):
@@ -233,6 +236,7 @@ class TestNuTernary:
             nu_ternary_genfunc,
             nu_ternary_pqbinom,
             nu_ternary_peel,
+            peel_work_estimate,
         ):
             with pytest.raises(ValueError):
                 fn(bad, 3)
@@ -255,6 +259,34 @@ class TestPoincareSeries:
     def test_binary_constant(self):
         rows = poincare_series("binary", 0, 3)
         assert rows == [(0, 1), (1, 1), (2, 1), (3, 1)]
+
+    @pytest.mark.parametrize("method", ["omega", "qbinom"])
+    def test_binary_series_is_the_points(self, method):
+        # one reader at order 60 against one reader per degree
+        point = BINARY_METHODS[method]
+        for d in range(13):
+            rows = poincare_series("binary", d, 60, method=method)
+            assert rows == [(n, point(d, n)) for n in range(61)], d
+
+    def test_omega_reader_needs_every_lower_layer(self, monkeypatch):
+        # layer n alone counts the partitions into exactly n parts, not at
+        # most n: the DP without alpha_0
+        def layer_alone(d, order):
+            slot = comb(order + d, d).bit_length() + 1
+            mask = (1 << ((d * order // 2 + 1) * slot)) - 1
+            shifts = [p * slot for p in range(1, d + 1)]
+            layers = weights._packed_layers([(shifts, [mask] * (order + 1))], order)
+            cell = (1 << slot) - 1
+            return lambda n, w: (layers[n] >> (w * slot)) & cell if w >= 0 else 0
+
+        def series(method):
+            return [poincare_series("binary", d, 60, method=method) for d in range(13)]
+
+        assert series("omega") == series("qbinom")
+        monkeypatch.setitem(counts._READERS, "omega", layer_alone)
+        monkeypatch.setattr(weights, "omega_reader", layer_alone)
+        assert series("omega") != series("qbinom")
+        assert sum(gamma_binary_full(4, 3, k) * (k + 1) for k in range(13)) != comb(7, 4)
 
     def test_ternary_methods_match(self):
         for method in ("counting", "genfunc", "pqbinom", "peel"):

@@ -178,18 +178,21 @@ class TestGaussianBinomialLow:
     @pytest.mark.parametrize("d", [0, 1, 2, 5, 9])
     @pytest.mark.parametrize("n", [0, 1, 3, 8])
     def test_is_low_part_of_gaussian_binomial(self, d, n):
-        oracle = gaussian_binomial(d, n)
-        for top in sorted({0, 1, d * n // 2, d * n, d * n + 3}):
-            low, slot = gaussian_binomial_low(d, n, top)
-            # the narrowest slot that holds every coefficient, so a
-            # carry would show
-            assert slot == comb(d + n, n).bit_length()
-            cell = (1 << slot) - 1
-            assert low >> ((top + 1) * slot) == 0
-            got = [(low >> (e * slot)) & cell for e in range(top + 1)]
-            assert got == [oracle.coeff(0, e) for e in range(top + 1)], top
+        # the reader at order n holds every row k <= n of the q-Pascal
+        # recurrence, each up to q^(d*n//2)
+        coeff = gaussian_binomial_low(d, n)
+        # the narrowest slot that holds comb(d + n, n), so a carry would show
+        closure = dict(zip(coeff.__code__.co_freevars, coeff.__closure__))
+        assert closure["slot"].cell_contents == comb(d + n, n).bit_length()
+        top = d * n // 2
+        for k in range(n + 1):
+            oracle = gaussian_binomial(d, k)
+            got = [coeff(k, e) for e in range(-1, top + 2)]
+            want = [oracle.coeff(0, e) for e in range(top + 1)]
+            # nothing below q^0, and the mask clears every slot past top
+            assert got == [0] + want + [0], k
 
-    @pytest.mark.parametrize("args", [(-1, 3, 2), (2, -1, 2), (2, 3, -1)])
+    @pytest.mark.parametrize("args", [(-1, 3), (2, -1), (-1, -1)])
     def test_negative_arguments(self, args):
         with pytest.raises(ValueError):
             gaussian_binomial_low(*args)
@@ -205,9 +208,8 @@ class TestValidation:
             lambda: gaussian_binomial(2, bad),
             lambda: pq_binomial(bad, 2),
             lambda: pq_binomial(2, bad),
-            lambda: gaussian_binomial_low(bad, 2, 3),
-            lambda: gaussian_binomial_low(2, bad, 3),
-            lambda: gaussian_binomial_low(2, 2, bad),
+            lambda: gaussian_binomial_low(bad, 2),
+            lambda: gaussian_binomial_low(2, bad),
             lambda: pq_binomial_table(bad, 2, (2, 2), 8),
             lambda: pq_binomial_table(2, bad, (2, 2), 8),
             lambda: pq_binomial_table(2, 2, (bad, 2), 8),
