@@ -28,6 +28,7 @@ from .sl3 import (
 from .counts import (
     DEFAULT_WORK_LIMIT,
     WorkLimitExceeded,
+    count,
     gamma_binary,
     gamma_binary_full,
     gamma_binary_qbinom,
@@ -51,6 +52,7 @@ __all__ = [
     "WorkLimitExceeded",
     "c_ternary",
     "character",
+    "count",
     "decompose",
     "dimension",
     "e_lambda",

@@ -96,8 +96,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    method, count = resolve_method(args.form, args.method, args.work_limit)
-    value = count(args.d, args.n)
+    method = resolve_method(args.form, args.method)
+    value = counts.count(args.form, args.d, args.n, method, args.work_limit)
     if args.json:
         obj = {
             "form": args.form,
@@ -113,7 +113,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    method, _ = resolve_method(args.form, args.method, args.work_limit)
+    method = resolve_method(args.form, args.method)
     rows = poincare_series(
         args.form,
         args.d,
@@ -176,13 +176,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _verify_agreement(form: str, args: argparse.Namespace) -> Tuple[Optional[str], int]:
-    """The first disagreement (or None) of each series method of the form
-    with its default, the first, for d = 1..--d-max and n = 0..--n-max,
-    and the number of peel comparisons made.  Ternary series are also
-    compared with peel, degree by degree; peel skips every (d, n) whose
-    estimate exceeds --work-limit."""
+    """The first disagreement (or None) of each method of the form with
+    its default, the first, for d = 1..--d-max and n = 0..--n-max, and the
+    number of peel comparisons made.  Each series method is compared as
+    one series.  Peel, the last ternary method, is compared degree by
+    degree, and skips every (d, n) whose estimate exceeds --work-limit."""
     table = BINARY_METHODS if form == "binary" else TERNARY_METHODS
-    first, *others = (method for method in table if method != "peel")
+    first, *others = table
+    peel = others.pop() if form == "ternary" else None
     peels = 0
     for d in range(1, args.d_max + 1):
         base = poincare_series(form, d, args.n_max, method=first)
@@ -191,7 +192,7 @@ def _verify_agreement(form: str, args: argparse.Namespace) -> Tuple[Optional[str
             for (n, a), (_, b) in zip(base, rows):
                 if a != b:
                     return f"{first}={a} but {method}={b} at d={d}, n={n}", peels
-        if "peel" in table:
+        if peel is not None:
             for n, a in base:
                 try:
                     b = counts.nu_ternary_peel(d, n, work_limit=args.work_limit)
@@ -199,7 +200,7 @@ def _verify_agreement(form: str, args: argparse.Namespace) -> Tuple[Optional[str
                     continue
                 peels += 1
                 if a != b:
-                    return f"counting={a} but peel={b} at d={d}, n={n}", peels
+                    return f"{first}={a} but {peel}={b} at d={d}, n={n}", peels
     return None, peels
 
 

@@ -23,9 +23,12 @@ All methods return exact Python ints and agree with each other; the
 redundancy is the point.
 
 Every method but peel is a reader route, and the five share one driver,
-for a series and for a single point alike.  Each is a reader builder
-``(d, order)`` -> ``coeff``, exact for every degree n <= order, and the
-driver applies the form's operator (``_OPERATORS``) to it.  A binary
+for a series (``poincare_series``) and for a single point (``count``)
+alike.  ``BINARY_METHODS`` and ``TERNARY_METHODS``, one route table per
+form with its default first, map each reader route to its reader builder
+``(d, order)`` -> ``coeff``, exact for every degree n <= order, and peel
+to its point count.  ``_FORMS`` holds each table beside the form's k and
+operator, which the driver applies to a reader at w = d*n/k.  A binary
 reader is ``coeff(n, w)``, the q^w coefficient of [d+n choose n]_q for
 w <= d*order//2, and the operator is 1 - q at q^{dn/2}.  A ternary
 reader is ``coeff(n, a, b)``, the t^n p^a q^b coefficient of the series
@@ -44,8 +47,7 @@ that applies it.  Peel never reads it.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import weights
 from .qbinom import _box_masks, gaussian_binomial_low, pq_binomial_table
@@ -86,14 +88,14 @@ def gamma_binary(d: int, n: int) -> int:
     """Invariants of degree n of the binary form of degree d, as the
     difference of the zero-weight and weight-2 monomial counts: two
     slots of one partition DP (``weights.omega_reader``)."""
-    return _point("omega", d, n)
+    return count("binary", d, n, "omega")
 
 
 def gamma_binary_qbinom(d: int, n: int) -> int:
     """Same count via the q-binomial: coefficient of q^{dn/2} in
     (1 - q) * [d+n choose n]_q, two slots of the q-Pascal row
     (``qbinom.gaussian_binomial_low``)."""
-    return _point("qbinom", d, n)
+    return count("binary", d, n, "qbinom")
 
 
 def gamma_binary_full(d: int, n: int, k: int) -> int:
@@ -114,19 +116,19 @@ def nu_ternary_counting(d: int, n: int) -> int:
     """The five-point functional ``sl3.FIVE_POINT`` on the weight
     multiplicities c(d, n, i, j) of the degree-n monomials, read as five
     cells of one counting grid."""
-    return _point("counting", d, n)
+    return count("ternary", d, n, "counting")
 
 
 def nu_ternary_genfunc(d: int, n: int) -> int:
     """Coefficient extraction from the expansion of
     (prod_{k+l<=d} (1 - t p^k q^l))^{-1}."""
-    return _point("genfunc", d, n)
+    return count("ternary", d, n, "genfunc")
 
 
 def nu_ternary_pqbinom(d: int, n: int) -> int:
     """Same extraction, with the series assembled as the product of the
     pq-binomial generating series G_0 ... G_d."""
-    return _point("pqbinom", d, n)
+    return count("ternary", d, n, "pqbinom")
 
 
 def nu_ternary_peel(
@@ -155,41 +157,41 @@ def peel_work_estimate(d: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# series drivers
-
-BINARY_METHODS: Dict[str, Callable[[int, int], int]] = {
-    "omega": gamma_binary,
-    "qbinom": gamma_binary_qbinom,
-}
-
-TERNARY_METHODS: Dict[str, Callable[..., int]] = {
-    "counting": nu_ternary_counting,
-    "genfunc": nu_ternary_genfunc,
-    "pqbinom": nu_ternary_pqbinom,
-    "peel": nu_ternary_peel,
-}
+# the driver
 
 
-def resolve_method(
-    form: str, method: Optional[str] = None, work_limit: int = DEFAULT_WORK_LIMIT
-) -> Tuple[str, Callable[[int, int], int]]:
-    """The method a request runs and its point count ``f(d, n)``.
-
-    ``method=None`` picks the default (omega for binary forms, counting
-    for ternary forms); peel gets ``work_limit`` bound.  An unknown form,
-    or a method of the other form, raises ValueError.
+def resolve_method(form: str, method: Optional[str] = None) -> str:
+    """The method a request runs: ``method``, or the form's default, the
+    first key of its table (omega for binary forms, counting for ternary
+    forms).  An unknown form, or a method of the other form, raises
+    ValueError.
     """
-    if form not in ("binary", "ternary"):
+    if form not in _FORMS:
         raise ValueError(f"unknown form {form!r}")
-    table = BINARY_METHODS if form == "binary" else TERNARY_METHODS
+    table = _FORMS[form][0]
     if method is None:
-        method = "omega" if form == "binary" else "counting"
+        return next(iter(table))
     if method not in table:
         raise ValueError(f"method {method!r} invalid for {form} forms")
-    fn = table[method]
-    if method == "peel":
-        fn = partial(fn, work_limit=work_limit)
-    return method, fn
+    return method
+
+
+def count(
+    form: str,
+    d: int,
+    n: int,
+    method: Optional[str] = None,
+    work_limit: int = DEFAULT_WORK_LIMIT,
+) -> int:
+    """The number of degree-n invariants of the form of degree d, by
+    ``method`` (the form's default if None): the point counterpart of
+    ``poincare_series``.  A reader route builds its reader at order n;
+    where the form's k does not divide d*n the count is 0 and no reader
+    is built.  Peel raises WorkLimitExceeded past ``work_limit``.
+    """
+    method = resolve_method(form, method)
+    _check_dn(d, n)
+    return _run(form, method, d, n, [n], work_limit)[0]
 
 
 def poincare_series(
@@ -208,36 +210,30 @@ def poincare_series(
     cheaper than n_max independent point queries.  Only peel runs one
     point count per degree.
     """
-    method, point = resolve_method(form, method, work_limit)
+    method = resolve_method(form, method)
     _check_dn(d, n_max)
-    if method in _READERS:
-        coeff = _READERS[method](d, n_max)
-        rows = [(n, _operator_value(coeff, form, d, n)) for n in range(n_max + 1)]
-    else:
-        rows = [(n, point(d, n)) for n in range(n_max + 1)]
+    degrees = range(n_max + 1)
+    rows = list(zip(degrees, _run(form, method, d, n_max, degrees, work_limit)))
     if not include_zeros:
         rows = [(n, v) for n, v in rows if v]
     return rows
 
 
-def _point(method: str, d: int, n: int) -> int:
-    """One degree of a reader route: a reader built at order n and read
-    at n alone.  Where the form's k does not divide d*n the count is 0
-    and no reader is built."""
-    _check_dn(d, n)
-    form = "binary" if method in BINARY_METHODS else "ternary"
-    if (d * n) % _OPERATORS[form][0]:
-        return 0
-    return _operator_value(_READERS[method](d, n), form, d, n)
-
-
-def _operator_value(coeff: Reader, form: str, d: int, n: int) -> int:
-    """The form's operator (``_OPERATORS``) applied to the degree-n
-    coefficient that ``coeff`` reads, at w = d*n/k; 0 unless k | d*n."""
-    k, operator = _OPERATORS[form]
-    if (d * n) % k:
-        return 0
-    return operator(coeff, n, d * n // k)
+def _run(
+    form: str, method: str, d: int, order: int, degrees: Sequence[int], work_limit: int
+) -> List[int]:
+    """The counts of a resolved method at ``degrees``, each <= order,
+    by the entry of the form's table at call time.  Peel runs once per
+    degree.  A reader route builds one reader at ``order`` and applies
+    the form's operator to it at w = d*n/k for every degree with k | d*n;
+    the others are 0, and when no degree has k | d*n no reader is
+    built."""
+    table, k, operator = _FORMS[form]
+    if method == "peel":
+        return [table[method](d, n, work_limit=work_limit) for n in degrees]
+    reads = {n: d * n // k for n in degrees if d * n % k == 0}
+    coeff = table[method](d, order) if reads else None
+    return [operator(coeff, n, reads[n]) if n in reads else 0 for n in degrees]
 
 
 def _binary_operator(coeff: Reader, n: int, w: int) -> int:
@@ -252,14 +248,6 @@ def _ternary_operator(coeff: Reader, n: int, w: int) -> int:
     return sum(c * coeff(n, w - a, w - b) for (a, b), c in OPERATOR_TERMS.items())
 
 
-# Each form's operator, read at w = d*n/k: 1 - q at q^w for binary
-# forms, k = 2; OPERATOR_TERMS at (pq)^w for ternary forms, k = 3.
-_OPERATORS: Dict[str, Tuple[int, Callable[[Reader, int, int], int]]] = {
-    "binary": (2, _binary_operator),
-    "ternary": (3, _ternary_operator),
-}
-
-
 def _operator_box(d: int, order: int) -> Tuple[int, int]:
     """Exponent bounds of every coefficient the operator reads from the
     t^n terms, n <= order: p^a q^b with a <= w+1, b <= w, w = d*order//3.
@@ -269,7 +257,9 @@ def _operator_box(d: int, order: int) -> Tuple[int, int]:
     return (w + 1, w)
 
 
-def _counting_reader(d: int, order: int) -> Reader:
+def counting_reader(d: int, order: int) -> Reader:
+    """The cells of one counting grid (``weights.solution_count_grid``):
+    exact at every cell the operator reads, for n <= order."""
     return weights.solution_count_grid(d, order).cell
 
 
@@ -285,7 +275,7 @@ def _operator_floor(d: int, order: int) -> int:
     return (2 * d * order) // 3 - max(a + b for a, b in OPERATOR_TERMS)
 
 
-def _genfunc_reader(d: int, order: int) -> Reader:
+def genfunc_reader(d: int, order: int) -> Reader:
     """One slot of ``_genfunc_expansion``: exact at every cell the
     operator reads, for n <= order."""
     coeffs, slot = _genfunc_expansion(d, order)
@@ -333,7 +323,7 @@ def _genfunc_expansion(d: int, order: int) -> Tuple[List[Dict[int, int]], int]:
     return coeffs, slot
 
 
-def _pqbinom_reader(d: int, order: int) -> Reader:
+def pqbinom_reader(d: int, order: int) -> Reader:
     """G_0 ... G_d multiplied in two halves, each clipped to the operator
     box and held as graded packed ints (``_pq_half``).  A coefficient of
     their product, never formed, is slot b of a sum of piece products:
@@ -404,10 +394,27 @@ def _pq_half(
     return prod
 
 
-_READERS: Dict[str, Callable[[int, int], Reader]] = {
+# ---------------------------------------------------------------------------
+# route tables
+
+# Each form's methods, its default first, mapped to what the driver runs:
+# a reader route's builder (d, order) -> coeff, or peel's point count.
+# Peel, the oracle that ``forminv verify`` runs degree by degree, is last.
+BINARY_METHODS: Dict[str, Callable[[int, int], Reader]] = {
     "omega": weights.omega_reader,
     "qbinom": gaussian_binomial_low,
-    "counting": _counting_reader,
-    "genfunc": _genfunc_reader,
-    "pqbinom": _pqbinom_reader,
+}
+
+TERNARY_METHODS: Dict[str, Callable[..., object]] = {
+    "counting": counting_reader,
+    "genfunc": genfunc_reader,
+    "pqbinom": pqbinom_reader,
+    "peel": nu_ternary_peel,
+}
+
+# Each form's table, k and operator, read at w = d*n/k: 1 - q at q^w for
+# binary forms, k = 2; OPERATOR_TERMS at (pq)^w for ternary forms, k = 3.
+_FORMS: Dict[str, Tuple[Dict[str, Callable[..., object]], int, Callable[..., int]]] = {
+    "binary": (BINARY_METHODS, 2, _binary_operator),
+    "ternary": (TERNARY_METHODS, 3, _ternary_operator),
 }

@@ -59,9 +59,8 @@ class CountGrid:
     """Packed count layers of the ternary DP (layout in the module
     docstring): ``cell(c, w1, w2)`` is the number of degree-c monomials
     with weight sums (w1, w2).  Layer c holds the rows lows[c]..tops[c]
-    of w1 and the cells w2 <= w2cap of each; ``w1cap`` is the top of the
-    last layer.  The plain box starts every layer at row 0 and ends it
-    at w1cap.
+    of w1 and the cells w2 <= w2cap of each.  The plain box
+    (``_count_layers``) starts every layer at row 0 and ends it at w1cap.
     """
 
     __slots__ = ("layers", "lows", "tops", "w2cap", "slot", "row")
@@ -81,10 +80,6 @@ class CountGrid:
         self.w2cap = w2cap
         self.slot = slot
         self.row = row
-
-    @property
-    def w1cap(self) -> int:
-        return self.tops[-1]
 
     def cell(self, c: int, w1: int, w2: int) -> int:
         """Zero below the origin; IndexError outside the rows of layer c

@@ -10,8 +10,8 @@ import time
 from math import comb
 
 from forminv.counts import (
-    TERNARY_METHODS,
     WorkLimitExceeded,
+    count,
     gamma_binary,
     gamma_binary_full,
     gamma_binary_qbinom,
@@ -67,8 +67,7 @@ def test_criterion_2_method_agreement():
                 assert rows == base, f"{method} disagrees at d={d}"
                 checked += len(rows)
                 # point queries, each from a reader built at its own degree
-                point = TERNARY_METHODS[method]
-                points = [(n, point(d, n)) for n in range(n_max + 1)]
+                points = [(n, count("ternary", d, n, method)) for n in range(n_max + 1)]
                 assert points == base, f"{method} points disagree at d={d}"
     peeled = 0
     for d in range(1, 5):

@@ -82,7 +82,7 @@ class TestCount:
     def test_out_of_memory(self, capsys, monkeypatch):
         from forminv import counts
 
-        def exhausted(d, n):
+        def exhausted(d, order):
             raise MemoryError
 
         monkeypatch.setitem(counts.TERNARY_METHODS, "counting", exhausted)
@@ -221,7 +221,7 @@ class TestSeries:
         assert run(capsys, *argv)[0] == 0
         # the same request again builds its own reader: nothing from the
         # first run may serve it
-        monkeypatch.setitem(counts._READERS, "pqbinom", exhausted)
+        monkeypatch.setitem(counts.TERNARY_METHODS, "pqbinom", exhausted)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("error: out of memory")
@@ -265,6 +265,52 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert "d=3, n=4" in out
+        assert out.splitlines()[0].endswith(": counting=1 but peel=2 at d=3, n=4")
+
+    @pytest.mark.parametrize(
+        "form, method, line",
+        [
+            (
+                "ternary", "genfunc",
+                "FAIL  ternary method agreement (14 peel comparisons): "
+                "counting=1 but genfunc=2 at d=3, n=4",
+            ),
+            (
+                "binary", "qbinom",
+                "FAIL  binary method agreement: omega=1 but qbinom=2 at d=2, n=2",
+            ),
+        ],
+        ids=["ternary", "binary"],
+    )
+    def test_detects_series_disagreement(
+        self, capsys, monkeypatch, form, method, line
+    ):
+        # one wrong count, at (d, n), in a series method that is not the
+        # default: the cell the operator reads with +1 is bumped
+        from forminv import counts
+
+        table = counts.BINARY_METHODS if form == "binary" else counts.TERNARY_METHODS
+        real = table[method]
+        d, n = (3, 4) if form == "ternary" else (2, 2)
+
+        def corrupted(dd, order):
+            coeff = real(dd, order)
+            w = dd * n // (3 if form == "ternary" else 2)
+
+            def read(m, *cell):
+                bump = (dd, m) == (d, n) and set(cell) == {w}
+                return coeff(m, *cell) + bump
+
+            return read
+
+        monkeypatch.setitem(table, method, corrupted)
+        code, out, _ = run(
+            capsys,
+            "verify", "--d-max", "3", "--n-max", "6", "--lambda-max", "4",
+        )
+        assert code == 1
+        assert line in out.splitlines()
+        assert out.splitlines()[-1] == "FAIL"
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -327,6 +373,48 @@ class TestVerify:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot write --out /dev/full: ")
+
+
+class TestRouteTables:
+    def test_method_choices_are_the_tables(self):
+        from forminv import counts
+
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        want = set(counts.BINARY_METHODS) | set(counts.TERNARY_METHODS)
+        for command in ("count", "series"):
+            action = next(
+                a for a in sub.choices[command]._actions if a.dest == "method"
+            )
+            assert set(action.choices) == want
+
+    @pytest.mark.parametrize(
+        "form, method, w", [("binary", "qbinom", 6), ("ternary", "genfunc", 4)]
+    )
+    def test_count_and_series_run_the_table_entry(
+        self, capsys, monkeypatch, form, method, w
+    ):
+        # the driver looks each reader builder up in the table at call
+        # time; the bumped cell is the one the operator reads with +1 at
+        # d = 2, n = 6
+        from forminv import counts
+
+        table = counts.BINARY_METHODS if form == "binary" else counts.TERNARY_METHODS
+        real = table[method]
+
+        def shifted(d, order):
+            coeff = real(d, order)
+            return lambda n, *cell: coeff(n, *cell) + (n == 6 and set(cell) == {w})
+
+        want = dict(counts.poincare_series(form, 2, 8))
+        want[6] += 1
+        monkeypatch.setitem(table, method, shifted)
+        assert counts.count(form, 2, 6, method) == want[6]
+        assert dict(counts.poincare_series(form, 2, 8, method=method)) == want
+        flags = ("--form", form, "--d", "2", "--method", method)
+        assert run(capsys, "count", *flags, "--n", "6") == (0, f"{want[6]}\n", "")
+        code, out, _ = run(capsys, "series", *flags, "--max", "8")
+        assert (code, out.splitlines()[6]) == (0, f"6\t{want[6]}")
 
 
 class TestWorkLimitFlag:

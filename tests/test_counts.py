@@ -11,6 +11,7 @@ from forminv.counts import (
     OPERATOR_TERMS,
     TERNARY_METHODS,
     WorkLimitExceeded,
+    count,
     gamma_binary,
     gamma_binary_full,
     gamma_binary_qbinom,
@@ -168,8 +169,10 @@ class TestNuTernary:
         def unbuildable(d, order):
             raise AssertionError(f"reader built at d={d}, order={order}")
 
-        for method in counts._READERS:
-            monkeypatch.setitem(counts._READERS, method, unbuildable)
+        for table in (BINARY_METHODS, TERNARY_METHODS):
+            for method in table:
+                if method != "peel":
+                    monkeypatch.setitem(table, method, unbuildable)
         for point in (nu_ternary_counting, nu_ternary_genfunc, nu_ternary_pqbinom):
             assert point(7, 20) == 0
         for point in (gamma_binary, gamma_binary_qbinom):
@@ -263,10 +266,9 @@ class TestPoincareSeries:
     @pytest.mark.parametrize("method", ["omega", "qbinom"])
     def test_binary_series_is_the_points(self, method):
         # one reader at order 60 against one reader per degree
-        point = BINARY_METHODS[method]
         for d in range(13):
             rows = poincare_series("binary", d, 60, method=method)
-            assert rows == [(n, point(d, n)) for n in range(61)], d
+            assert rows == [(n, count("binary", d, n, method)) for n in range(61)], d
 
     def test_omega_reader_needs_every_lower_layer(self, monkeypatch):
         # layer n alone counts the partitions into exactly n parts, not at
@@ -283,7 +285,7 @@ class TestPoincareSeries:
             return [poincare_series("binary", d, 60, method=method) for d in range(13)]
 
         assert series("omega") == series("qbinom")
-        monkeypatch.setitem(counts._READERS, "omega", layer_alone)
+        monkeypatch.setitem(BINARY_METHODS, "omega", layer_alone)
         monkeypatch.setattr(weights, "omega_reader", layer_alone)
         assert series("omega") != series("qbinom")
         assert sum(gamma_binary_full(4, 3, k) * (k + 1) for k in range(13)) != comb(7, 4)
@@ -314,20 +316,30 @@ class TestPoincareSeries:
 
 class TestResolveMethod:
     def test_defaults(self):
-        assert resolve_method("binary") == ("omega", gamma_binary)
-        assert resolve_method("ternary") == ("counting", nu_ternary_counting)
+        assert resolve_method("binary") == "omega"
+        assert resolve_method("ternary") == "counting"
+        for d, n in ((2, 2), (4, 6), (5, 18)):
+            assert count("binary", d, n) == gamma_binary(d, n)
+            assert count("ternary", d, n) == nu_ternary_counting(d, n)
+
+    def test_default_is_the_first_key(self):
+        assert resolve_method("binary") == next(iter(BINARY_METHODS))
+        assert resolve_method("ternary") == next(iter(TERNARY_METHODS))
 
     def test_peel_gets_work_limit(self):
-        method, fn = resolve_method("ternary", "peel", work_limit=10)
-        assert method == "peel"
+        assert count("ternary", 4, 9, "peel") == nu_ternary_counting(4, 9) == 4
         with pytest.raises(WorkLimitExceeded):
-            fn(4, 10)
+            count("ternary", 4, 10, "peel", work_limit=10)
 
     def test_mismatch(self):
         with pytest.raises(ValueError, match="invalid for binary forms"):
-            resolve_method("binary", "genfunc")
+            count("binary", 2, 2, "genfunc")
         with pytest.raises(ValueError, match="invalid for ternary forms"):
-            resolve_method("ternary", "omega")
+            count("ternary", 2, 2, "omega")
+        with pytest.raises(ValueError, match="unknown form"):
+            count("quaternary", 2, 2)
+        with pytest.raises(ValueError, match="invalid for binary forms"):
+            resolve_method("binary", "genfunc")
         with pytest.raises(ValueError, match="unknown form"):
             resolve_method("quaternary")
 
@@ -357,18 +369,16 @@ class TestClippedExpansions:
 
     @READER_ROUTES
     def test_cold_points_match_counting(self, method):
-        point = TERNARY_METHODS[method]
         for d in range(1, 8):
             base = poincare_series("ternary", d, 18)
             for n, want in base:
-                assert point(d, n) == want, (d, n)
+                assert count("ternary", d, n, method) == want, (d, n)
 
     @READER_ROUTES
     def test_point_then_longer_series(self, method):
-        point = TERNARY_METHODS[method]
         for d, n in ((3, 6), (5, 12), (4, 9)):
             base = poincare_series("ternary", d, 21)
-            assert point(d, n) == dict(base)[n]
+            assert count("ternary", d, n, method) == dict(base)[n]
             assert poincare_series("ternary", d, 21, method=method) == base
             # and a shorter series, from a reader built at its own order
             assert poincare_series("ternary", d, n, method=method) == base[: n + 1]
@@ -384,7 +394,7 @@ class TestClippedExpansions:
         # cell by cell: the operator's coefficients sum to 0, so an error
         # shared by all five cells would cancel in a series
         for d in range(8):
-            coeff = counts._genfunc_reader(d, order)
+            coeff = counts.genfunc_reader(d, order)
             grid = solution_count_grid(d, order)
             for n in range(order + 1):
                 if (d * n) % 3:
@@ -492,7 +502,7 @@ class TestPackedPqbinom:
     def test_reader_is_counting_grid_on_the_box(self, d, order):
         # the plain-box grid: solution_count_grid keeps only the rows the
         # operator's cells can reach
-        coeff = counts._pqbinom_reader(d, order)
+        coeff = counts.pqbinom_reader(d, order)
         amax, bmax = counts._operator_box(d, order)
         grid = _count_layers(d, order, amax, bmax)
         for n in range(order + 1):

@@ -115,7 +115,7 @@ class TestPackedLayers:
         cap = 5 * 9 // 3 + 1
         box = _count_layers(5, 9, cap, cap)
         ref = reference_count_grid(5, 9, cap, cap)
-        assert (grid.w1cap, grid.w2cap) == (cap, cap)
+        assert (grid.tops[-1], grid.w2cap) == (cap, cap)
         assert all(
             box.cell(9, x, y) == ref[9][x][y]
             for x in range(cap + 1)
