@@ -22,13 +22,13 @@ linearly independent degree-n invariants,
 All methods return exact Python ints and agree with each other; the
 redundancy is the point.
 
-Every method but peel is a reader route, and the five share one driver,
+Every method but peel is a reader route, and the five share one runner,
 for a series (``poincare_series``) and for a single point (``count``)
 alike.  ``BINARY_METHODS`` and ``TERNARY_METHODS``, one route table per
 form with its default first, map each reader route to its reader builder
 ``(d, order)`` -> ``coeff``, exact for every degree n <= order, and peel
 to its point count.  ``_FORMS`` holds each table beside the form's k and
-operator, which the driver applies to a reader at w = d*n/k.  A binary
+operator, which the runner applies to a reader at w = d*n/k.  A binary
 reader is ``coeff(n, w)``, the q^w coefficient of [d+n choose n]_q for
 w <= d*order//2, and the operator is 1 - q at q^{dn/2}.  A ternary
 reader is ``coeff(n, a, b)``, the t^n p^a q^b coefficient of the series
@@ -157,7 +157,7 @@ def peel_work_estimate(d: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the driver
+# the route runner
 
 
 def resolve_method(form: str, method: Optional[str] = None) -> str:
@@ -397,7 +397,7 @@ def _pq_half(
 # ---------------------------------------------------------------------------
 # route tables
 
-# Each form's methods, its default first, mapped to what the driver runs:
+# Each form's methods, its default first, mapped to what ``_run`` calls:
 # a reader route's builder (d, order) -> coeff, or peel's point count.
 # Peel, the oracle that ``forminv verify`` runs degree by degree, is last.
 BINARY_METHODS: Dict[str, Callable[[int, int], Reader]] = {

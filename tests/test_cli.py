@@ -394,7 +394,7 @@ class TestRouteTables:
     def test_count_and_series_run_the_table_entry(
         self, capsys, monkeypatch, form, method, w
     ):
-        # the driver looks each reader builder up in the table at call
+        # ``_run`` looks each reader builder up in the table at call
         # time; the bumped cell is the one the operator reads with +1 at
         # d = 2, n = 6
         from forminv import counts
