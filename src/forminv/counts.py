@@ -35,18 +35,21 @@ reader is ``coeff(n, a, b)``, the t^n p^a q^b coefficient of the series
 prod_{k+l<=d} (1 - t p^k q^l)^{-1}.  Each ternary route makes that
 coefficient its own way (a cell of the packed counting grid, one slot of
 the graded packed inverse-product expansion, one slot of a product of
-two graded packed halves of the pq-binomial factors).  pqbinom's reader
-is exact anywhere in the operator box.  counting's grid keeps only the
-rows of w1 that a cell the operator reads can still reach
-(``weights.solution_count_grid``), and genfunc's expansion is floored on
-a + b (``_operator_floor``), so those two readers are exact only around
-the cells the operator reads.  Only the five-point functional
-``sl3.FIVE_POINT`` is shared, and ``_ternary_operator`` is the one place
-that applies it.  Peel never reads it.
+two graded packed halves of the pq-binomial factors).  No reader is
+exact on the whole operator box.  counting's grid keeps only the rows of
+w1 that a cell the operator reads can still reach
+(``weights.solution_count_grid``).  genfunc's expansion and pqbinom's
+halves drop every piece of t^j whose total degree a + b can no longer
+reach the operator's floor, given the largest a + b per power of t of
+the factors still to multiply it (``_floors``).  So all three readers
+are exact only around the cells the operator reads.  Only the five-point
+functional ``sl3.FIVE_POINT`` is shared, and ``_ternary_operator`` is
+the one place that applies it.  Peel never reads it.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, groupby
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import weights
@@ -71,8 +74,8 @@ OPERATOR_TERMS: Dict[Tuple[int, int], int] = {
 # coeff(n, w) for a binary route: the q^w coefficient of its degree-n
 # series.  coeff(n, a, b) for a ternary route: the t^n p^a q^b
 # coefficient of the series.  Either is exact at least at every cell the
-# operator reads for n <= the reader's order (counting's and genfunc's
-# are exact only around those cells).
+# operator reads for n <= the reader's order (the ternary readers are
+# exact only around those cells).
 Reader = Callable[..., int]
 
 
@@ -263,16 +266,22 @@ def counting_reader(d: int, order: int) -> Reader:
     return weights.solution_count_grid(d, order).cell
 
 
-def _operator_floor(d: int, order: int) -> int:
-    """Least total degree a + b of the coefficients the operator reads
-    from the t^order term, w = d*order/3: 2w - 2, rounded down.
+def _floors(d: int, order: int, rest: int) -> List[int]:
+    """lows[j], j = 0..order: the least total degree a + b of a piece of
+    t^j that can still reach a cell the operator reads, when every factor
+    still to multiply it adds at most ``rest`` to a + b per power of t.
 
-    At degree n the operator reads a + b >= 2dn/3 - 2, and a t^j term of
-    total degree s reaches at most s + d(n - j) by t^n, so it is needed
-    only if s >= 2dn/3 - 2 - d(n - j).  That bound is weakest at
-    n = order, so an expansion floored at one order serves every lower
-    one at the cells the operator reads."""
-    return (2 * d * order) // 3 - max(a + b for a, b in OPERATOR_TERMS)
+    At degree n the operator reads a + b >= 2dn/3 - 2 (rounded down), and
+    by t^n a piece of t^j of total degree D reaches at most
+    D + rest*(n - j).  So the piece is needed only if
+    D >= min over n in [j, order] of floor(2dn/3) - 2 - rest*(n - j),
+    one suffix minimum over n.  A piece below lows[j] can be dropped at
+    every order up to ``order``, since a lower order only drops values of
+    n from the minimum."""
+    reach = max(a + b for a, b in OPERATOR_TERMS)
+    need = [(2 * d * n) // 3 - reach - rest * n for n in range(order + 1)]
+    least = list(accumulate(reversed(need), min))[::-1]
+    return [low + rest * j for j, low in enumerate(least)]
 
 
 def genfunc_reader(d: int, order: int) -> Reader:
@@ -295,99 +304,134 @@ def _genfunc_expansion(d: int, order: int) -> Tuple[List[Dict[int, int]], int]:
 
     Entry j maps each total degree D = a + b of the t^j coefficient to
     one int holding the coefficient of p^(D-b) q^b in slot b.  The
-    variables are folded in one at a time by the recurrence
-    S'[j] = S[j] + p^k q^l S'[j-1]; multiplying by p^k q^l moves piece D
-    to D + k + l and shifts it left by l slots.  Each new piece is masked
-    to the box (``_box_masks``), and a piece of t^j is kept only if
-    D >= _operator_floor - d*(order - j), the degrees the remaining
-    order - j shifts can still lift to the floor.  Both are exact because
-    every exponent is >= 0: a + b never falls along the recurrence, and a
-    term dropped for the box never comes back.  Every slot is a count of
-    monomials of degree <= order, which the slot holds without carry.
+    variables are folded in one at a time, in descending k + l, by the
+    recurrence S'[j] = S[j] + p^k q^l S'[j-1]; multiplying by p^k q^l
+    moves piece D to D + k + l and shifts it left by l slots.  Each new
+    piece is masked to the box (``_box_masks``) and kept only if
+    D >= ``_floors(d, order, k + l)[j]``: S'[j-1] already holds the
+    variable being folded, and every later one has k + l no larger.  So
+    the floors rise as the fold goes on, and the last variable, p^0 q^0,
+    leaves the expansion exact at D >= 2dj/3 - 2 (rounded down), which
+    holds every cell the operator reads; a piece below that may hold part
+    of its coefficient.  Both cuts are exact because every exponent is
+    >= 0: a + b never falls along the recurrence, and a term dropped for
+    the box never comes back.  Every slot is a count of monomials of
+    degree <= order, which the slot holds without carry.
     """
     slot = weights.monomial_count(d, order).bit_length() + 1
     masks = _box_masks(_operator_box(d, order), slot)
     top = len(masks) - 1
-    floor = _operator_floor(d, order)
-    lows = [floor - d * (order - j) for j in range(order + 1)]
     coeffs: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(order)]
-    for k, l in variables(d):
-        step, shift = k + l, l * slot
-        for j in range(1, order + 1):
-            cur, low = coeffs[j], lows[j]
-            get = cur.get
-            for deg, x in coeffs[j - 1].items():
-                deg += step
-                if low <= deg <= top:
-                    cur[deg] = get(deg, 0) + ((x << shift) & masks[deg])
+    for step, group in groupby(sorted(variables(d), key=sum, reverse=True), key=sum):
+        lows = _floors(d, order, step)
+        for _, l in group:
+            shift = l * slot
+            for j in range(1, order + 1):
+                cur, low = coeffs[j], lows[j]
+                get = cur.get
+                for deg, x in coeffs[j - 1].items():
+                    deg += step
+                    if low <= deg <= top:
+                        cur[deg] = get(deg, 0) + ((x << shift) & masks[deg])
     return coeffs, slot
 
 
 def pqbinom_reader(d: int, order: int) -> Reader:
     """G_0 ... G_d multiplied in two halves, each clipped to the operator
-    box and held as graded packed ints (``_pq_half``).  A coefficient of
-    their product, never formed, is slot b of a sum of piece products:
+    box and floored on a + b, held as graded packed ints (``_pq_half``).
+    The split is at half = min(d + 1, ceil(2d/3) + 1): lo is
+    G_0 ... G_{half-1}, and hi is G_d down to G_half, whose pieces are the
+    ones that reach the operator's floor along its slope.  A coefficient
+    of their product, never formed, is slot b of a sum of piece products:
 
         coeff(n, a, b) = slot b of  sum_i sum_D1 lo[i][D1] * hi[n-i][a+b-D1].
 
     That sum holds, in every slot, part of a coefficient of the full
-    series, so no slot carries into the next one.  Exact for any
-    (a, b) inside the box.
+    series, so no slot carries into the next one.  The five cells the
+    operator reads at degree n have only three distinct a + b, so each
+    sum is made once, in a dict that lives as long as the reader.  The
+    floors make the reader exact only at a + b >= 2dn/3 - 2 (rounded
+    down), which holds every cell the operator reads.
     """
     box = _operator_box(d, order)
     slot = weights.monomial_count(d, order).bit_length() + 1
     cell = (1 << slot) - 1
     masks = _box_masks(box, slot)
     rows = pq_binomial_table(d, order, box, slot)
-    half = (d + 1) // 2
-    lo = _pq_half(rows, range(half), order, masks)
-    hi = _pq_half(rows, range(half, d + 1), order, masks)
+    half = min(d + 1, -(-2 * d // 3) + 1)
+    lo = _pq_half(d, rows, range(half), d if half <= d else 0, order, masks)
+    hi = _pq_half(d, rows, range(d, half - 1, -1), half - 1, order, masks)
+    sums: Dict[Tuple[int, int], int] = {}
 
     def coeff(n: int, a: int, b: int) -> int:
         if a < 0 or b < 0:
             return 0
-        deg, total = a + b, 0
-        for i in range(n + 1):
-            get = hi[n - i].get
-            for d1, x in lo[i].items():
-                y = get(deg - d1)
-                if y:
-                    total += x * y
-        return (total >> (b * slot)) & cell
+        key = (n, a + b)
+        if key not in sums:
+            sums[key] = _convolve(lo, hi, n, a + b)
+        return (sums[key] >> (b * slot)) & cell
 
     return coeff
 
 
+def _convolve(
+    lo: List[Dict[int, int]], hi: List[Dict[int, int]], n: int, deg: int
+) -> int:
+    """sum_i sum_D1 lo[i][D1] * hi[n-i][deg-D1]: the packed t^n piece of
+    total degree ``deg`` of the product of two graded packed series."""
+    total = 0
+    for i in range(n + 1):
+        get = hi[n - i].get
+        for d1, x in lo[i].items():
+            y = get(deg - d1)
+            if y:
+                total += x * y
+    return total
+
+
 def _pq_half(
-    rows: List[List[int]], ms: range, order: int, masks: List[int]
+    d: int,
+    rows: List[List[int]],
+    ms: Sequence[int],
+    after: int,
+    order: int,
+    masks: List[int],
 ) -> List[Dict[int, int]]:
-    """prod_{m in ms} G_m clipped to the box of ``masks`` (``_box_masks``),
-    as graded packed ints: entry j maps each total degree D = a + b of
-    the t^j coefficient to one int holding the coefficient of
-    p^(D-b) q^b in slot b.
+    """prod_{m in ms} G_m clipped to the box of ``masks`` (``_box_masks``)
+    and floored on a + b, as graded packed ints: entry j maps each total
+    degree D = a + b of the t^j coefficient to one int holding the
+    coefficient of p^(D-b) q^b in slot b.
 
     The t^k coefficient of G_m is pq_binomial(m, k), homogeneous of
     degree m*k with coefficients >= 0, so it is one piece, rows[m][k] of
     ``pq_binomial_table`` (already clipped; the row ends where m*k leaves
     the box), and multiplying in G_m is one int multiply per pair of
-    pieces.  Every exponent is >= 0, so masking each product to the box
-    is exact: a dropped term never comes back.  Every slot of a product,
-    masked or not, is part of a count of monomials of degree <= order,
-    which the slot holds without carry.
+    pieces.  G_m is never folded in one factor (1 - t p^k q^l)^{-1} at a
+    time: that is genfunc's recurrence, and the routes stay independent.
+    The factors are multiplied in the order of ``ms``, and
+    ``after`` is the largest m of the factors that multiply the half
+    later (the other half), or 0.  Once G_m is in, a piece of t^j is kept
+    only above ``_floors(d, order, rest)``, where rest is the largest m
+    still to come, in ``ms`` or after it.  Every exponent is >= 0, so
+    masking each product to the box and dropping it below the floor are
+    exact: a dropped term never comes back, and a + b never falls.  Every
+    slot of a product, masked or not, is part of a count of monomials of
+    degree <= order, which the slot holds without carry.
     """
     top = len(masks) - 1
     prod: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(order)]
-    for m in ms:
+    for i, m in enumerate(ms):
         row = rows[m]
+        lows = _floors(d, order, max(max(ms[i + 1:], default=0), after))
         nxt: List[Dict[int, int]] = []
-        for j in range(order + 1):
+        for j, low in enumerate(lows):
             acc: Dict[int, int] = {}
             get = acc.get
             for k in range(min(j, len(row) - 1) + 1):
                 g, dk = row[k], m * k
                 for deg, x in prod[j - k].items():
                     deg += dk
-                    if deg <= top:
+                    if low <= deg <= top:
                         acc[deg] = get(deg, 0) + g * x
             nxt.append({deg: v & masks[deg] for deg, v in acc.items()})
         prod = nxt

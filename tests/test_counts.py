@@ -396,27 +396,62 @@ class TestClippedExpansions:
         for d in range(8):
             coeff = counts.genfunc_reader(d, order)
             grid = solution_count_grid(d, order)
-            for n in range(order + 1):
-                if (d * n) % 3:
-                    continue
-                w = d * n // 3
-                for a, b in OPERATOR_TERMS:
-                    cell = (n, w - a, w - b)
-                    assert coeff(*cell) == grid.cell(*cell), (d, cell)
+            for cell in operator_cells(d, order):
+                assert coeff(*cell) == grid.cell(*cell), (d, cell)
 
     def test_genfunc_floor_is_tight(self, monkeypatch):
-        # one more than the operator's floor drops cells it reads, and the
-        # cross-check against counting must see it
-        floor = counts._operator_floor
-        monkeypatch.setattr(
-            counts, "_operator_floor", lambda d, order: floor(d, order) + 1
-        )
-        differ = []
-        for d in range(1, 8):
-            want = poincare_series("ternary", d, 15)
-            if poincare_series("ternary", d, 15, method="genfunc") != want:
-                differ.append(d)
-        assert differ
+        assert floor_raised_differs(monkeypatch, "genfunc")
+
+    def test_pqbinom_floor_is_tight(self, monkeypatch):
+        assert floor_raised_differs(monkeypatch, "pqbinom")
+
+    def test_floors_are_the_suffix_minimum(self):
+        for d in range(9):
+            for order in range(21):
+                for rest in range(d + 1):
+                    want = brute_floors(d, order, rest)
+                    assert counts._floors(d, order, rest) == want, (d, order, rest)
+        # past the operator's slope the weakest degree is the order, below
+        # it the piece's own degree
+        assert counts._floors(6, 9, 6)[3] == 4 * 9 - 2 - 6 * 6
+        assert counts._floors(6, 9, 3)[3] == 4 * 3 - 2
+
+
+def operator_cells(d, order):
+    """Every cell (n, a, b) the operator reads for n <= order."""
+    for n in range(order + 1):
+        if d * n % 3 == 0:
+            w = d * n // 3
+            for a, b in OPERATOR_TERMS:
+                yield (n, w - a, w - b)
+
+
+def brute_floors(d, order, rest):
+    """The least a + b of a piece of t^j that can reach a + b >= 2dn/3 - 2
+    at some n <= order, by factors adding at most ``rest`` per power of t:
+    the minimum over n taken directly."""
+    return [
+        min((2 * d * n) // 3 - 2 - rest * (n - j) for n in range(j, order + 1))
+        for j in range(order + 1)
+    ]
+
+
+def floor_raised_differs(monkeypatch, method):
+    """The degrees d <= 7 whose order-15 series by ``method`` differs from
+    counting's once every floor is one higher: one more than the floor
+    drops cells the operator reads, and the cross-check must see it."""
+    floors = counts._floors
+
+    def raised(d, order, rest):
+        return [x + 1 for x in floors(d, order, rest)]
+
+    monkeypatch.setattr(counts, "_floors", raised)
+    return [
+        d
+        for d in range(1, 8)
+        if poincare_series("ternary", d, 15, method=method)
+        != poincare_series("ternary", d, 15)
+    ]
 
 
 def restrict(series, box):
@@ -434,17 +469,13 @@ def restrict(series, box):
     )
 
 
-def restrict_band(series, floor, top):
-    """The series with every term p^a q^b of t^j below the band
-    a + b >= floor - top*(order - j) dropped."""
+def restrict_band(series, lows):
+    """The series with every term p^a q^b of t^j below a + b >= lows[j]
+    dropped."""
     return TruncatedSeries(
         [
             LaurentPoly(
-                {
-                    (a, b): c
-                    for (a, b), c in p.terms.items()
-                    if a + b >= floor - top * (series.order - j)
-                }
+                {(a, b): c for (a, b), c in p.terms.items() if a + b >= lows[j]}
             )
             for j, p in enumerate(series.coeffs)
         ],
@@ -482,34 +513,74 @@ class TestPackedPqbinom:
     of the G_m rows pq_binomial(m, k)."""
 
     @given(st.integers(0, 7), st.integers(0, 10), st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_half_is_clipped_series_product(self, d, order, data):
         first = data.draw(st.integers(0, d))
         last = data.draw(st.integers(first, d + 1))
+        ms = list(range(first, last))
+        if data.draw(st.booleans()):
+            ms.reverse()
+        after = data.draw(st.integers(0, d))
         box = counts._operator_box(d, order)
         slot = monomial_count(d, order).bit_length() + 1
         want = TruncatedSeries.one(order)
-        for m in range(first, last):
+        for i, m in enumerate(ms):
             row = [pq_binomial(m, k) for k in range(order + 1)]
             gm = TruncatedSeries(row, order=order)
             # exact: every exponent is >= 0, so a dropped term never returns
             want = restrict(series_mul(gm, want, order), box)
+            rest = max(ms[i + 1:] + [after])
+            want = restrict_band(want, brute_floors(d, order, rest))
         rows = pq_binomial_table(d, order, box, slot)
-        half = counts._pq_half(rows, range(first, last), order, _box_masks(box, slot))
+        half = counts._pq_half(d, rows, ms, after, order, _box_masks(box, slot))
         assert unpack_graded(half, slot) == series_terms(want)
 
     @pytest.mark.parametrize("d, order", [(1, 9), (4, 10), (6, 7), (7, 10)])
-    def test_reader_is_counting_grid_on_the_box(self, d, order):
-        # the plain-box grid: solution_count_grid keeps only the rows the
-        # operator's cells can reach
+    def test_reader_is_counting_grid_at_operator_cells(self, d, order):
+        # cell by cell, against the plain-box grid: the halves are floored,
+        # so the reader is exact only around the cells the operator reads
         coeff = counts.pqbinom_reader(d, order)
         amax, bmax = counts._operator_box(d, order)
         grid = _count_layers(d, order, amax, bmax)
-        for n in range(order + 1):
-            for a in range(amax + 1):
-                for b in range(bmax + 1):
-                    assert coeff(n, a, b) == grid.cell(n, a, b), (n, a, b)
+        for cell in operator_cells(d, order):
+            assert coeff(*cell) == grid.cell(*cell), (d, cell)
         assert coeff(order, -1, 0) == coeff(order, 0, -1) == 0
+
+    def test_each_total_degree_is_convolved_once(self, monkeypatch):
+        calls = []
+        real = counts._convolve
+
+        def counted(lo, hi, n, deg):
+            calls.append((n, deg))
+            return real(lo, hi, n, deg)
+
+        monkeypatch.setattr(counts, "_convolve", counted)
+        d, order = 7, 15
+        poincare_series("ternary", d, order, method="pqbinom")
+        read = {(n, a + b) for n, a, b in operator_cells(d, order) if min(a, b) >= 0}
+        assert sorted(calls) == sorted(read)
+        # three distinct a + b per degree, one at n = 0
+        degrees = [n for n in range(1, order + 1) if d * n % 3 == 0]
+        assert len(read) == 3 * len(degrees) + 1
+
+    def test_convolution_is_per_total_degree(self, monkeypatch):
+        # a reader that answered every (a, b) of a degree from the first
+        # a + b read there must break some series
+        real = counts._convolve
+        first = {}
+
+        def first_degree(lo, hi, n, deg):
+            return real(lo, hi, n, first.setdefault(n, deg))
+
+        monkeypatch.setattr(counts, "_convolve", first_degree)
+        differ = []
+        for d in range(1, 8):
+            first.clear()
+            if poincare_series("ternary", d, 15, method="pqbinom") != poincare_series(
+                "ternary", d, 15
+            ):
+                differ.append(d)
+        assert differ
 
 
 def test_operator_terms_are_the_papers_operator():
@@ -524,13 +595,21 @@ class TestPackedGenfunc:
 
     @pytest.mark.parametrize("d", range(8))
     def test_expansion_is_restricted_inverse_product(self, d):
+        # folded in descending k + l, each variable floors its new pieces
+        # by its own k + l, and the last, p^0 q^0, by 0: the expansion is
+        # exact in the band of rest 0, and no piece lies below the band of
+        # the first variable, rest d
         for order in range(13):
             pieces, slot = counts._genfunc_expansion(d, order)
             box = counts._operator_box(d, order)
-            floor = counts._operator_floor(d, order)
+            band = brute_floors(d, order, 0)
             full = expand_inverse_product(variables(d), order)
-            want = restrict(restrict_band(full, floor, d), box)
-            assert unpack_graded(pieces, slot) == series_terms(want), (d, order)
+            want = restrict(restrict_band(full, band), box)
+            got = unpack_graded(pieces, slot)
+            in_band = {(j, a, b): c for (j, a, b), c in got.items() if a + b >= band[j]}
+            assert in_band == series_terms(want), (d, order)
+            first = brute_floors(d, order, d)
+            assert all(a + b >= first[j] for j, a, b in got), (d, order)
 
     @pytest.mark.parametrize("d, order", [(1, 30), (4, 20), (7, 12), (10, 9)])
     def test_no_bit_outside_the_box(self, d, order):
