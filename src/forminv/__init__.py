@@ -1,14 +1,5 @@
 """Exact counts of invariants of binary and ternary forms."""
 
-from .poly import (
-    ExactDivisionError,
-    LaurentPoly,
-    OrderTooSmallError,
-    TruncatedSeries,
-    expand_inverse_product,
-    series_mul,
-)
-from .qbinom import gaussian_binomial, pq_binomial
 from .weights import (
     c_ternary,
     monomial_count,
@@ -44,11 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_WORK_LIMIT",
-    "ExactDivisionError",
     "InvalidCharacterError",
-    "LaurentPoly",
-    "OrderTooSmallError",
-    "TruncatedSeries",
     "WorkLimitExceeded",
     "c_ternary",
     "character",
@@ -56,11 +43,9 @@ __all__ = [
     "decompose",
     "dimension",
     "e_lambda",
-    "expand_inverse_product",
     "gamma_binary",
     "gamma_binary_full",
     "gamma_binary_qbinom",
-    "gaussian_binomial",
     "monomial_count",
     "nu_ternary_counting",
     "nu_ternary_genfunc",
@@ -70,8 +55,6 @@ __all__ = [
     "omega_binary",
     "peel_work_estimate",
     "poincare_series",
-    "pq_binomial",
-    "series_mul",
     "variables",
     "weight_multiplicity",
     "weight_table",

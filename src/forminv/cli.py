@@ -95,7 +95,15 @@ def _emit(text: str, out: Optional[str]) -> None:
             raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
 
 
+def _check_ranges(args: argparse.Namespace, *flags: str) -> None:
+    """Name the flag of a negative degree, as verify names its ranges."""
+    for flag in flags:
+        if getattr(args, flag) < 0:
+            raise ValueError(f"--{flag} must be >= 0")
+
+
 def cmd_count(args: argparse.Namespace) -> int:
+    _check_ranges(args, "d", "n")
     method = resolve_method(args.form, args.method)
     value = counts.count(args.form, args.d, args.n, method, args.work_limit)
     if args.json:
@@ -113,6 +121,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    _check_ranges(args, "d", "max")
     method = resolve_method(args.form, args.method)
     rows = poincare_series(
         args.form,

@@ -138,7 +138,8 @@ def nu_ternary_peel(
     d: int, n: int, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> int:
     """Trivial-representation multiplicity via highest-weight peeling of
-    the full weight table.  Guarded by a state-count work limit."""
+    the full weight table.  Guarded by a state-count work limit, an int."""
+    _check_dn(d, n, work_limit)
     est = peel_work_estimate(d, n)
     if est > work_limit:
         raise WorkLimitExceeded(
@@ -190,10 +191,10 @@ def count(
     ``method`` (the form's default if None): the point counterpart of
     ``poincare_series``.  A reader route builds its reader at order n;
     where the form's k does not divide d*n the count is 0 and no reader
-    is built.  Peel raises WorkLimitExceeded past ``work_limit``.
+    is built.  Peel raises WorkLimitExceeded past ``work_limit``, an int.
     """
     method = resolve_method(form, method)
-    _check_dn(d, n)
+    _check_dn(d, n, work_limit)
     return _run(form, method, d, n, [n], work_limit)[0]
 
 
@@ -214,7 +215,7 @@ def poincare_series(
     point count per degree.
     """
     method = resolve_method(form, method)
-    _check_dn(d, n_max)
+    _check_dn(d, n_max, work_limit)
     degrees = range(n_max + 1)
     rows = list(zip(degrees, _run(form, method, d, n_max, degrees, work_limit)))
     if not include_zeros:

@@ -1,17 +1,26 @@
-"""Exact sparse bivariate Laurent polynomials and truncated power series.
+"""Exact sparse bivariate Laurent polynomials and truncated power series:
+the kernel of the test oracles.
 
 A :class:`LaurentPoly` is a finite map from exponent pairs ``(a, b)`` --
 the powers of the formal variables ``p`` and ``q`` -- to nonzero Python
-integers.  Exponents may be negative.  A :class:`TruncatedSeries` is a
-polynomial in a third formal variable ``t`` kept only up to a fixed
-order, with LaurentPoly coefficients.
+integers, in ``terms``.  Exponents may be negative.  It has the product
+and the exact quotient, nothing else; the tests compare ``terms`` dicts.
+A :class:`TruncatedSeries` is a polynomial in a third formal variable
+``t`` kept only up to a fixed order, with LaurentPoly coefficients in
+``coeffs``.
 
 Every operation returns a new object and leaves its operands unchanged.
 Nothing enforces this (``LaurentPoly.terms`` is a plain dict), and no
 concurrent use has been tested.
 
-The routes in ``counts`` work on packed ints and use nothing here.  This
-is the exact, unclipped arithmetic that the tests check them against.
+The routes in ``counts`` work on packed ints and use nothing here, and
+the package root exports none of it: import it from ``forminv.poly``.
+The tests check the routes against ``series_mul``,
+``expand_inverse_product`` and the binomials of ``qbinom`` built on
+``LaurentPoly``.  ``perfbench/tracer.py`` binds ``series_mul``,
+``expand_inverse_product``, ``LaurentPoly.__mul__`` and
+``LaurentPoly.divexact``, which is why they live in the package and not
+in ``tests/``.
 """
 
 from __future__ import annotations
@@ -39,73 +48,7 @@ class LaurentPoly:
             k: v for k, v in (terms or {}).items() if v
         }
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def monomial(cls, a: int, b: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({(a, b): coeff})
-
-    def coeff(self, a: int, b: int) -> int:
-        return self.terms.get((a, b), 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self.terms == other.terms
-        if isinstance(other, int):
-            return self.terms == ({(0, 0): other} if other else {})
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly()
-        out.terms = {k: -v for k, v in self.terms.items()}
-        return out
-
-    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly({(0, 0): other})
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        res = LaurentPoly()
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly({(0, 0): other})
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "LaurentPoly":
-        return LaurentPoly({(0, 0): other}) + (-self)
-
-    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly()
-            out = LaurentPoly()
-            out.terms = {k: other * v for k, v in self.terms.items()}
-            return out
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         acc: Dict[Exponents, int] = {}
         get = acc.get
         for (a, b), c in self.terms.items():
@@ -113,32 +56,6 @@ class LaurentPoly:
                 k = (a + x, b + y)
                 acc[k] = get(k, 0) + c * e
         return LaurentPoly(acc)
-
-    __rmul__ = __mul__
-
-    def substitute(self, p: int | None = None, q: int | None = None) -> "LaurentPoly":
-        """Substitute integer values for p and/or q.
-
-        A negative exponent is only legal when the substituted base is
-        1 or -1 (the only integers with integer reciprocals).
-        """
-        acc: Dict[Exponents, int] = {}
-        for (a, b), c in self.terms.items():
-            if p is not None:
-                c *= _int_pow(p, a)
-                a = 0
-            if q is not None:
-                c *= _int_pow(q, b)
-                b = 0
-            acc[(a, b)] = acc.get((a, b), 0) + c
-        return LaurentPoly(acc)
-
-    def constant(self) -> int:
-        """The value of a constant polynomial, as an int."""
-        extra = [k for k in self.terms if k != (0, 0)]
-        if extra:
-            raise ValueError(f"not a constant polynomial: {self!r}")
-        return self.terms.get((0, 0), 0)
 
     def divexact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises ExactDivisionError on any remainder.
@@ -187,27 +104,6 @@ class LaurentPoly:
                 raise ExactDivisionError("division does not terminate: inexact")
         return LaurentPoly(quot)
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "LaurentPoly(0)"
-        bits = []
-        for (a, b), c in sorted(self.terms.items()):
-            mono = "".join(
-                f"{v}^{e}" for v, e in (("p", a), ("q", b)) if e
-            )
-            bits.append(f"{c}{'*' + mono if mono else ''}")
-        return f"LaurentPoly({' + '.join(bits)})"
-
-
-def _int_pow(base: int, exp: int) -> int:
-    if exp >= 0:
-        return base ** exp
-    if base == 1:
-        return 1
-    if base == -1:
-        return -1 if exp % 2 else 1
-    raise ValueError(f"negative exponent {exp} with non-unit base {base}")
-
 
 def _division_guard(num: LaurentPoly, den: LaurentPoly) -> int:
     keys = list(num.terms) + list(den.terms)
@@ -228,26 +124,9 @@ class TruncatedSeries:
         if order < 0:
             raise ValueError("order must be nonnegative")
         while len(cs) < order + 1:
-            cs.append(LaurentPoly.zero())
+            cs.append(LaurentPoly())
         self.order = order
         self.coeffs = cs[: order + 1]
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([LaurentPoly.one()], order=order)
-
-    def coeff(self, j: int) -> LaurentPoly:
-        if j < 0 or j > self.order:
-            raise IndexError(f"coefficient {j} outside order {self.order}")
-        return self.coeffs[j]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries(order={self.order}, coeffs={self.coeffs!r})"
 
 
 def series_mul(x: TruncatedSeries, y: TruncatedSeries, order: int) -> TruncatedSeries:

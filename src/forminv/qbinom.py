@@ -8,9 +8,11 @@ shift, one add and one mask per entry, no polynomial product and no
 division.
 
 ``gaussian_binomial`` and ``pq_binomial`` are their test oracles,
-computed from the defining products by exact polynomial division,
-dividing as we multiply so intermediates stay small.  Each division is
-asserted exact; a remainder aborts the computation.
+computed from the defining products by exact polynomial division
+(``poly.LaurentPoly``), dividing as we multiply so intermediates stay
+small.  Each division is asserted exact; a remainder aborts the
+computation.  No route calls them and the package root does not export
+them: they stay here only because ``perfbench/tracer.py`` binds them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def gaussian_binomial(d: int, n: int) -> LaurentPoly:
     coefficients.  Raises ValueError unless d and n are nonnegative ints.
     """
     _check_dn(d, n)
-    result = LaurentPoly.one()
+    result = LaurentPoly({(0, 0): 1})
     for i in range(1, n + 1):
         result = result * _one_minus_q(d + i)
         result = result.divexact(_one_minus_q(i))
@@ -75,7 +77,7 @@ def pq_binomial(d: int, k: int) -> LaurentPoly:
     ValueError unless d and k are nonnegative ints.
     """
     _check_dn(d, k)
-    result = LaurentPoly.one()
+    result = LaurentPoly({(0, 0): 1})
     for i in range(1, k + 1):
         result = result * _p_minus_q(d + i)
         result = result.divexact(_p_minus_q(i))

@@ -438,6 +438,21 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "count", "--form", "ternary", "--bogus", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("count", "--form", "ternary", "--d", "-1", "--n", "4"), "--d"),
+            (("count", "--form", "binary", "--d", "2", "--n", "-1"), "--n"),
+            (("series", "--form", "binary", "--d", "-1", "--max", "4"), "--d"),
+            (("series", "--form", "ternary", "--d", "3", "--max", "-1"), "--max"),
+        ],
+    )
+    def test_negative_degree_names_its_flag(self, capsys, argv, flag):
+        # the message names the flag the user typed, as verify's do
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be >= 0\n"
+
     def test_missing_required(self, capsys):
         code, _, _ = run(capsys, "count", "--form", "ternary")
         assert code == 2

@@ -253,6 +253,21 @@ class TestNuTernary:
             with pytest.raises(ValueError):
                 gamma_binary_full(3, 4, bad)
 
+    @pytest.mark.parametrize("bad", [True, 2.5, "10", None])
+    def test_rejects_a_work_limit_that_is_not_an_int(self, bad):
+        # the rule d and n follow: peel would compare its estimate with a
+        # float, and the other routes would ignore any value at all
+        for call in (
+            lambda: count("ternary", 3, 4, "peel", work_limit=bad),
+            lambda: count("ternary", 3, 4, work_limit=bad),
+            lambda: count("binary", 2, 2, work_limit=bad),
+            lambda: poincare_series("ternary", 3, 4, work_limit=bad),
+            lambda: poincare_series("ternary", 3, 4, "peel", work_limit=bad),
+            lambda: nu_ternary_peel(3, 4, work_limit=bad),
+        ):
+            with pytest.raises(ValueError, match="expected an int"):
+                call()
+
 
 class TestPoincareSeries:
     def test_binary_linear(self):
@@ -523,7 +538,7 @@ class TestPackedPqbinom:
         after = data.draw(st.integers(0, d))
         box = counts._operator_box(d, order)
         slot = monomial_count(d, order).bit_length() + 1
-        want = TruncatedSeries.one(order)
+        want = TruncatedSeries([LaurentPoly({(0, 0): 1})], order=order)
         for i, m in enumerate(ms):
             row = [pq_binomial(m, k) for k in range(order + 1)]
             gm = TruncatedSeries(row, order=order)
