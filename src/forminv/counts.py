@@ -83,6 +83,14 @@ class WorkLimitExceeded(RuntimeError):
     """A method's estimated state count exceeds the allowed budget."""
 
 
+def _check_request(d: int, n: int, work_limit: int) -> None:
+    """``_check_dn`` on d, n and work_limit, and ValueError for a
+    work_limit below 1, the rule of the CLI's --work-limit."""
+    _check_dn(d, n, work_limit)
+    if work_limit < 1:
+        raise ValueError("work_limit must be >= 1")
+
+
 # ---------------------------------------------------------------------------
 # binary forms
 
@@ -138,8 +146,9 @@ def nu_ternary_peel(
     d: int, n: int, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> int:
     """Trivial-representation multiplicity via highest-weight peeling of
-    the full weight table.  Guarded by a state-count work limit, an int."""
-    _check_dn(d, n, work_limit)
+    the full weight table.  Guarded by a state-count work limit, an int
+    of at least 1."""
+    _check_request(d, n, work_limit)
     est = peel_work_estimate(d, n)
     if est > work_limit:
         raise WorkLimitExceeded(
@@ -191,10 +200,11 @@ def count(
     ``method`` (the form's default if None): the point counterpart of
     ``poincare_series``.  A reader route builds its reader at order n;
     where the form's k does not divide d*n the count is 0 and no reader
-    is built.  Peel raises WorkLimitExceeded past ``work_limit``, an int.
+    is built.  Peel raises WorkLimitExceeded past ``work_limit``, an int
+    of at least 1 (ValueError otherwise, for every method).
     """
     method = resolve_method(form, method)
-    _check_dn(d, n, work_limit)
+    _check_request(d, n, work_limit)
     return _run(form, method, d, n, [n], work_limit)[0]
 
 
@@ -215,7 +225,7 @@ def poincare_series(
     point count per degree.
     """
     method = resolve_method(form, method)
-    _check_dn(d, n_max, work_limit)
+    _check_request(d, n_max, work_limit)
     degrees = range(n_max + 1)
     rows = list(zip(degrees, _run(form, method, d, n_max, degrees, work_limit)))
     if not include_zeros:

@@ -47,22 +47,25 @@ def _check_dominant(lam: HighestWeight) -> None:
         raise ValueError("highest weight components must be nonnegative")
 
 
+def _reflections(a: int, b: int) -> Tuple[Weight, Weight]:
+    """(s1(a, b), s2(a, b)): the two simple reflections, in
+    fundamental-weight coordinates."""
+    return (-a, a + b), (a + b, -b)
+
+
 def _weyl_orbit(a: int, b: int) -> Tuple[Weight, ...]:
     """w(a, b) for the six Weyl elements w, in fundamental-weight
-    coordinates: identity, s1, s2, s1 s2, s2 s1, longest element."""
-    return (
-        (a, b),  # identity
-        (-a, a + b),  # s1
-        (a + b, -b),  # s2
-        (b, -a - b),  # s1 s2
-        (-a - b, a),  # s2 s1
-        (-b, -a),  # longest element
-    )
+    coordinates: identity, s1, s2, s1 s2, s2 s1, longest element.  The
+    last three are the longest element's map (x, y) -> (-y, -x) applied
+    to the first three, in reverse order."""
+    (c, e), (f, g) = _reflections(a, b)
+    return ((a, b), (c, e), (f, g), (-g, -f), (-e, -c), (-b, -a))
 
 
 def _weyl_images(lam: HighestWeight) -> WeylImages:
-    """(sign, w(lam + rho)) for the six Weyl elements w, identity first,
-    as flat triples (sign, a, b) in fundamental-weight coordinates."""
+    """(sign, w(lam + rho)) for the six Weyl elements w, in the order of
+    ``_weyl_orbit`` (identity, s1, s2 first), as flat triples
+    (sign, a, b) in fundamental-weight coordinates."""
     _check_dominant(lam)
     (a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5) = _weyl_orbit(
         lam[0] + 1, lam[1] + 1
@@ -73,13 +76,18 @@ def _weyl_images(lam: HighestWeight) -> WeylImages:
 def _alternation(images: WeylImages, mu: Weight) -> int:
     """Sum over w of sign(w) * K(w(lam + rho) - (mu + rho)), rho = (1, 1).
 
-    ``images`` comes from ``_weyl_images(lam)``.  The argument of K is
-    taken to simple-root coordinates (k1, k2) = ((2x + y)/3, (x + 2y)/3);
-    K(k1, k2) = min(k1, k2) + 1 on the nonnegative quadrant of the root
-    lattice and 0 elsewhere.  Every w(lam + rho) is lam + rho minus a
-    nonnegative root combination, so all six arguments lie in one coset
-    of the root lattice and none is above the identity's: when the
-    identity term is 0, so is every other term.
+    ``images`` comes from ``_weyl_images(lam)``: all six for any mu,
+    or only the first three (identity, s1, s2) when mu is dominant.
+    The argument of K is taken to simple-root coordinates
+    (k1, k2) = ((2x + y)/3, (x + 2y)/3); K(k1, k2) = min(k1, k2) + 1 on
+    the nonnegative quadrant of the root lattice and 0 elsewhere.  Every
+    w(lam + rho) is lam + rho minus a nonnegative root combination, so
+    all six arguments lie in one coset of the root lattice and none is
+    above the identity's: when the identity term is 0, so is every other
+    term.  At a dominant mu the s1 s2, s2 s1 and longest-element terms
+    are 0: with lam + rho = (a, b) and mu + rho = (p, q), all >= 1, the
+    s1 s2 term has k2 = -(2a + b + p + 2q)/3 and the other two have
+    k1 = -(a + 2b + 2p + q)/3, both negative.
     """
     ta, tb = mu[0] + 1, mu[1] + 1
     _, a, b = images[0]
@@ -119,8 +127,11 @@ def character(lam: HighestWeight) -> WeightDiagram:
     each lower i + j by 1, so the dominant support lies in the triangle
     i, j >= 0, i + j <= m1 + m2.  Only those weights are evaluated, and
     each nonzero multiplicity is written to the Weyl orbit of its weight.
+    As every evaluated weight is dominant, only the identity, s1 and s2
+    terms of the alternation are taken; each other term has a negative
+    simple-root coordinate there, so is 0 (``_alternation``).
     """
-    images = _weyl_images(lam)
+    images = _weyl_images(lam)[:3]
     span = lam[0] + lam[1]
     out: WeightDiagram = {}
     for i in range(span + 1):
@@ -148,8 +159,8 @@ def _check_weyl_invariant(diagram: WeightDiagram) -> None:
     is caught at that image, since s1 and s2 are involutions."""
     get = diagram.get
     for (a, b), m in diagram.items():
-        orbit = _weyl_orbit(a, b)
-        if get(orbit[1], 0) != m or get(orbit[2], 0) != m:
+        s1, s2 = _reflections(a, b)
+        if get(s1, 0) != m or get(s2, 0) != m:
             raise InvalidCharacterError(
                 f"diagram is not Weyl-invariant at weight {(a, b)}"
             )
@@ -168,7 +179,10 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     The dominant weights are sorted once by (i + j, i), descending, and
     walked in that order: peeling only removes weights, so the first one
     still in the residual is its highest, and each highest weight's Weyl
-    images are computed once for its whole scan.
+    images are computed once for its whole scan.  The residual holds
+    dominant weights only, so the scan takes the identity, s1 and s2
+    terms; each other term has a negative simple-root coordinate at a
+    dominant weight, so is 0 (``_alternation``).
     """
     for w, m in diagram.items():
         if not _is_weight(w):
@@ -187,7 +201,7 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
                 f"negative multiplicity {g} at dominant weight {hw}"
             )
         out[hw] = g
-        images = _weyl_images(hw)
+        images = _weyl_images(hw)[:3]
         for mu in list(residual):
             m = _alternation(images, mu)
             if not m:

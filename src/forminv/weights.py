@@ -280,7 +280,9 @@ def weight_table(d: int, n: int) -> Dict[Weight, int]:
 
     A monomial with weight sums (w1, w2) sits at weight
     (i, j) = (n*d - 2*w1 - w2, w1 - w2); the map is injective, so each
-    grid cell lands on its own weight.
+    grid cell lands on its own weight.  Only the triangle
+    w1 + w2 <= d*n is read: past it w0 = d*n - w1 - w2 < 0, and the cell
+    is 0.
     """
     _check_dn(d, n)
     wmax = d * n
@@ -290,7 +292,7 @@ def weight_table(d: int, n: int) -> Dict[Weight, int]:
     entries: Dict[Weight, int] = {}
     for w1 in range(wmax + 1):
         row = (layer >> (w1 * grid.row)) & row_mask
-        for w2 in range(wmax + 1):
+        for w2 in range(wmax - w1 + 1):
             c = (row >> (w2 * slot)) & cell_mask
             if c:
                 entries[(n * d - 2 * w1 - w2, w1 - w2)] = c

@@ -203,7 +203,9 @@ class TestNuTernary:
 
     def test_peel_work_estimate_bounds_measured_work(self, monkeypatch):
         # measured work: the weight table's DP cells plus the
-        # (highest weight, mu) pairs the peel evaluates
+        # (highest weight, mu) pairs the peel evaluates.  The pair totals
+        # per d are pinned: a faster peel must make each pair cheaper,
+        # not evaluate fewer of them.
         pairs = 0
         real = sl3._alternation
 
@@ -213,12 +215,16 @@ class TestNuTernary:
             return real(images, mu)
 
         monkeypatch.setattr(sl3, "_alternation", counted)
+        totals = {}
         for d in range(1, 5):
+            totals[d] = 0
             for n in range(11):
                 pairs = 0
                 nu_ternary_peel(d, n)
                 cells = num_variables(d) * (n + 1) * (d * n + 1) ** 2
                 assert peel_work_estimate(d, n) >= cells + pairs, (d, n, pairs)
+                totals[d] += pairs
+        assert totals == {1: 67, 2: 965, 3: 8857, 4: 28287}
 
     def test_work_limit(self):
         with pytest.raises(WorkLimitExceeded):
@@ -253,10 +259,13 @@ class TestNuTernary:
             with pytest.raises(ValueError):
                 gamma_binary_full(3, 4, bad)
 
-    @pytest.mark.parametrize("bad", [True, 2.5, "10", None])
+    @pytest.mark.parametrize("bad", [True, 2.5, "10", None, 0, -5])
     def test_rejects_a_work_limit_that_is_not_an_int(self, bad):
         # the rule d and n follow: peel would compare its estimate with a
-        # float, and the other routes would ignore any value at all
+        # float, and the other routes would ignore any value at all.  An
+        # int below 1 is refused too, as by the CLI's --work-limit: a
+        # reader route would ignore it and peel would call it exceeded.
+        message = "work_limit must be >= 1" if type(bad) is int else "expected an int"
         for call in (
             lambda: count("ternary", 3, 4, "peel", work_limit=bad),
             lambda: count("ternary", 3, 4, work_limit=bad),
@@ -265,7 +274,7 @@ class TestNuTernary:
             lambda: poincare_series("ternary", 3, 4, "peel", work_limit=bad),
             lambda: nu_ternary_peel(3, 4, work_limit=bad),
         ):
-            with pytest.raises(ValueError, match="expected an int"):
+            with pytest.raises(ValueError, match=message):
                 call()
 
 

@@ -29,20 +29,41 @@ REFERENCE_WEYL = (
 )
 
 
+def reference_term(sign, act, lam, mu):
+    """The signed term sign(w) * K(w(lam + rho) - (mu + rho)) of one
+    Weyl element."""
+    va, vb = act(lam[0] + 1, lam[1] + 1)
+    x, y = va - mu[0] - 1, vb - mu[1] - 1
+    n1, n2 = 2 * x + y, x + 2 * y
+    if n1 % 3 or n2 % 3:
+        return 0
+    k1, k2 = n1 // 3, n2 // 3
+    if k1 >= 0 and k2 >= 0:
+        return sign * (min(k1, k2) + 1)
+    return 0
+
+
 def reference_weight_multiplicity(lam, mu):
-    la, lb = lam[0] + 1, lam[1] + 1
-    ta, tb = mu[0] + 1, mu[1] + 1
-    total = 0
-    for sign, act in REFERENCE_WEYL:
-        va, vb = act(la, lb)
-        x, y = va - ta, vb - tb
-        n1, n2 = 2 * x + y, x + 2 * y
-        if n1 % 3 or n2 % 3:
-            continue
-        k1, k2 = n1 // 3, n2 // 3
-        if k1 >= 0 and k2 >= 0:
-            total += sign * (min(k1, k2) + 1)
-    return total
+    return sum(reference_term(sign, act, lam, mu) for sign, act in REFERENCE_WEYL)
+
+
+def reference_peel(diagram):
+    """Highest-weight peeling with all six Weyl terms at every weight and
+    no early exit: the highest dominant weight left, by (i + j, i), is
+    peeled off the whole dominant residual until none is left."""
+    residual = {w: m for w, m in diagram.items() if m and w[0] >= 0 and w[1] >= 0}
+    out = {}
+    while residual:
+        hw = max(residual, key=lambda w: (w[0] + w[1], w[0]))
+        g = out[hw] = residual[hw]
+        for mu in list(residual):
+            v = residual[mu] - g * reference_weight_multiplicity(hw, mu)
+            assert v >= 0, (hw, mu)
+            if v:
+                residual[mu] = v
+            else:
+                del residual[mu]
+    return out
 
 
 def recompose(multiset):
@@ -66,6 +87,24 @@ class TestAgainstReference:
                 got = [weight_multiplicity(lam, mu) for mu in self.BOX]
                 want = [reference_weight_multiplicity(lam, mu) for mu in self.BOX]
                 assert got == want, lam
+
+    def test_dominant_mu_has_three_weyl_terms(self):
+        # the rule character and decompose rely on: at a dominant mu the
+        # s1 s2, s2 s1 and longest-element terms are all 0, here for every
+        # dominant mu of the chamber's triangle and a margin of 3 past it
+        for m1 in range(16):
+            for m2 in range(16):
+                lam = (m1, m2)
+                for i in range(m1 + m2 + 4):
+                    for j in range(m1 + m2 + 4 - i):
+                        for sign, act in REFERENCE_WEYL[3:]:
+                            assert reference_term(sign, act, lam, (i, j)) == 0, (lam, i, j)
+
+    def test_decompose_weight_table(self):
+        for d in range(4):
+            for n in range(9):
+                table = weight_table(d, n)
+                assert decompose(table) == reference_peel(table), (d, n)
 
     def test_character(self):
         for m1 in range(9):
