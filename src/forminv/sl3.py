@@ -8,7 +8,10 @@ of the root lattice.
 
 ``decompose`` peels a character into irreducible highest weights; it is
 the independent oracle against the counting and generating-function
-routes for the trivial-representation multiplicity.
+routes for the trivial-representation multiplicity.  Its scan takes the
+identity, s1 and s2 terms of the alternation inline; ``_alternation``
+stays their definition, and the one that ``weight_multiplicity`` and
+``character`` call.
 """
 
 from __future__ import annotations
@@ -88,6 +91,10 @@ def _alternation(images: WeylImages, mu: Weight) -> int:
     are 0: with lam + rho = (a, b) and mu + rho = (p, q), all >= 1, the
     s1 s2 term has k2 = -(2a + b + p + 2q)/3 and the other two have
     k1 = -(a + 2b + 2p + q)/3, both negative.
+
+    ``decompose``'s scan (``_peel``) takes the identity, s1 and s2 terms
+    inline, with no call per weight; this function stays their
+    definition, and a test pins that copy against it.
     """
     ta, tb = mu[0] + 1, mu[1] + 1
     _, a, b = images[0]
@@ -166,6 +173,46 @@ def _check_weyl_invariant(diagram: WeightDiagram) -> None:
             )
 
 
+def _peel(residual: WeightDiagram, hw: HighestWeight, g: int) -> None:
+    """Subtract g times the irrep hw's multiplicity at each weight of the
+    dominant residual, in place, deleting the weights that reach 0.
+
+    The three terms of ``_alternation(_weyl_images(hw)[:3], mu)``, taken
+    inline: the images are unpacked once, with rho folded in, and each
+    mu costs straight-line integer code with the same early exit when
+    the identity term is 0 or mu lies in another coset of the root
+    lattice.
+    """
+    (_, a0, b0), (_, a1, b1), (_, a2, b2) = _weyl_images(hw)[:3]
+    a0, b0, a1, b1, a2, b2 = a0 - 1, b0 - 1, a1 - 1, b1 - 1, a2 - 1, b2 - 1
+    for mu in list(residual):
+        i, j = mu
+        x, y = a0 - i, b0 - j
+        n1, n2 = 2 * x + y, x + 2 * y
+        if n1 % 3 or n1 < 0 or n2 < 0:
+            continue
+        m = (n1 if n1 < n2 else n2) // 3 + 1
+        x, y = a1 - i, b1 - j
+        n1, n2 = 2 * x + y, x + 2 * y
+        if n1 >= 0 and n2 >= 0:
+            m -= (n1 if n1 < n2 else n2) // 3 + 1
+        x, y = a2 - i, b2 - j
+        n1, n2 = 2 * x + y, x + 2 * y
+        if n1 >= 0 and n2 >= 0:
+            m -= (n1 if n1 < n2 else n2) // 3 + 1
+        if not m:
+            continue
+        v = residual[mu] - g * m
+        if v < 0:
+            raise InvalidCharacterError(
+                f"peeling {hw} drives weight {mu} negative"
+            )
+        if v:
+            residual[mu] = v
+        else:
+            del residual[mu]
+
+
 def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     """Resolve a character into irreducible highest weights.
 
@@ -179,10 +226,12 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     The dominant weights are sorted once by (i + j, i), descending, and
     walked in that order: peeling only removes weights, so the first one
     still in the residual is its highest, and each highest weight's Weyl
-    images are computed once for its whole scan.  The residual holds
-    dominant weights only, so the scan takes the identity, s1 and s2
-    terms; each other term has a negative simple-root coordinate at a
-    dominant weight, so is 0 (``_alternation``).
+    images are computed once for its whole scan (``_peel``).  The
+    residual holds dominant weights only, so the scan takes the
+    identity, s1 and s2 terms; each other term has a negative
+    simple-root coordinate at a dominant weight, so is 0.  It takes the
+    three terms inline, with no call per weight; ``_alternation`` stays
+    their definition.
     """
     for w, m in diagram.items():
         if not _is_weight(w):
@@ -201,20 +250,7 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
                 f"negative multiplicity {g} at dominant weight {hw}"
             )
         out[hw] = g
-        images = _weyl_images(hw)[:3]
-        for mu in list(residual):
-            m = _alternation(images, mu)
-            if not m:
-                continue
-            v = residual[mu] - g * m
-            if v < 0:
-                raise InvalidCharacterError(
-                    f"peeling {hw} drives weight {mu} negative"
-                )
-            if v:
-                residual[mu] = v
-            else:
-                del residual[mu]
+        _peel(residual, hw, g)
     if sum(g * dimension(l) for l, g in out.items()) != sum(diagram.values()):
         raise InvalidCharacterError("dimension bookkeeping failed")
     return out

@@ -203,18 +203,19 @@ class TestNuTernary:
 
     def test_peel_work_estimate_bounds_measured_work(self, monkeypatch):
         # measured work: the weight table's DP cells plus the
-        # (highest weight, mu) pairs the peel evaluates.  The pair totals
-        # per d are pinned: a faster peel must make each pair cheaper,
-        # not evaluate fewer of them.
+        # (highest weight, mu) pairs the peel evaluates, one per residual
+        # weight in each highest weight's scan.  The pair totals per d
+        # are pinned: a faster peel must make each pair cheaper, not
+        # evaluate fewer of them.
         pairs = 0
-        real = sl3._alternation
+        real = sl3._peel
 
-        def counted(images, mu):
+        def counted(residual, hw, g):
             nonlocal pairs
-            pairs += 1
-            return real(images, mu)
+            pairs += len(residual)
+            return real(residual, hw, g)
 
-        monkeypatch.setattr(sl3, "_alternation", counted)
+        monkeypatch.setattr(sl3, "_peel", counted)
         totals = {}
         for d in range(1, 5):
             totals[d] = 0

@@ -327,6 +327,23 @@ class TestDecompose:
         assert decompose(diagram) == multiset
         assert calls == [(3, 1), (1, 1), (0, 0)]
 
+    def test_scan_terms_match_alternation(self):
+        # the scan's inlined identity, s1 and s2 terms against their
+        # definition, at every weight of the dominant triangle plus a
+        # margin of 3, which holds weights of all three root-lattice
+        # cosets; the residual is large enough that no weight is dropped
+        big = 10**6
+        for m1 in range(13):
+            for m2 in range(13):
+                hw = (m1, m2)
+                images = sl3._weyl_images(hw)[:3]
+                span = m1 + m2 + 3
+                weights = [(i, j) for i in range(span + 1) for j in range(span - i + 1)]
+                residual = dict.fromkeys(weights, big)
+                sl3._peel(residual, hw, 1)
+                for mu in weights:
+                    assert big - residual.get(mu, 0) == sl3._alternation(images, mu), (hw, mu)
+
     def test_not_weyl_invariant(self):
         with pytest.raises(InvalidCharacterError):
             decompose({(1, 0): 1})
