@@ -8,10 +8,14 @@ of the root lattice.
 
 ``decompose`` peels a character into irreducible highest weights; it is
 the independent oracle against the counting and generating-function
-routes for the trivial-representation multiplicity.  Its scan takes the
-identity, s1 and s2 terms of the alternation inline; ``_alternation``
-stays their definition, and the one that ``weight_multiplicity`` and
-``character`` call.
+routes for the trivial-representation multiplicity.  Its scan
+(``_peel``) takes the hexagon rule: a dominant weight
+mu = lam - k1 alpha1 - k2 alpha2 of V(m1, m2), with k1, k2 >= 0 on the
+root lattice, has multiplicity 1 + min(k1, k2, m1, m2) (Fulton-Harris,
+Representation Theory, Lecture 13).  ``weight_multiplicity`` and
+``character`` keep the alternation (``_alternation``) on purpose, so
+that decomposing a recomposed character checks the scan against the
+alternation rather than against its own formula.
 """
 
 from __future__ import annotations
@@ -92,9 +96,10 @@ def _alternation(images: WeylImages, mu: Weight) -> int:
     s1 s2 term has k2 = -(2a + b + p + 2q)/3 and the other two have
     k1 = -(a + 2b + 2p + q)/3, both negative.
 
-    ``decompose``'s scan (``_peel``) takes the identity, s1 and s2 terms
-    inline, with no call per weight; this function stays their
-    definition, and a test pins that copy against it.
+    ``decompose``'s scan (``_peel``) takes the closed form these three
+    terms sum to at a dominant mu, the hexagon rule; ``character`` keeps
+    this function on purpose, as the scan's independent check, and a
+    test pins the scan against it.
     """
     ta, tb = mu[0] + 1, mu[1] + 1
     _, a, b = images[0]
@@ -136,7 +141,9 @@ def character(lam: HighestWeight) -> WeightDiagram:
     each nonzero multiplicity is written to the Weyl orbit of its weight.
     As every evaluated weight is dominant, only the identity, s1 and s2
     terms of the alternation are taken; each other term has a negative
-    simple-root coordinate there, so is 0 (``_alternation``).
+    simple-root coordinate there, so is 0 (``_alternation``).  This
+    stays the alternation, not ``_peel``'s hexagon rule, on purpose:
+    ``decompose(character(...))`` then checks one against the other.
     """
     images = _weyl_images(lam)[:3]
     span = lam[0] + lam[1]
@@ -177,32 +184,25 @@ def _peel(residual: WeightDiagram, hw: HighestWeight, g: int) -> None:
     """Subtract g times the irrep hw's multiplicity at each weight of the
     dominant residual, in place, deleting the weights that reach 0.
 
-    The three terms of ``_alternation(_weyl_images(hw)[:3], mu)``, taken
-    inline: the images are unpacked once, with rho folded in, and each
-    mu costs straight-line integer code with the same early exit when
-    the identity term is 0 or mu lies in another coset of the root
-    lattice.
+    By the hexagon rule, not the alternation: at a dominant mu =
+    hw - k1 alpha1 - k2 alpha2 of V(m1, m2), with k1, k2 >= 0 on the
+    root lattice, the multiplicity is 1 + min(k1, k2, m1, m2).  At
+    mu = (i, j) the scan works in thirds: n1 = 3*k1 = 2(m1 - i) + m2 - j,
+    n2 = 3*k2 = m1 - i + 2(m2 - j) and cap = 3*min(m1, m2).  mu is
+    skipped unless 3 | n1 (then 3 | n2, as n1 + n2 is a multiple of 3),
+    n1 >= 0 and n2 >= 0, so each mu costs one coset test, two sign
+    tests and one three-way minimum.
     """
-    (_, a0, b0), (_, a1, b1), (_, a2, b2) = _weyl_images(hw)[:3]
-    a0, b0, a1, b1, a2, b2 = a0 - 1, b0 - 1, a1 - 1, b1 - 1, a2 - 1, b2 - 1
+    m1, m2 = hw
+    p, q = 2 * m1 + m2, m1 + 2 * m2
+    cap = 3 * (m1 if m1 < m2 else m2)
     for mu in list(residual):
         i, j = mu
-        x, y = a0 - i, b0 - j
-        n1, n2 = 2 * x + y, x + 2 * y
+        n1, n2 = p - 2 * i - j, q - i - 2 * j
         if n1 % 3 or n1 < 0 or n2 < 0:
             continue
-        m = (n1 if n1 < n2 else n2) // 3 + 1
-        x, y = a1 - i, b1 - j
-        n1, n2 = 2 * x + y, x + 2 * y
-        if n1 >= 0 and n2 >= 0:
-            m -= (n1 if n1 < n2 else n2) // 3 + 1
-        x, y = a2 - i, b2 - j
-        n1, n2 = 2 * x + y, x + 2 * y
-        if n1 >= 0 and n2 >= 0:
-            m -= (n1 if n1 < n2 else n2) // 3 + 1
-        if not m:
-            continue
-        v = residual[mu] - g * m
+        k = n1 if n1 < n2 else n2
+        v = residual[mu] - g * ((k if k < cap else cap) // 3 + 1)
         if v < 0:
             raise InvalidCharacterError(
                 f"peeling {hw} drives weight {mu} negative"
@@ -225,13 +225,11 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
 
     The dominant weights are sorted once by (i + j, i), descending, and
     walked in that order: peeling only removes weights, so the first one
-    still in the residual is its highest, and each highest weight's Weyl
-    images are computed once for its whole scan (``_peel``).  The
-    residual holds dominant weights only, so the scan takes the
-    identity, s1 and s2 terms; each other term has a negative
-    simple-root coordinate at a dominant weight, so is 0.  It takes the
-    three terms inline, with no call per weight; ``_alternation`` stays
-    their definition.
+    still in the residual is its highest, and it is peeled off by one
+    scan of the residual (``_peel``).  The residual holds dominant
+    weights only, so the scan takes the hexagon rule,
+    1 + min(k1, k2, m1, m2), in place of the alternation, which
+    ``character`` keeps as its independent check.
     """
     for w, m in diagram.items():
         if not _is_weight(w):

@@ -190,8 +190,13 @@ def _grid(
     row = (w2cap + 1 + d) * slot
     rows = [top - low + 1 for top, low in zip(tops[0], lows)]
     height = max(rows)
-    # most significant row first: d padding slots, then w2cap + 1 cells
-    full = int(("0" * (d * slot) + "1" * ((w2cap + 1) * slot)) * height, 2)
+    # each row: w2cap + 1 cells, then d padding slots; the row count
+    # doubles per step, and the rows past height are shifted out
+    full, filled = (1 << ((w2cap + 1) * slot)) - 1, 1
+    while filled < height:
+        full |= full << (filled * row)
+        filled *= 2
+    full >>= (filled - height) * row
     masks = [full if h == height else full >> ((height - h) * row) for h in rows]
 
     def groups() -> Iterator[Tuple[Sequence[int], List[int]]]:

@@ -100,6 +100,22 @@ class TestAgainstReference:
                         for sign, act in REFERENCE_WEYL[3:]:
                             assert reference_term(sign, act, lam, (i, j)) == 0, (lam, i, j)
 
+    def test_hexagon_rule(self):
+        # the closed form decompose's scan takes: a dominant mu =
+        # lam - k1 alpha1 - k2 alpha2 has multiplicity 1 + min(k1, k2, m1, m2)
+        # when k1, k2 are nonnegative integers, and 0 otherwise; checked at
+        # every dominant mu of the triangle and a margin of 3 past it
+        for m1 in range(16):
+            for m2 in range(16):
+                lam = (m1, m2)
+                for i in range(m1 + m2 + 4):
+                    for j in range(m1 + m2 + 4 - i):
+                        x, y = m1 - i, m2 - j
+                        k1, r1 = divmod(2 * x + y, 3)
+                        k2 = (x + 2 * y) // 3
+                        want = 0 if r1 or k1 < 0 or k2 < 0 else 1 + min(k1, k2, m1, m2)
+                        assert reference_weight_multiplicity(lam, (i, j)) == want, (lam, i, j)
+
     def test_decompose_weight_table(self):
         for d in range(4):
             for n in range(9):
@@ -313,17 +329,17 @@ class TestDecompose:
         assert decompose(recompose(multiset)) == expected
 
     def test_each_highest_weight_scans_once(self, monkeypatch):
-        # one Weyl orbit per peeled highest weight, none for the rest
+        # one scan per peeled highest weight, none for the rest
         calls = []
-        real = sl3._weyl_images
+        real = sl3._peel
 
-        def recorded(lam):
-            calls.append(lam)
-            return real(lam)
+        def recorded(residual, hw, g):
+            calls.append(hw)
+            return real(residual, hw, g)
 
         multiset = {(3, 1): 2, (1, 1): 1, (0, 0): 3}
         diagram = recompose(multiset)
-        monkeypatch.setattr(sl3, "_weyl_images", recorded)
+        monkeypatch.setattr(sl3, "_peel", recorded)
         assert decompose(diagram) == multiset
         assert calls == [(3, 1), (1, 1), (0, 0)]
 
