@@ -159,14 +159,16 @@ def nu_ternary_peel(
 
 def peel_work_estimate(d: int, n: int) -> int:
     """Rough state count of the peel route: the weight-table DP plus the
-    quadratic cost of peeling the dominant sector.  The half of the box
-    is rounded up, so the single weight at n = 0 still counts.  Raises
-    ValueError unless d and n are nonnegative ints."""
+    ``decompose`` sweep.  The sweep visits at most the T = (dn+1)(dn+2)/2
+    dominant weights i + j <= dn, and a weight peeled there places at
+    most dn + 1 events (``sl3._events``: a +g on each of its lines, a -g
+    on each but its own), so the sweep's work is at most T (dn + 2).
+    Raises ValueError unless d and n are nonnegative ints."""
     _check_dn(d, n)
     dn = d * n
     table_states = weights.num_variables(d) * (n + 1) * (dn + 1) ** 2
-    dominant = ((dn + 1) ** 2 + 1) // 2
-    return table_states + dominant ** 2
+    dominant = (dn + 1) * (dn + 2) // 2
+    return table_states + dominant * (dn + 2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,19 +8,24 @@ of the root lattice.
 
 ``decompose`` peels a character into irreducible highest weights; it is
 the independent oracle against the counting and generating-function
-routes for the trivial-representation multiplicity.  Its scan
-(``_peel``) takes the hexagon rule: a dominant weight
-mu = lam - k1 alpha1 - k2 alpha2 of V(m1, m2), with k1, k2 >= 0 on the
-root lattice, has multiplicity 1 + min(k1, k2, m1, m2) (Fulton-Harris,
-Representation Theory, Lecture 13).  ``weight_multiplicity`` and
-``character`` keep the alternation (``_alternation``) on purpose, so
-that decomposing a recomposed character checks the scan against the
-alternation rather than against its own formula.
+routes for the trivial-representation multiplicity.  It takes the
+hexagon rule: a dominant weight mu = lam - k1 alpha1 - k2 alpha2 of
+V(m1, m2), with k1, k2 >= 0 on the root lattice, has multiplicity
+1 + min(k1, k2, M), M = min(m1, m2) (Fulton-Harris, Representation
+Theory, Lecture 13).  Its generating function is
+(1 - (xy)^(M+1)) / ((1 - x)(1 - y)(1 - xy)) in x^k1 y^k2, so along each
+line of direction (1, 1) the multiplicity has two nonzero second
+differences, and ``decompose`` peels every highest weight in one
+downward sweep that places two events per line (``_events``) instead of
+rescanning the residual.  ``weight_multiplicity`` and ``character``
+keep the alternation (``_alternation``) on purpose, so that decomposing
+a recomposed character checks the sweep against the alternation rather
+than against its own formula.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 Weight = Tuple[int, int]
 HighestWeight = Tuple[int, int]
@@ -96,10 +101,10 @@ def _alternation(images: WeylImages, mu: Weight) -> int:
     s1 s2 term has k2 = -(2a + b + p + 2q)/3 and the other two have
     k1 = -(a + 2b + 2p + q)/3, both negative.
 
-    ``decompose``'s scan (``_peel``) takes the closed form these three
-    terms sum to at a dominant mu, the hexagon rule; ``character`` keeps
-    this function on purpose, as the scan's independent check, and a
-    test pins the scan against it.
+    ``decompose``'s sweep takes the closed form these three terms sum to
+    at a dominant mu, the hexagon rule, as two events per line
+    (``_events``); ``character`` keeps this function on purpose, as the
+    sweep's independent check, and a test pins the events against it.
     """
     ta, tb = mu[0] + 1, mu[1] + 1
     _, a, b = images[0]
@@ -142,8 +147,9 @@ def character(lam: HighestWeight) -> WeightDiagram:
     As every evaluated weight is dominant, only the identity, s1 and s2
     terms of the alternation are taken; each other term has a negative
     simple-root coordinate there, so is 0 (``_alternation``).  This
-    stays the alternation, not ``_peel``'s hexagon rule, on purpose:
-    ``decompose(character(...))`` then checks one against the other.
+    stays the alternation, not ``decompose``'s hexagon-rule sweep, on
+    purpose: ``decompose(character(...))`` then checks one against the
+    other.
     """
     images = _weyl_images(lam)[:3]
     span = lam[0] + lam[1]
@@ -180,37 +186,36 @@ def _check_weyl_invariant(diagram: WeightDiagram) -> None:
             )
 
 
-def _peel(residual: WeightDiagram, hw: HighestWeight, g: int) -> None:
-    """Subtract g times the irrep hw's multiplicity at each weight of the
-    dominant residual, in place, deleting the weights that reach 0.
+def _events(hw: HighestWeight) -> Tuple[List[Weight], List[Weight]]:
+    """Where the character of V(hw) enters ``decompose``'s sweep: the
+    weights of its +g events and of its -g events, g its multiplicity.
 
-    By the hexagon rule, not the alternation: at a dominant mu =
-    hw - k1 alpha1 - k2 alpha2 of V(m1, m2), with k1, k2 >= 0 on the
-    root lattice, the multiplicity is 1 + min(k1, k2, m1, m2).  At
-    mu = (i, j) the scan works in thirds: n1 = 3*k1 = 2(m1 - i) + m2 - j,
-    n2 = 3*k2 = m1 - i + 2(m2 - j) and cap = 3*min(m1, m2).  mu is
-    skipped unless 3 | n1 (then 3 | n2, as n1 + n2 is a multiple of 3),
-    n1 >= 0 and n2 >= 0, so each mu costs one coset test, two sign
-    tests and one three-way minimum.
+    Summed over the dominant mu = hw - k1 alpha1 - k2 alpha2, the hexagon
+    rule's 1 + min(k1, k2, M), M = min(m1, m2), is
+    (1 - (xy)^(M+1)) / ((1 - x)(1 - y)(1 - xy)) in x^k1 y^k2.  A step
+    of (-1, -1) = -(alpha1 + alpha2) raises k1 and k2 by one, so on a
+    line i - j = const, at t = min(k1, k2), the multiplicity 1 + min(t, M)
+    has second differences +1 at t = 0, -1 at t = M + 1 and 0 elsewhere.
+    The +g events are the line tops (t = 0): (m1 - 2 delta, m2 + delta)
+    for 0 <= delta <= m1 // 2, hw itself at delta = 0, and
+    (m1 + delta, m2 - 2 delta) for 0 < delta <= m2 // 2; no other line
+    holds a dominant weight.  The -g events lie (M + 1)(1, 1) below the
+    tops, where that is dominant; the sweep never reaches the others.
+    Every event is a weight of V(hw).
     """
     m1, m2 = hw
-    p, q = 2 * m1 + m2, m1 + 2 * m2
-    cap = 3 * (m1 if m1 < m2 else m2)
-    for mu in list(residual):
-        i, j = mu
-        n1, n2 = p - 2 * i - j, q - i - 2 * j
-        if n1 % 3 or n1 < 0 or n2 < 0:
-            continue
-        k = n1 if n1 < n2 else n2
-        v = residual[mu] - g * ((k if k < cap else cap) // 3 + 1)
-        if v < 0:
-            raise InvalidCharacterError(
-                f"peeling {hw} drives weight {mu} negative"
-            )
-        if v:
-            residual[mu] = v
+    step = (m1 if m1 < m2 else m2) + 1
+    tops = []
+    bottoms = []
+    for k in range(-(m2 // 2), m1 // 2 + 1):
+        if k >= 0:
+            a, b = m1 - 2 * k, m2 + k
         else:
-            del residual[mu]
+            a, b = m1 - k, m2 + 2 * k
+        tops.append((a, b))
+        if a >= step and b >= step:
+            bottoms.append((a - step, b - step))
+    return tops, bottoms
 
 
 def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
@@ -223,13 +228,19 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     weight that is not a pair of ints, or a multiplicity that is not an
     int) signals that the input was not a valid character.
 
-    The dominant weights are sorted once by (i + j, i), descending, and
-    walked in that order: peeling only removes weights, so the first one
-    still in the residual is its highest, and it is peeled off by one
-    scan of the residual (``_peel``).  The residual holds dominant
-    weights only, so the scan takes the hexagon rule,
-    1 + min(k1, k2, m1, m2), in place of the alternation, which
-    ``character`` keeps as its independent check.
+    One downward sweep: the dominant weights are sorted once by
+    (i + j, i), descending, and visited in that order, which meets every
+    line of direction (1, 1) from the top down.  Each line i - j keeps a
+    running slope and value, the summed multiplicity there of the
+    characters peeled so far; a visit moves it down by slope times the
+    steps since the line's last visit, then applies the events
+    (``_events``) placed at the weight.  The input's multiplicity there
+    minus that value is the weight's own multiplicity as a highest weight;
+    where it is positive the weight is peeled, and its character enters
+    the sweep as two events per line.  The sweep visits only the input's
+    weights: every event lands on a weight of the peeled character, so
+    one missing from the input fails at once.  ``character`` keeps the
+    alternation as the sweep's independent check.
     """
     for w, m in diagram.items():
         if not _is_weight(w):
@@ -237,18 +248,43 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
         if type(m) is not int:
             raise InvalidCharacterError(f"multiplicity {m!r} at weight {w} is not an int")
     _check_weyl_invariant(diagram)
-    residual = {w: m for w, m in diagram.items() if m and w[0] >= 0 and w[1] >= 0}
+    get = diagram.get
+    dominant = [w for w, m in diagram.items() if m and w[0] >= 0 and w[1] >= 0]
+    pending: Dict[Weight, int] = {}  # weight -> sum of the events placed there
+    lines: Dict[int, Tuple[int, int, int]] = {}  # i - j -> (i, slope, value) at its last visit
     out: Dict[HighestWeight, int] = {}
-    for hw in sorted(residual, key=lambda w: (w[0] + w[1], w[0]), reverse=True):
-        g = residual.get(hw)
-        if g is None:
-            continue
+    size = len(dominant)
+    for w in sorted(dominant, key=lambda w: (w[0] + w[1], w[0]), reverse=True):
+        i, j = w
+        line = lines.get(i - j)
+        if line is None:
+            slope = value = 0
+        else:
+            last, slope, value = line
+            value += slope * (last - i)
+        e = pending.pop(w, 0)
+        m = get(w)
+        g = m - value - e
         if g < 0:
-            raise InvalidCharacterError(
-                f"negative multiplicity {g} at dominant weight {hw}"
-            )
-        out[hw] = g
-        _peel(residual, hw, g)
+            if value + e:
+                raise InvalidCharacterError(f"the peeled characters drive weight {w} negative")
+            raise InvalidCharacterError(f"negative multiplicity {m} at dominant weight {w}")
+        if g:
+            if i // 2 + j // 2 >= size:
+                # each of V(w)'s line tops is a dominant weight of its own
+                raise InvalidCharacterError(f"the character of {w} has weights the diagram lacks")
+            out[w] = g
+            tops, bottoms = _events(w)
+            for v in tops:
+                if get(v, 0) < g:
+                    raise InvalidCharacterError(f"peeling {w} drives weight {v} negative")
+                pending[v] = pending.get(v, 0) + g
+            for v in bottoms:
+                if get(v, 0) < g:
+                    raise InvalidCharacterError(f"peeling {w} drives weight {v} negative")
+                pending[v] = pending.get(v, 0) - g
+            e += pending.pop(w)
+        lines[i - j] = (i, slope + e, value + e)
     if sum(g * dimension(l) for l, g in out.items()) != sum(diagram.values()):
         raise InvalidCharacterError("dimension bookkeeping failed")
     return out

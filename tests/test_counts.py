@@ -202,30 +202,35 @@ class TestNuTernary:
                 assert total == nu_ternary_counting(d, n)
 
     def test_peel_work_estimate_bounds_measured_work(self, monkeypatch):
-        # measured work: the weight table's DP cells plus the
-        # (highest weight, mu) pairs the peel evaluates, one per residual
-        # weight in each highest weight's scan.  The pair totals per d
-        # are pinned: a faster peel must make each pair cheaper, not
-        # evaluate fewer of them.
-        pairs = 0
-        real = sl3._peel
+        # measured work: the weight table's DP cells plus the decompose
+        # sweep's, one visit per nonzero dominant weight and one per event
+        # a peeled highest weight places.  The estimate must bound it and
+        # stay within twice it.  The sweep's totals per d are pinned, so a
+        # change in how many weights it visits or how many events it
+        # places shows here.
+        events = 0
+        real = sl3._events
 
-        def counted(residual, hw, g):
-            nonlocal pairs
-            pairs += len(residual)
-            return real(residual, hw, g)
+        def counted(hw):
+            nonlocal events
+            tops, bottoms = real(hw)
+            events += len(tops) + len(bottoms)
+            return tops, bottoms
 
-        monkeypatch.setattr(sl3, "_peel", counted)
+        monkeypatch.setattr(sl3, "_events", counted)
         totals = {}
         for d in range(1, 5):
             totals[d] = 0
             for n in range(11):
-                pairs = 0
+                events = 0
                 nu_ternary_peel(d, n)
-                cells = num_variables(d) * (n + 1) * (d * n + 1) ** 2
-                assert peel_work_estimate(d, n) >= cells + pairs, (d, n, pairs)
-                totals[d] += pairs
-        assert totals == {1: 67, 2: 965, 3: 8857, 4: 28287}
+                visits = sum(
+                    1 for (i, j), m in weight_table(d, n).items() if m and i >= 0 and j >= 0
+                )
+                work = num_variables(d) * (n + 1) * (d * n + 1) ** 2 + visits + events
+                assert work <= peel_work_estimate(d, n) <= 2 * work, (d, n, visits, events)
+                totals[d] += visits + events
+        assert totals == {1: 123, 2: 652, 3: 2998, 4: 7297}
 
     def test_work_limit(self):
         with pytest.raises(WorkLimitExceeded):

@@ -47,15 +47,26 @@ def reference_weight_multiplicity(lam, mu):
     return sum(reference_term(sign, act, lam, mu) for sign, act in REFERENCE_WEYL)
 
 
+def reference_dimension(lam):
+    """Weyl's dimension formula for sl3."""
+    m1, m2 = lam
+    return (m1 + 1) * (m2 + 1) * (m1 + m2 + 2) // 2
+
+
 def reference_peel(diagram):
     """Highest-weight peeling with all six Weyl terms at every weight and
     no early exit: the highest dominant weight left, by (i + j, i), is
-    peeled off the whole dominant residual until none is left."""
+    peeled off the whole dominant residual until none is left.  Fails
+    (AssertionError) where the diagram is not a nonnegative sum of
+    characters: at a multiplicity below 0, or when the peeled dimensions
+    miss the diagram's total, a weight of a peeled character being absent
+    from it."""
     residual = {w: m for w, m in diagram.items() if m and w[0] >= 0 and w[1] >= 0}
     out = {}
     while residual:
         hw = max(residual, key=lambda w: (w[0] + w[1], w[0]))
         g = out[hw] = residual[hw]
+        assert g > 0, hw
         for mu in list(residual):
             v = residual[mu] - g * reference_weight_multiplicity(hw, mu)
             assert v >= 0, (hw, mu)
@@ -63,6 +74,7 @@ def reference_peel(diagram):
                 residual[mu] = v
             else:
                 del residual[mu]
+    assert sum(g * reference_dimension(hw) for hw, g in out.items()) == sum(diagram.values())
     return out
 
 
@@ -329,36 +341,93 @@ class TestDecompose:
         assert decompose(recompose(multiset)) == expected
 
     def test_each_highest_weight_scans_once(self, monkeypatch):
-        # one scan per peeled highest weight, none for the rest
+        # each peeled highest weight places its events once, none for the
+        # rest of the weights
         calls = []
-        real = sl3._peel
+        real = sl3._events
 
-        def recorded(residual, hw, g):
+        def recorded(hw):
             calls.append(hw)
-            return real(residual, hw, g)
+            return real(hw)
 
         multiset = {(3, 1): 2, (1, 1): 1, (0, 0): 3}
         diagram = recompose(multiset)
-        monkeypatch.setattr(sl3, "_peel", recorded)
+        monkeypatch.setattr(sl3, "_events", recorded)
         assert decompose(diagram) == multiset
         assert calls == [(3, 1), (1, 1), (0, 0)]
 
     def test_scan_terms_match_alternation(self):
-        # the scan's inlined identity, s1 and s2 terms against their
-        # definition, at every weight of the dominant triangle plus a
-        # margin of 3, which holds weights of all three root-lattice
-        # cosets; the residual is large enough that no weight is dropped
-        big = 10**6
+        # the sweep's events for one highest weight with g = 1, summed down
+        # each line i - j (an event e at a weight adds e * (1 + t) at the
+        # weight t steps of (-1, -1) below it), against their definition,
+        # at every weight of the dominant triangle plus a margin of 3,
+        # which holds weights of all three root-lattice cosets; and the
+        # sweep itself, which must peel each character back to one copy
         for m1 in range(13):
             for m2 in range(13):
                 hw = (m1, m2)
                 images = sl3._weyl_images(hw)[:3]
+                tops, bottoms = sl3._events(hw)
+                events = [(v, 1) for v in tops] + [(v, -1) for v in bottoms]
                 span = m1 + m2 + 3
-                weights = [(i, j) for i in range(span + 1) for j in range(span - i + 1)]
-                residual = dict.fromkeys(weights, big)
-                sl3._peel(residual, hw, 1)
-                for mu in weights:
-                    assert big - residual.get(mu, 0) == sl3._alternation(images, mu), (hw, mu)
+                for i in range(span + 1):
+                    for j in range(span - i + 1):
+                        value = sum(
+                            e * (1 + a - i)
+                            for (a, b), e in events
+                            if a - b == i - j and a >= i
+                        )
+                        assert value == sl3._alternation(images, (i, j)), (hw, (i, j))
+                assert decompose(character(hw)) == {hw: 1}
+
+    def test_raises_exactly_where_reference_peel_fails(self):
+        # seeded recompositions, a third with one Weyl orbit perturbed and
+        # a third with one removed; each stays Weyl-invariant, which
+        # reference_peel does not check
+        rng = random.Random(2323)
+        rejected = 0
+        for case in range(150):
+            multiset = {
+                (rng.randint(0, 6), rng.randint(0, 6)): rng.randint(1, 3)
+                for _ in range(rng.randint(1, 3))
+            }
+            diagram = recompose(multiset)
+            dominant = sorted(w for w in diagram if w[0] >= 0 and w[1] >= 0)
+            w = rng.choice(dominant)
+            orbit = set(sl3._weyl_orbit(*w))
+            if case % 3 == 1:
+                delta = rng.choice((-2, -1, 1, 2))
+                for v in orbit:
+                    diagram[v] = diagram.get(v, 0) + delta
+            elif case % 3 == 2:
+                for v in orbit:
+                    del diagram[v]
+            try:
+                want = reference_peel(diagram)
+            except AssertionError:
+                rejected += 1
+                with pytest.raises(InvalidCharacterError):
+                    decompose(diagram)
+            else:
+                assert decompose(diagram) == want, case
+        assert 50 < rejected < 120  # both outcomes, in numbers
+
+    def test_missing_weight_fails_where_its_event_lands(self):
+        # the orbit of (2, 0) without that of (0, 1), the other line top
+        # of V(2, 0), beside a trivial part: the sweep fails at that top,
+        # not at the bookkeeping
+        diagram = {(2, 0): 1, (-2, 2): 1, (0, -2): 1, (0, 0): 3}
+        with pytest.raises(InvalidCharacterError, match=r"peeling \(2, 0\) drives weight \(0, 1\)"):
+            decompose(diagram)
+
+    def test_far_highest_weight_fails_before_its_events(self):
+        # one orbit far out beside a large trivial part: V(10**6, 0) has
+        # 500001 line tops and the diagram 2 dominant weights, so the
+        # sweep fails before it lists them
+        diagram = {w: 1 for w in sl3._weyl_orbit(10**6, 0)}
+        diagram[(0, 0)] = 10**18
+        with pytest.raises(InvalidCharacterError, match="weights the diagram lacks"):
+            decompose(diagram)
 
     def test_not_weyl_invariant(self):
         with pytest.raises(InvalidCharacterError):
