@@ -160,15 +160,15 @@ def nu_ternary_peel(
 def peel_work_estimate(d: int, n: int) -> int:
     """Rough state count of the peel route: the weight-table DP plus the
     ``decompose`` sweep.  The sweep visits at most the T = (dn+1)(dn+2)/2
-    dominant weights i + j <= dn, and a weight peeled there places at
-    most dn + 1 events (``sl3._events``: a +g on each of its lines, a -g
-    on each but its own), so the sweep's work is at most T (dn + 2).
+    dominant weights i + j <= dn, and a weight peeled there starts at most
+    three rays (``sl3._rays``: two of +g line tops and at most one of -g
+    bottoms), so the sweep's visits plus ray starts are at most 4T.
     Raises ValueError unless d and n are nonnegative ints."""
     _check_dn(d, n)
     dn = d * n
     table_states = weights.num_variables(d) * (n + 1) * (dn + 1) ** 2
     dominant = (dn + 1) * (dn + 2) // 2
-    return table_states + dominant * (dn + 2)
+    return table_states + 4 * dominant
 
 
 # ---------------------------------------------------------------------------

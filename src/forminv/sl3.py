@@ -16,8 +16,14 @@ Theory, Lecture 13).  Its generating function is
 (1 - (xy)^(M+1)) / ((1 - x)(1 - y)(1 - xy)) in x^k1 y^k2, so along each
 line of direction (1, 1) the multiplicity has two nonzero second
 differences, and ``decompose`` peels every highest weight in one
-downward sweep that places two events per line (``_events``) instead of
-rescanning the residual.  ``weight_multiplicity`` and ``character``
+downward sweep instead of rescanning the residual.  The +1 events, the
+line tops, are the two boundary rays of the dominant hexagon, of
+directions -alpha1 and -alpha2; the -1 events lie on at most one more
+ray; all three run to the walls of the chamber (``_rays``).  So the
+sweep carries each ray line's events as one running sum, and a peel
+costs O(1).  A ray line's weights are one level i + j apart, and the
+sweep fails, naming the weight, where a ray line it carries skips a
+level or stops above its wall.  ``weight_multiplicity`` and ``character``
 keep the alternation (``_alternation``) on purpose, so that decomposing
 a recomposed character checks the sweep against the alternation rather
 than against its own formula.
@@ -31,6 +37,7 @@ Weight = Tuple[int, int]
 HighestWeight = Tuple[int, int]
 WeightDiagram = Dict[Weight, int]
 WeylImages = Tuple[Tuple[int, int, int], ...]
+Ray = Tuple[int, int, Weight, int]  # (family, key, start, sign): see ``_rays``
 
 
 class InvalidCharacterError(ValueError):
@@ -102,9 +109,10 @@ def _alternation(images: WeylImages, mu: Weight) -> int:
     k1 = -(a + 2b + 2p + q)/3, both negative.
 
     ``decompose``'s sweep takes the closed form these three terms sum to
-    at a dominant mu, the hexagon rule, as two events per line
-    (``_events``); ``character`` keeps this function on purpose, as the
-    sweep's independent check, and a test pins the events against it.
+    at a dominant mu, the hexagon rule, as the second differences along
+    each line i - j, carried on three rays (``_rays``); ``character``
+    keeps this function on purpose, as the sweep's independent check,
+    and a test pins the rays against it.
     """
     ta, tb = mu[0] + 1, mu[1] + 1
     _, a, b = images[0]
@@ -186,9 +194,9 @@ def _check_weyl_invariant(diagram: WeightDiagram) -> None:
             )
 
 
-def _events(hw: HighestWeight) -> Tuple[List[Weight], List[Weight]]:
-    """Where the character of V(hw) enters ``decompose``'s sweep: the
-    weights of its +g events and of its -g events, g its multiplicity.
+def _rays(hw: HighestWeight) -> Tuple[Ray, ...]:
+    """Where the character of V(hw) enters ``decompose``'s sweep: its rays,
+    as (family, key, start, sign), sign times its multiplicity g.
 
     Summed over the dominant mu = hw - k1 alpha1 - k2 alpha2, the hexagon
     rule's 1 + min(k1, k2, M), M = min(m1, m2), is
@@ -196,26 +204,41 @@ def _events(hw: HighestWeight) -> Tuple[List[Weight], List[Weight]]:
     of (-1, -1) = -(alpha1 + alpha2) raises k1 and k2 by one, so on a
     line i - j = const, at t = min(k1, k2), the multiplicity 1 + min(t, M)
     has second differences +1 at t = 0, -1 at t = M + 1 and 0 elsewhere.
-    The +g events are the line tops (t = 0): (m1 - 2 delta, m2 + delta)
-    for 0 <= delta <= m1 // 2, hw itself at delta = 0, and
-    (m1 + delta, m2 - 2 delta) for 0 < delta <= m2 // 2; no other line
-    holds a dominant weight.  The -g events lie (M + 1)(1, 1) below the
-    tops, where that is dominant; the sweep never reaches the others.
-    Every event is a weight of V(hw).
+    Those events lie on rays: a ray of family 0 runs along the line
+    i + 2j = key from its start by steps of -alpha1 = (-2, 1), one of
+    family 1 along 2i + j = key by steps of -alpha2 = (1, -2), each down
+    to the wall i or j in {0, 1}.  Both steps lower i + j by one, so a
+    ray meets one weight per level.
+    - The +g tops, the two boundary rays of the dominant hexagon:
+      (m1 - 2k, m2 + k), k >= 0, from hw itself on i + 2j = m1 + 2 m2,
+      and (m1 + k, m2 - 2k), k >= 1, from the next weight below hw on
+      2i + j = 2 m1 + m2 (no dominant weight when m2 < 2).  Every line
+      i - j through a dominant weight of V(hw) has its top on one of them.
+    - The -g bottoms, the tops moved (M + 1)(1, 1) down where that is
+      dominant: one ray, on i + 2j = m1 - m2 - 3 from (m1 - m2 - 3, 0)
+      when m1 >= m2 + 3, on 2i + j = m2 - m1 - 3 from (0, m2 - m1 - 3)
+      when m2 >= m1 + 3, and none otherwise.  No dominant weight of its
+      line lies above its start.
+    Every dominant weight of a ray is a weight of V(hw).
     """
     m1, m2 = hw
-    step = (m1 if m1 < m2 else m2) + 1
-    tops = []
-    bottoms = []
-    for k in range(-(m2 // 2), m1 // 2 + 1):
-        if k >= 0:
-            a, b = m1 - 2 * k, m2 + k
-        else:
-            a, b = m1 - k, m2 + 2 * k
-        tops.append((a, b))
-        if a >= step and b >= step:
-            bottoms.append((a - step, b - step))
-    return tops, bottoms
+    tops = ((0, m1 + 2 * m2, hw, 1), (1, 2 * m1 + m2, (m1 + 1, m2 - 2), 1))
+    if m1 >= m2 + 3:
+        return tops + ((0, m1 - m2 - 3, (m1 - m2 - 3, 0), -1),)
+    if m2 >= m1 + 3:
+        return tops + ((1, m2 - m1 - 3, (0, m2 - m1 - 3), -1),)
+    return tops
+
+
+def _ray_weight(family: int, key: int, level: int) -> Weight:
+    """The weight at i + j = level of the ray line (family, key)."""
+    if family:
+        return key - level, 2 * level - key
+    return 2 * level - key, key - level
+
+
+def _lacks(w: Weight) -> InvalidCharacterError:
+    return InvalidCharacterError(f"the peeled characters have weight {w}, which the diagram lacks")
 
 
 def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
@@ -233,14 +256,19 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     line of direction (1, 1) from the top down.  Each line i - j keeps a
     running slope and value, the summed multiplicity there of the
     characters peeled so far; a visit moves it down by slope times the
-    steps since the line's last visit, then applies the events
-    (``_events``) placed at the weight.  The input's multiplicity there
-    minus that value is the weight's own multiplicity as a highest weight;
-    where it is positive the weight is peeled, and its character enters
-    the sweep as two events per line.  The sweep visits only the input's
-    weights: every event lands on a weight of the peeled character, so
-    one missing from the input fails at once.  ``character`` keeps the
-    alternation as the sweep's independent check.
+    steps since the line's last visit, then adds to the slope the events
+    at the weight.  The input's multiplicity there minus that value is
+    the weight's own multiplicity g as a highest weight; where it is
+    positive the weight is peeled.  Its character's events lie on three
+    rays (``_rays``) that run to the walls, so the sweep keeps one running
+    sum per ray line, i + 2j or 2i + j: a peel adds +-g to three of them
+    in O(1), and the events at a visited weight are the sums of the two
+    ray lines through it.  A ray line's weights are one level i + j
+    apart, so each line also keeps the level of the weight it must visit
+    next: while its sum is nonzero, a visit that skips a level, or a
+    sweep that ends above the line's wall, fails and names the weight the
+    diagram lacks.  ``character`` keeps the alternation as the sweep's
+    independent check.
     """
     for w, m in diagram.items():
         if not _is_weight(w):
@@ -250,19 +278,35 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     _check_weyl_invariant(diagram)
     get = diagram.get
     dominant = [w for w, m in diagram.items() if m and w[0] >= 0 and w[1] >= 0]
-    pending: Dict[Weight, int] = {}  # weight -> sum of the events placed there
     lines: Dict[int, Tuple[int, int, int]] = {}  # i - j -> (i, slope, value) at its last visit
+    # per family (0 along -alpha1, 1 along -alpha2): ray line key ->
+    # [level of the weight it visits next, sum of the signed g on it]
+    rays: Tuple[Dict[int, List[int]], Dict[int, List[int]]] = ({}, {})
+    along1, along2 = rays
     out: Dict[HighestWeight, int] = {}
     size = len(dominant)
     for w in sorted(dominant, key=lambda w: (w[0] + w[1], w[0]), reverse=True):
         i, j = w
+        level = i + j
+        e = 0
+        ray = along1.get(level + j)
+        if ray is not None and ray[1]:
+            if ray[0] != level:
+                raise _lacks(_ray_weight(0, level + j, ray[0]))
+            ray[0] = level - 1
+            e = ray[1]
+        ray = along2.get(level + i)
+        if ray is not None and ray[1]:
+            if ray[0] != level:
+                raise _lacks(_ray_weight(1, level + i, ray[0]))
+            ray[0] = level - 1
+            e += ray[1]
         line = lines.get(i - j)
         if line is None:
             slope = value = 0
         else:
             last, slope, value = line
             value += slope * (last - i)
-        e = pending.pop(w, 0)
         m = get(w)
         g = m - value - e
         if g < 0:
@@ -274,17 +318,27 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
                 # each of V(w)'s line tops is a dominant weight of its own
                 raise InvalidCharacterError(f"the character of {w} has weights the diagram lacks")
             out[w] = g
-            tops, bottoms = _events(w)
-            for v in tops:
-                if get(v, 0) < g:
-                    raise InvalidCharacterError(f"peeling {w} drives weight {v} negative")
-                pending[v] = pending.get(v, 0) + g
-            for v in bottoms:
-                if get(v, 0) < g:
-                    raise InvalidCharacterError(f"peeling {w} drives weight {v} negative")
-                pending[v] = pending.get(v, 0) - g
-            e += pending.pop(w)
+            for family, key, (a, b), sign in _rays(w):
+                start = a + b
+                if start == level:  # the ray from w itself: its event is here
+                    e += sign * g
+                    start -= 1
+                ray = rays[family].get(key)
+                if ray is None:
+                    rays[family][key] = [start, sign * g]
+                else:
+                    ray[0] = start
+                    ray[1] += sign * g
         lines[i - j] = (i, slope + e, value + e)
+    # a ray line's wall weight is at level (key + 1) // 2
+    lacked = [
+        _ray_weight(family, key, level)
+        for family in (0, 1)
+        for key, (level, total) in rays[family].items()
+        if total and level >= (key + 1) // 2
+    ]
+    if lacked:
+        raise _lacks(max(lacked, key=lambda w: (w[0] + w[1], w[0])))
     if sum(g * dimension(l) for l, g in out.items()) != sum(diagram.values()):
         raise InvalidCharacterError("dimension bookkeeping failed")
     return out

@@ -203,34 +203,34 @@ class TestNuTernary:
 
     def test_peel_work_estimate_bounds_measured_work(self, monkeypatch):
         # measured work: the weight table's DP cells plus the decompose
-        # sweep's, one visit per nonzero dominant weight and one per event
-        # a peeled highest weight places.  The estimate must bound it and
+        # sweep's, one visit per nonzero dominant weight and one per ray a
+        # peeled highest weight starts.  The estimate must bound it and
         # stay within twice it.  The sweep's totals per d are pinned, so a
-        # change in how many weights it visits or how many events it
-        # places shows here.
-        events = 0
-        real = sl3._events
+        # change in how many weights it visits or how many rays it starts
+        # shows here.
+        starts = 0
+        real = sl3._rays
 
         def counted(hw):
-            nonlocal events
-            tops, bottoms = real(hw)
-            events += len(tops) + len(bottoms)
-            return tops, bottoms
+            nonlocal starts
+            rays = real(hw)
+            starts += len(rays)
+            return rays
 
-        monkeypatch.setattr(sl3, "_events", counted)
+        monkeypatch.setattr(sl3, "_rays", counted)
         totals = {}
         for d in range(1, 5):
             totals[d] = 0
             for n in range(11):
-                events = 0
+                starts = 0
                 nu_ternary_peel(d, n)
                 visits = sum(
                     1 for (i, j), m in weight_table(d, n).items() if m and i >= 0 and j >= 0
                 )
-                work = num_variables(d) * (n + 1) * (d * n + 1) ** 2 + visits + events
-                assert work <= peel_work_estimate(d, n) <= 2 * work, (d, n, visits, events)
-                totals[d] += visits + events
-        assert totals == {1: 123, 2: 652, 3: 2998, 4: 7297}
+                work = num_variables(d) * (n + 1) * (d * n + 1) ** 2 + visits + starts
+                assert work <= peel_work_estimate(d, n) <= 2 * work, (d, n, visits, starts)
+                totals[d] += visits + starts
+        assert totals == {1: 97, 2: 367, 3: 1164, 4: 2141}
 
     def test_work_limit(self):
         with pytest.raises(WorkLimitExceeded):

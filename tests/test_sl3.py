@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -341,10 +342,10 @@ class TestDecompose:
         assert decompose(recompose(multiset)) == expected
 
     def test_each_highest_weight_scans_once(self, monkeypatch):
-        # each peeled highest weight places its events once, none for the
+        # each peeled highest weight places its rays once, none for the
         # rest of the weights
         calls = []
-        real = sl3._events
+        real = sl3._rays
 
         def recorded(hw):
             calls.append(hw)
@@ -352,23 +353,31 @@ class TestDecompose:
 
         multiset = {(3, 1): 2, (1, 1): 1, (0, 0): 3}
         diagram = recompose(multiset)
-        monkeypatch.setattr(sl3, "_events", recorded)
+        monkeypatch.setattr(sl3, "_rays", recorded)
         assert decompose(diagram) == multiset
         assert calls == [(3, 1), (1, 1), (0, 0)]
 
     def test_scan_terms_match_alternation(self):
-        # the sweep's events for one highest weight with g = 1, summed down
-        # each line i - j (an event e at a weight adds e * (1 + t) at the
-        # weight t steps of (-1, -1) below it), against their definition,
-        # at every weight of the dominant triangle plus a margin of 3,
-        # which holds weights of all three root-lattice cosets; and the
-        # sweep itself, which must peel each character back to one copy
+        # the sweep's rays for one highest weight with g = 1, walked from
+        # their starts to the walls (family 0 by (-2, 1) on i + 2j = key,
+        # family 1 by (1, -2) on 2i + j = key), and the events they place
+        # summed down each line i - j (an event e at a weight adds
+        # e * (1 + t) at the weight t steps of (-1, -1) below it), against
+        # their definition, at every weight of the dominant triangle plus a
+        # margin of 3, which holds weights of all three root-lattice
+        # cosets; and the sweep itself, which must peel each character
+        # back to one copy
         for m1 in range(13):
             for m2 in range(13):
                 hw = (m1, m2)
                 images = sl3._weyl_images(hw)[:3]
-                tops, bottoms = sl3._events(hw)
-                events = [(v, 1) for v in tops] + [(v, -1) for v in bottoms]
+                events = []
+                for family, key, (a, b), sign in sl3._rays(hw):
+                    step = (1, -2) if family else (-2, 1)
+                    assert (2 * a + b if family else a + 2 * b) == key, (hw, family)
+                    while a >= 0 and b >= 0:
+                        events.append(((a, b), sign))
+                        a, b = a + step[0], b + step[1]
                 span = m1 + m2 + 3
                 for i in range(span + 1):
                     for j in range(span - i + 1):
@@ -412,12 +421,79 @@ class TestDecompose:
                 assert decompose(diagram) == want, case
         assert 50 < rejected < 120  # both outcomes, in numbers
 
+    def test_ray_gaps_raise_exactly_where_reference_peel_fails(self):
+        # seeded recompositions, in the odd cases with the Weyl orbit of one
+        # weight removed, taken on a line top or a line bottom of one of the
+        # highest weights (the weights of its rays), and sparse inputs of
+        # one far orbit beside a trivial part: decompose must raise exactly
+        # where reference_peel fails, and a message that names a weight the
+        # diagram lacks must name a dominant weight absent from it
+        rng = random.Random(2424)
+        rejected = lacked = 0
+        for case in range(160):
+            if case % 8 == 7:
+                top = 40 if case % 16 == 7 else 3
+                far = (rng.randint(0, top), rng.randint(0, top))
+                diagram = {w: 1 for w in sl3._weyl_orbit(*far)}
+                diagram[(0, 0)] = diagram.get((0, 0), 0) + rng.randint(1, 10**6)
+            else:
+                multiset = {
+                    (rng.randint(0, 8), rng.randint(0, 8)): rng.randint(1, 3)
+                    for _ in range(rng.randint(1, 3))
+                }
+                diagram = recompose(multiset)
+                if case % 2:
+                    m1, m2 = rng.choice(sorted(multiset))
+                    step = min(m1, m2) + 1
+                    tops = [(m1 - 2 * k, m2 + k) for k in range(m1 // 2 + 1)]
+                    tops += [(m1 + k, m2 - 2 * k) for k in range(1, m2 // 2 + 1)]
+                    bottoms = [(a - step, b - step) for a, b in tops if a >= step and b >= step]
+                    for w in sl3._weyl_orbit(*rng.choice(tops + bottoms)):
+                        diagram.pop(w, None)
+            try:
+                want = reference_peel(diagram)
+            except AssertionError:
+                rejected += 1
+                with pytest.raises(InvalidCharacterError) as info:
+                    decompose(diagram)
+                named = re.search(r"have weight \((\d+), (\d+)\), which the diagram lacks", str(info.value))
+                if named:
+                    lacked += 1
+                    w = (int(named[1]), int(named[2]))
+                    assert not diagram.get(w), (case, w)
+            else:
+                assert decompose(diagram) == want, case
+        # both outcomes, and the ray-line guards among the rejections, in numbers
+        assert 50 < rejected < 110 and lacked > 20, (rejected, lacked)
+
     def test_missing_weight_fails_where_its_event_lands(self):
-        # the orbit of (2, 0) without that of (0, 1), the other line top
-        # of V(2, 0), beside a trivial part: the sweep fails at that top,
-        # not at the bookkeeping
+        # the orbit of (2, 0) without that of (0, 1), the next weight on
+        # V(2, 0)'s ray along i + 2j = 2, beside a trivial part: the sweep
+        # never visits that ray line again, so it fails at the end, where
+        # the line has not reached its wall, and not at the bookkeeping
         diagram = {(2, 0): 1, (-2, 2): 1, (0, -2): 1, (0, 0): 3}
-        with pytest.raises(InvalidCharacterError, match=r"peeling \(2, 0\) drives weight \(0, 1\)"):
+        with pytest.raises(InvalidCharacterError, match=r"have weight \(0, 1\), which the diagram lacks"):
+            decompose(diagram)
+
+    @pytest.mark.parametrize(
+        "hw",
+        [
+            # (2, 1) lies between (4, 0) and (0, 2) on V(4, 0)'s top ray
+            # along i + 2j = 4
+            pytest.param((4, 0), id="top-ray"),
+            # V(7, 0)'s -1 events lie on its bottom ray along i + 2j = 4,
+            # from (4, 0) through (2, 1) to (0, 2); the sweep reaches (0, 2)
+            # before (1, 0), below (2, 1) on its line i - j
+            pytest.param((7, 0), id="bottom-ray"),
+        ],
+    )
+    def test_gap_mid_sweep_names_the_missing_weight(self, hw):
+        # V(hw) without the orbit of (2, 1): the visit to (0, 2) skips a
+        # level of the ray line i + 2j = 4 and fails there
+        diagram = character(hw)
+        for w in sl3._weyl_orbit(2, 1):
+            del diagram[w]
+        with pytest.raises(InvalidCharacterError, match=r"have weight \(2, 1\), which the diagram lacks"):
             decompose(diagram)
 
     def test_far_highest_weight_fails_before_its_events(self):
