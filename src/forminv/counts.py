@@ -26,31 +26,39 @@ Every method but peel is a reader route, and the five share one runner,
 for a series (``poincare_series``) and for a single point (``count``)
 alike.  ``BINARY_METHODS`` and ``TERNARY_METHODS``, one route table per
 form with its default first, map each reader route to its reader builder
-``(d, order)`` -> ``coeff``, exact for every degree n <= order, and peel
-to its point count.  ``_FORMS`` holds each table beside the form's k and
-operator, which the runner applies to a reader at w = d*n/k.  A binary
-reader is ``coeff(n, w)``, the q^w coefficient of [d+n choose n]_q for
-w <= d*order//2, and the operator is 1 - q at q^{dn/2}.  A ternary
-reader is ``coeff(n, a, b)``, the t^n p^a q^b coefficient of the series
-prod_{k+l<=d} (1 - t p^k q^l)^{-1}.  Each ternary route makes that
-coefficient its own way (a cell of the packed counting grid, one slot of
-the graded packed inverse-product expansion, one slot of a product of
-two graded packed halves of the pq-binomial factors).  No reader is
-exact on the whole operator box.  counting's grid keeps only the rows of
-w1 that a cell the operator reads can still reach
-(``weights.solution_count_grid``).  genfunc's expansion and pqbinom's
-halves drop every piece of t^j whose total degree a + b can no longer
-reach the operator's floor, given the largest a + b per power of t of
-the factors still to multiply it (``_floors``).  So all three readers
-are exact only around the cells the operator reads.  Only the five-point
-functional ``sl3.FIVE_POINT`` is shared, and ``_ternary_operator`` is
-the one place that applies it.  Peel never reads it.
+and peel to its point count.  ``_FORMS`` holds each table beside the
+form's k and operator, as a table of exponents and coefficients: 1 - q
+at q^w for binary forms, ``OPERATOR_TERMS`` at (pq)^w for ternary forms,
+w = d*n/k.  From the request's own degrees the runner works out one
+``Reads``: for each degree n with k | d*n, the cells the operator reads
+there that have no negative coordinate, each as the reader's arguments
+with its coefficient c.  The count at n is the sum of c * coeff(*cell)
+over them.
+
+A binary reader is ``coeff(n, w)``, the q^w coefficient of
+[d+n choose n]_q, built by ``(d, order)`` for w <= d*order//2, which
+holds both cells w and w - 1.  A ternary reader is ``coeff(n, a, b)``,
+the t^n p^a q^b coefficient of the series prod_{k+l<=d} (1 - t p^k q^l)^{-1},
+built by ``(d, reads)``.  Each ternary route makes that coefficient its
+own way (a cell of the packed counting grid, one slot of the graded
+packed inverse-product expansion, one slot of a product of two graded
+packed halves of the pq-binomial factors), and each is exact only at the
+cells of its ``Reads``: every extent it keeps derives from them.
+genfunc and pqbinom clip to ``Reads.box`` and drop every piece of t^j
+whose total degree a + b can no longer reach a read cell
+(``Reads.floors``); counting keeps only the rows of w1 from which a
+read cell can still be reached (``Reads.window``).  Only the five-point functional
+``sl3.FIVE_POINT`` is shared, through ``OPERATOR_TERMS``.  Peel never
+reads it.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, groupby
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from itertools import groupby, repeat
+from math import inf
+from operator import sub
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import weights
 from .qbinom import _box_masks, gaussian_binomial_low, pq_binomial_table
@@ -71,16 +79,114 @@ OPERATOR_TERMS: Dict[Tuple[int, int], int] = {
     ((i - j) // 3, (i + 2 * j) // 3): c for (i, j), c in FIVE_POINT.items()
 }
 
+# An operator: exponent tuple -> coefficient.
+Terms = Dict[Tuple[int, ...], int]
+
 # coeff(n, w) for a binary route: the q^w coefficient of its degree-n
 # series.  coeff(n, a, b) for a ternary route: the t^n p^a q^b
-# coefficient of the series.  Either is exact at least at every cell the
-# operator reads for n <= the reader's order (the ternary readers are
-# exact only around those cells).
+# coefficient of the series.  Either is exact at least at every cell of
+# its ``Reads`` (the ternary readers are exact only around those cells).
 Reader = Callable[..., int]
 
 
 class WorkLimitExceeded(RuntimeError):
     """A method's estimated state count exceeds the allowed budget."""
+
+
+class Reads:
+    """The cells an operator reads from one reader.
+
+    ``terms`` maps each exponent tuple e of the operator to its
+    coefficient: at degree n the operator reads the reader at w - e,
+    w = d*n/k, for every degree n in ``degrees`` with k | d*n.
+    ``cells[n]`` holds the cells of degree n that have no negative
+    coordinate, in ascending order, each as the reader's arguments
+    (n, *(w - e)) with its coefficient, and ``order`` is the last degree
+    read (-1 if none is).  A cell's coordinates grow with w, and so with
+    n, so the largest of each is read at degree order.
+
+    A ternary reader need be exact only at these cells, and every extent
+    a ternary builder keeps derives from them: ``box``, ``floors`` and
+    ``window``.  Each takes at most one summary per read degree, then
+    O(order) int work per bound it returns.
+    """
+
+    def __init__(self, terms: Terms, d: int, k: int, degrees: Iterable[int]):
+        ns = [n for n in degrees if d * n % k == 0]
+        ws = [d * n // k for n in ns]
+        # a column of (cell, coefficient) per term, exponents descending so
+        # that each degree's cells ascend, and a row per degree, read
+        # across; once w reaches the largest exponent, no cell has a
+        # negative coordinate
+        columns = [
+            zip(zip(ns, *[map(sub, ws, repeat(e)) for e in exps]), repeat(c))
+            for exps, c in sorted(terms.items(), reverse=True)
+        ]
+        full = max(map(max, terms))
+        self.cells: Dict[int, Tuple[Tuple[Tuple[int, ...], int], ...]] = {
+            n: row if w >= full else tuple(x for x in row if min(x[0]) >= 0)
+            for n, w, row in zip(ns, ws, zip(*columns))
+        }
+        self.order = ns[-1] if ns else -1
+
+    def box(self) -> Tuple[int, int]:
+        """(A, B): every ternary cell (n, a, b) read has a <= A and b <= B,
+        the largest a and b of the cells of degree order."""
+        cells = self.cells[self.order]
+        return max([a for (_, a, _), _ in cells]), max([b for (_, _, b), _ in cells])
+
+    def floors(self, rest: int) -> List[int]:
+        """lows[j], j = 0..order: the least total degree a + b of a piece of
+        t^j that can still reach a ternary cell (n, a, b) read, when every
+        factor still to multiply it adds at most ``rest`` to a + b per power
+        of t.  By t^n a piece of total degree D reaches at most
+        D + rest*(n - j), so lows[j] is the least, over the read degrees
+        n >= j, of the least a + b read at n minus rest*(n - j).  A piece
+        below lows[j] reaches no read cell."""
+        # the least of x is minus the largest of -x
+        return [-x for x in _suffix_max(self._sunk_sums, -rest)]
+
+    @cached_property
+    def _sunk_sums(self) -> List:
+        """Minus the least a + b read at each degree, -inf where none is:
+        one summary per degree, taken once for every ``floors`` call."""
+        sunk = [-inf] * (self.order + 1)
+        for n, cells in self.cells.items():
+            sunk[n] = -min([a + b for (_, a, b), _ in cells])
+        return sunk
+
+    def window(self, d: int) -> Tuple[List[int], List[List[int]], int]:
+        """lows[c], tops[r][c] and w2cap, c = 0..order, r = 0..d: the window
+        of the counting grid (``weights.solution_count_grid``) of degree-d
+        forms, the rows of w1 and the cells w2 <= w2cap of each from which
+        a ternary cell (n, a, b) read, at w1 = a and w2 = b, can still be
+        reached.  No weight falls along the DP, so w2cap is the largest b
+        read.  A step from layer c to c + 1 raises w1 by at most d, so a
+        cell of layer c reaches (n, a, b) only from w1 >= a - d*(n - c):
+        lows[c] is the least of that over the read degrees n >= c, and at
+        least 0.  While the variables a_{r,s} are folded in, r ascending,
+        every step still to come raises w1 by at least r, so layer c
+        reaches (n, a, b) only from w1 <= a - r*(n - c): tops[r][c] is the
+        largest of that.  So lows never falls as c grows, nor tops[r][c]
+        grows with r."""
+        # a degree's cells (n, a, b) ascend, so by a first; the least of
+        # x is minus the largest of -x
+        sunk, highest = [-inf] * (self.order + 1), [-inf] * (self.order + 1)
+        for n, cells in self.cells.items():
+            sunk[n], highest[n] = -cells[0][0][1], cells[-1][0][1]
+        lows = [-x if x < 0 else 0 for x in _suffix_max(sunk, -d)]
+        tops = [_suffix_max(highest, r) for r in range(d + 1)]
+        return lows, tops, self.box()[1]
+
+
+def _suffix_max(values: List, step: int) -> List[int]:
+    """m[j] = the largest, over n >= j, of values[n] - step*(n - j), for
+    j = 0..len(values) - 1, by m[j] = max(values[j], m[j+1] - step).  A
+    value of -inf marks a degree not read; the last value is an int, so
+    every m[j] is.  The floors and lows take the least of values[n] -
+    step*(n - j) as minus this over -values and -step."""
+    run = -inf
+    return [run := v if v > run - step else run - step for v in reversed(values)][::-1]
 
 
 def _check_request(d: int, n: int, work_limit: int) -> None:
@@ -112,34 +218,16 @@ def gamma_binary_qbinom(d: int, n: int) -> int:
 def gamma_binary_full(d: int, n: int, k: int) -> int:
     """Multiplicity of the (k+1)-dimensional irreducible summand in the
     degree-n piece of the binary form's coefficient ring: (1 - q) at
-    q^w, w = (d*n - k)/2, read from one omega reader."""
+    q^w, w = (d*n - k)/2, two slots of one omega reader."""
     _check_dn(d, n, k)
     if k < 0 or k > d * n or (d * n - k) % 2:
         return 0
-    return _binary_operator(weights.omega_reader(d, n), n, (d * n - k) // 2)
+    coeff, w = weights.omega_reader(d, n), (d * n - k) // 2
+    return coeff(n, w) - coeff(n, w - 1)
 
 
 # ---------------------------------------------------------------------------
 # ternary forms
-
-
-def nu_ternary_counting(d: int, n: int) -> int:
-    """The five-point functional ``sl3.FIVE_POINT`` on the weight
-    multiplicities c(d, n, i, j) of the degree-n monomials, read as five
-    cells of one counting grid."""
-    return count("ternary", d, n, "counting")
-
-
-def nu_ternary_genfunc(d: int, n: int) -> int:
-    """Coefficient extraction from the expansion of
-    (prod_{k+l<=d} (1 - t p^k q^l))^{-1}."""
-    return count("ternary", d, n, "genfunc")
-
-
-def nu_ternary_pqbinom(d: int, n: int) -> int:
-    """Same extraction, with the series assembled as the product of the
-    pq-binomial generating series G_0 ... G_d."""
-    return count("ternary", d, n, "pqbinom")
 
 
 def nu_ternary_peel(
@@ -200,14 +288,15 @@ def count(
 ) -> int:
     """The number of degree-n invariants of the form of degree d, by
     ``method`` (the form's default if None): the point counterpart of
-    ``poincare_series``.  A reader route builds its reader at order n;
-    where the form's k does not divide d*n the count is 0 and no reader
-    is built.  Peel raises WorkLimitExceeded past ``work_limit``, an int
-    of at least 1 (ValueError otherwise, for every method).
+    ``poincare_series``.  A reader route builds its reader for the cells
+    of degree n alone; where the form's k does not divide d*n the count
+    is 0 and no reader is built.  Peel raises WorkLimitExceeded past
+    ``work_limit``, an int of at least 1 (ValueError otherwise, for every
+    method).
     """
     method = resolve_method(form, method)
     _check_request(d, n, work_limit)
-    return _run(form, method, d, n, [n], work_limit)[0]
+    return _run(form, method, d, [n], work_limit)[0]
 
 
 def poincare_series(
@@ -220,100 +309,60 @@ def poincare_series(
 ) -> List[Tuple[int, int]]:
     """Per-degree invariant counts for n = 0..n_max.
 
-    Every method but peel builds one reader at order n_max (one DP, grid
-    or expansion clipped to the cells the operator reads) and applies the
-    form's operator to it at every degree, so a whole series is much
-    cheaper than n_max independent point queries.  Only peel runs one
-    point count per degree.
+    Every method but peel builds one reader for the cells of every degree
+    (one DP, grid or expansion clipped to them) and applies the form's
+    operator to it at every degree, so a whole series is much cheaper
+    than n_max independent point queries.  Only peel runs one point count
+    per degree.
     """
     method = resolve_method(form, method)
     _check_request(d, n_max, work_limit)
     degrees = range(n_max + 1)
-    rows = list(zip(degrees, _run(form, method, d, n_max, degrees, work_limit)))
+    rows = list(zip(degrees, _run(form, method, d, degrees, work_limit)))
     if not include_zeros:
         rows = [(n, v) for n, v in rows if v]
     return rows
 
 
 def _run(
-    form: str, method: str, d: int, order: int, degrees: Sequence[int], work_limit: int
+    form: str, method: str, d: int, degrees: Sequence[int], work_limit: int
 ) -> List[int]:
-    """The counts of a resolved method at ``degrees``, each <= order,
-    by the entry of the form's table at call time.  Peel runs once per
-    degree.  A reader route builds one reader at ``order`` and applies
-    the form's operator to it at w = d*n/k for every degree with k | d*n;
-    the others are 0, and when no degree has k | d*n no reader is
-    built."""
-    table, k, operator = _FORMS[form]
+    """The counts of a resolved method at ``degrees``, by the entry of
+    the form's table at call time.  Peel runs once per degree.  A reader
+    route works out the ``Reads`` of ``degrees``, builds one reader from
+    it (a binary builder from its order) and sums each degree's cells;
+    a degree without k | d*n counts 0, and when no degree has k | d*n no
+    reader is built."""
+    table, k, terms = _FORMS[form]
     if method == "peel":
         return [table[method](d, n, work_limit=work_limit) for n in degrees]
-    reads = {n: d * n // k for n in degrees if d * n % k == 0}
-    coeff = table[method](d, order) if reads else None
-    return [operator(coeff, n, reads[n]) if n in reads else 0 for n in degrees]
+    reads = Reads(terms, d, k, degrees)
+    if not reads.cells:
+        return [0] * len(degrees)
+    coeff = table[method](d, reads if k == 3 else reads.order)
+    return [sum([c * coeff(*cell) for cell, c in reads.cells.get(n, ())]) for n in degrees]
 
 
-def _binary_operator(coeff: Reader, n: int, w: int) -> int:
-    """1 - q at q^w: the q^w minus the q^(w-1) coefficient of the degree-n
-    series that ``coeff`` reads."""
-    return coeff(n, w) - coeff(n, w - 1)
+def counting_reader(d: int, reads: Reads) -> Reader:
+    """The cells of one counting grid on the window of ``reads``
+    (``Reads.window``): exact at every cell read."""
+    return weights.solution_count_grid(d, reads.order, *reads.window(d)).cell
 
 
-def _ternary_operator(coeff: Reader, n: int, w: int) -> int:
-    """OPERATOR_TERMS at (pq)^w of the t^n coefficient that ``coeff``
-    reads."""
-    return sum(c * coeff(n, w - a, w - b) for (a, b), c in OPERATOR_TERMS.items())
-
-
-def _operator_box(d: int, order: int) -> Tuple[int, int]:
-    """Exponent bounds of every coefficient the operator reads from the
-    t^n terms, n <= order: p^a q^b with a <= w+1, b <= w, w = d*order//3.
-    The box only grows with the order, so an expansion clipped at one
-    order serves every lower one exactly."""
-    w = d * order // 3
-    return (w + 1, w)
-
-
-def counting_reader(d: int, order: int) -> Reader:
-    """The cells of one counting grid (``weights.solution_count_grid``):
-    exact at every cell the operator reads, for n <= order."""
-    return weights.solution_count_grid(d, order).cell
-
-
-def _floors(d: int, order: int, rest: int) -> List[int]:
-    """lows[j], j = 0..order: the least total degree a + b of a piece of
-    t^j that can still reach a cell the operator reads, when every factor
-    still to multiply it adds at most ``rest`` to a + b per power of t.
-
-    At degree n the operator reads a + b >= 2dn/3 - 2 (rounded down), and
-    by t^n a piece of t^j of total degree D reaches at most
-    D + rest*(n - j).  So the piece is needed only if
-    D >= min over n in [j, order] of floor(2dn/3) - 2 - rest*(n - j),
-    one suffix minimum over n.  A piece below lows[j] can be dropped at
-    every order up to ``order``, since a lower order only drops values of
-    n from the minimum."""
-    reach = max(a + b for a, b in OPERATOR_TERMS)
-    need = [(2 * d * n) // 3 - reach - rest * n for n in range(order + 1)]
-    least = list(accumulate(reversed(need), min))[::-1]
-    return [low + rest * j for j, low in enumerate(least)]
-
-
-def genfunc_reader(d: int, order: int) -> Reader:
-    """One slot of ``_genfunc_expansion``: exact at every cell the
-    operator reads, for n <= order."""
-    coeffs, slot = _genfunc_expansion(d, order)
+def genfunc_reader(d: int, reads: Reads) -> Reader:
+    """One slot of ``_genfunc_expansion``: exact at every cell read."""
+    coeffs, slot = _genfunc_expansion(d, reads)
     cell = (1 << slot) - 1
 
     def coeff(n: int, a: int, b: int) -> int:
-        if a < 0 or b < 0:
-            return 0
         return (coeffs[n].get(a + b, 0) >> (b * slot)) & cell
 
     return coeff
 
 
-def _genfunc_expansion(d: int, order: int) -> Tuple[List[Dict[int, int]], int]:
-    """prod_{k+l<=d} (1 - t p^k q^l)^{-1} up to t^order, clipped to the
-    operator box and floored on a + b, and the slot width.
+def _genfunc_expansion(d: int, reads: Reads) -> Tuple[List[Dict[int, int]], int]:
+    """prod_{k+l<=d} (1 - t p^k q^l)^{-1} up to t^order, clipped to
+    ``reads.box()`` and floored on a + b, and the slot width.
 
     Entry j maps each total degree D = a + b of the t^j coefficient to
     one int holding the coefficient of p^(D-b) q^b in slot b.  The
@@ -321,22 +370,23 @@ def _genfunc_expansion(d: int, order: int) -> Tuple[List[Dict[int, int]], int]:
     recurrence S'[j] = S[j] + p^k q^l S'[j-1]; multiplying by p^k q^l
     moves piece D to D + k + l and shifts it left by l slots.  Each new
     piece is masked to the box (``_box_masks``) and kept only if
-    D >= ``_floors(d, order, k + l)[j]``: S'[j-1] already holds the
-    variable being folded, and every later one has k + l no larger.  So
-    the floors rise as the fold goes on, and the last variable, p^0 q^0,
-    leaves the expansion exact at D >= 2dj/3 - 2 (rounded down), which
-    holds every cell the operator reads; a piece below that may hold part
-    of its coefficient.  Both cuts are exact because every exponent is
-    >= 0: a + b never falls along the recurrence, and a term dropped for
-    the box never comes back.  Every slot is a count of monomials of
-    degree <= order, which the slot holds without carry.
+    D >= ``reads.floors(k + l)[j]``: S'[j-1] already holds the variable
+    being folded, and every later one has k + l no larger.  So the floors
+    rise as the fold goes on, and the last variable, p^0 q^0, leaves the
+    expansion exact at D >= ``reads.floors(0)[j]``, which holds every cell
+    read; a piece below that may hold part of its coefficient.  Both cuts
+    are exact because every exponent is >= 0: a + b never falls along the
+    recurrence, and a term dropped for the box never comes back.  Every
+    slot is a count of monomials of degree <= order, which the slot holds
+    without carry.
     """
+    order = reads.order
     slot = weights.monomial_count(d, order).bit_length() + 1
-    masks = _box_masks(_operator_box(d, order), slot)
+    masks = _box_masks(reads.box(), slot)
     top = len(masks) - 1
     coeffs: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(order)]
     for step, group in groupby(sorted(variables(d), key=sum, reverse=True), key=sum):
-        lows = _floors(d, order, step)
+        lows = reads.floors(step)
         for _, l in group:
             shift = l * slot
             for j in range(1, order + 1):
@@ -349,13 +399,14 @@ def _genfunc_expansion(d: int, order: int) -> Tuple[List[Dict[int, int]], int]:
     return coeffs, slot
 
 
-def pqbinom_reader(d: int, order: int) -> Reader:
-    """G_0 ... G_d multiplied in two halves, each clipped to the operator
-    box and floored on a + b, held as graded packed ints (``_pq_half``).
-    The split is at half = min(d + 1, ceil(2d/3) + 1): lo is
-    G_0 ... G_{half-1}, and hi is G_d down to G_half, whose pieces are the
-    ones that reach the operator's floor along its slope.  A coefficient
-    of their product, never formed, is slot b of a sum of piece products:
+def pqbinom_reader(d: int, reads: Reads) -> Reader:
+    """G_0 ... G_d multiplied in two halves, each clipped to
+    ``reads.box()`` and floored on a + b, held as graded packed ints
+    (``_pq_half``).  The split is at half = min(d + 1, ceil(2d/3) + 1): lo
+    is G_0 ... G_{half-1}, and hi is G_d down to G_half, whose pieces are
+    the ones that reach the operator's floor along its slope.  A
+    coefficient of their product, never formed, is slot b of a sum of
+    piece products:
 
         coeff(n, a, b) = slot b of  sum_i sum_D1 lo[i][D1] * hi[n-i][a+b-D1].
 
@@ -363,22 +414,20 @@ def pqbinom_reader(d: int, order: int) -> Reader:
     series, so no slot carries into the next one.  The five cells the
     operator reads at degree n have only three distinct a + b, so each
     sum is made once, in a dict that lives as long as the reader.  The
-    floors make the reader exact only at a + b >= 2dn/3 - 2 (rounded
-    down), which holds every cell the operator reads.
+    floors make the reader exact only at a + b >= ``reads.floors(0)[n]``,
+    which holds every cell read.
     """
-    box = _operator_box(d, order)
+    order, box = reads.order, reads.box()
     slot = weights.monomial_count(d, order).bit_length() + 1
     cell = (1 << slot) - 1
     masks = _box_masks(box, slot)
     rows = pq_binomial_table(d, order, box, slot)
     half = min(d + 1, -(-2 * d // 3) + 1)
-    lo = _pq_half(d, rows, range(half), d if half <= d else 0, order, masks)
-    hi = _pq_half(d, rows, range(d, half - 1, -1), half - 1, order, masks)
+    lo = _pq_half(rows, range(half), d if half <= d else 0, reads, masks)
+    hi = _pq_half(rows, range(d, half - 1, -1), half - 1, reads, masks)
     sums: Dict[Tuple[int, int], int] = {}
 
     def coeff(n: int, a: int, b: int) -> int:
-        if a < 0 or b < 0:
-            return 0
         key = (n, a + b)
         if key not in sums:
             sums[key] = _convolve(lo, hi, n, a + b)
@@ -403,17 +452,12 @@ def _convolve(
 
 
 def _pq_half(
-    d: int,
-    rows: List[List[int]],
-    ms: Sequence[int],
-    after: int,
-    order: int,
-    masks: List[int],
+    rows: List[List[int]], ms: Sequence[int], after: int, reads: Reads, masks: List[int]
 ) -> List[Dict[int, int]]:
-    """prod_{m in ms} G_m clipped to the box of ``masks`` (``_box_masks``)
-    and floored on a + b, as graded packed ints: entry j maps each total
-    degree D = a + b of the t^j coefficient to one int holding the
-    coefficient of p^(D-b) q^b in slot b.
+    """prod_{m in ms} G_m up to t^order, clipped to the box of ``masks``
+    (``_box_masks``) and floored on a + b, as graded packed ints: entry j
+    maps each total degree D = a + b of the t^j coefficient to one int
+    holding the coefficient of p^(D-b) q^b in slot b.
 
     The t^k coefficient of G_m is pq_binomial(m, k), homogeneous of
     degree m*k with coefficients >= 0, so it is one piece, rows[m][k] of
@@ -424,18 +468,18 @@ def _pq_half(
     The factors are multiplied in the order of ``ms``, and
     ``after`` is the largest m of the factors that multiply the half
     later (the other half), or 0.  Once G_m is in, a piece of t^j is kept
-    only above ``_floors(d, order, rest)``, where rest is the largest m
-    still to come, in ``ms`` or after it.  Every exponent is >= 0, so
-    masking each product to the box and dropping it below the floor are
-    exact: a dropped term never comes back, and a + b never falls.  Every
-    slot of a product, masked or not, is part of a count of monomials of
-    degree <= order, which the slot holds without carry.
+    only above ``reads.floors(rest)``, where rest is the largest m still
+    to come, in ``ms`` or after it.  Every exponent is >= 0, so masking
+    each product to the box and dropping it below the floor are exact: a
+    dropped term never comes back, and a + b never falls.  Every slot of
+    a product, masked or not, is part of a count of monomials of degree
+    <= order, which the slot holds without carry.
     """
     top = len(masks) - 1
-    prod: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(order)]
+    prod: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(reads.order)]
     for i, m in enumerate(ms):
         row = rows[m]
-        lows = _floors(d, order, max(max(ms[i + 1:], default=0), after))
+        lows = reads.floors(max(max(ms[i + 1:], default=0), after))
         nxt: List[Dict[int, int]] = []
         for j, low in enumerate(lows):
             acc: Dict[int, int] = {}
@@ -455,8 +499,9 @@ def _pq_half(
 # route tables
 
 # Each form's methods, its default first, mapped to what ``_run`` calls:
-# a reader route's builder (d, order) -> coeff, or peel's point count.
-# Peel, the oracle that ``forminv verify`` runs degree by degree, is last.
+# a reader route's builder, (d, order) -> coeff for binary forms and
+# (d, reads) -> coeff for ternary forms, or peel's point count.  Peel,
+# the oracle that ``forminv verify`` runs degree by degree, is last.
 BINARY_METHODS: Dict[str, Callable[[int, int], Reader]] = {
     "omega": weights.omega_reader,
     "qbinom": gaussian_binomial_low,
@@ -469,9 +514,10 @@ TERNARY_METHODS: Dict[str, Callable[..., object]] = {
     "peel": nu_ternary_peel,
 }
 
-# Each form's table, k and operator, read at w = d*n/k: 1 - q at q^w for
-# binary forms, k = 2; OPERATOR_TERMS at (pq)^w for ternary forms, k = 3.
-_FORMS: Dict[str, Tuple[Dict[str, Callable[..., object]], int, Callable[..., int]]] = {
-    "binary": (BINARY_METHODS, 2, _binary_operator),
-    "ternary": (TERNARY_METHODS, 3, _ternary_operator),
+# Each form's table, k and operator, read at w = d*n/k, as exponents ->
+# coefficient: 1 - q at q^w for binary forms, k = 2; OPERATOR_TERMS at
+# (pq)^w for ternary forms, k = 3.
+_FORMS: Dict[str, Tuple[Dict[str, Callable[..., object]], int, Terms]] = {
+    "binary": (BINARY_METHODS, 2, {(0,): 1, (1,): -1}),
+    "ternary": (TERNARY_METHODS, 3, OPERATOR_TERMS),
 }

@@ -180,20 +180,6 @@ def e_lambda(lam: HighestWeight) -> int:
     return sum(c * weight_multiplicity(lam, mu) for mu, c in FIVE_POINT.items())
 
 
-def _check_weyl_invariant(diagram: WeightDiagram) -> None:
-    """Raise InvalidCharacterError unless the simple reflections s1 and s2
-    fix every multiplicity, a missing weight counting 0.  They generate
-    the Weyl group, and a weight outside the diagram whose image is in it
-    is caught at that image, since s1 and s2 are involutions."""
-    get = diagram.get
-    for (a, b), m in diagram.items():
-        s1, s2 = _reflections(a, b)
-        if get(s1, 0) != m or get(s2, 0) != m:
-            raise InvalidCharacterError(
-                f"diagram is not Weyl-invariant at weight {(a, b)}"
-            )
-
-
 def _rays(hw: HighestWeight) -> Tuple[Ray, ...]:
     """Where the character of V(hw) enters ``decompose``'s sweep: its rays,
     as (family, key, start, sign), sign times its multiplicity g.
@@ -249,7 +235,9 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     dominant support of each constituent lies inside the residual's
     support.  Any negative residual (or a non-Weyl-invariant input, a
     weight that is not a pair of ints, or a multiplicity that is not an
-    int) signals that the input was not a valid character.
+    int) signals that the input was not a valid character.  One pass
+    over every weight checks the types and the s1 and s2 invariance and
+    collects the dominant weights.
 
     One downward sweep: the dominant weights are sorted once by
     (i + j, i), descending, and visited in that order, which meets every
@@ -270,14 +258,26 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     diagram lacks.  ``character`` keeps the alternation as the sweep's
     independent check.
     """
+    get = diagram.get
+    dominant: List[Weight] = []
+    # the first weight where s1 or s2 changes the multiplicity, a missing
+    # weight counting 0; s1 and s2 generate the Weyl group, and a weight
+    # outside the diagram whose image is in it is caught at that image,
+    # as s1 and s2 are involutions.  It is raised after the loop, so that
+    # a weight or multiplicity of the wrong type is named first.
+    skewed = None
     for w, m in diagram.items():
         if not _is_weight(w):
             raise InvalidCharacterError(f"weight {w!r} is not a pair of ints")
         if type(m) is not int:
             raise InvalidCharacterError(f"multiplicity {m!r} at weight {w} is not an int")
-    _check_weyl_invariant(diagram)
-    get = diagram.get
-    dominant = [w for w, m in diagram.items() if m and w[0] >= 0 and w[1] >= 0]
+        a, b = w
+        if (get((-a, a + b), 0) != m or get((a + b, -b), 0) != m) and skewed is None:
+            skewed = w
+        if m and a >= 0 and b >= 0:
+            dominant.append(w)
+    if skewed is not None:
+        raise InvalidCharacterError(f"diagram is not Weyl-invariant at weight {skewed}")
     lines: Dict[int, Tuple[int, int, int]] = {}  # i - j -> (i, slope, value) at its last visit
     # per family (0 along -alpha1, 1 along -alpha2): ray line key ->
     # [level of the weight it visits next, sum of the signed g on it]

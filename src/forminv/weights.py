@@ -39,9 +39,10 @@ that many rows less, a right shift where the total is negative; the
 rows it pushes below the bottom are below lows[c].
 
 ``c_ternary`` and ``weight_table`` build the plain box: the window
-0..w1cap in every layer.  ``solution_count_grid`` keeps only the rows
-that a cell the invariant-count operator reads can still reach, and
-lowers each layer's top as the variables are folded in.
+0..w1cap in every layer.  ``solution_count_grid`` builds the window its
+caller gives, a floor and a top per layer, the top lowered as the
+variables are folded in; the caller derives it from the cells it will
+read, and nothing here knows which cells those are.
 
 Results are exact Python ints at any size.  Nothing is cached: a grid or
 a binary DP is rebuilt on every call.
@@ -63,7 +64,7 @@ class CountGrid:
     (``_count_layers``) starts every layer at row 0 and ends it at w1cap.
     """
 
-    __slots__ = ("layers", "lows", "tops", "w2cap", "slot", "row")
+    __slots__ = ("layers", "lows", "tops", "w2cap", "slot", "row", "mask")
 
     def __init__(
         self,
@@ -80,18 +81,15 @@ class CountGrid:
         self.w2cap = w2cap
         self.slot = slot
         self.row = row
+        self.mask = (1 << slot) - 1
 
     def cell(self, c: int, w1: int, w2: int) -> int:
-        """Zero below the origin; IndexError outside the rows of layer c
-        or beyond w2cap, where the grid holds no counts."""
-        if w1 < 0 or w2 < 0:
-            return 0
+        """IndexError outside the rows of layer c or outside
+        0 <= w2 <= w2cap, where the grid holds no counts."""
         low = self.lows[c]
-        if not low <= w1 <= self.tops[c] or w2 > self.w2cap:
+        if not (low <= w1 <= self.tops[c] and 0 <= w2 <= self.w2cap):
             raise IndexError(f"cell ({w1}, {w2}) is outside layer {c} of the grid")
-        return (self.layers[c] >> ((w1 - low) * self.row + w2 * self.slot)) & (
-            (1 << self.slot) - 1
-        )
+        return (self.layers[c] >> ((w1 - low) * self.row + w2 * self.slot)) & self.mask
 
 
 def _check_dn(d: int, n: int, *others: int) -> None:
@@ -221,41 +219,20 @@ def _count_layers(d: int, n: int, w1cap: int, w2cap: int) -> CountGrid:
     return _grid(d, n, w2cap, [0] * (n + 1), [[w1cap] * (n + 1)] * (d + 1))
 
 
-def solution_count_grid(d: int, n_max: int) -> CountGrid:
-    """Shared grid serving every c-count with d*n/3-sized targets, n <= n_max.
-
-    With cap = d*n_max//3 + 1, layer n holds the rows
-    lows[n] <= w1 <= d*n//3 + 1 and the cells w2 <= cap of each.  Every
-    cell it holds is exact, and ``cell`` raises IndexError outside them.
-    That covers all five weight targets of the invariant-count formula
-    for every n <= n_max; they have w0 = d*n - w1 - w2 <= cap + 1.  No
-    weight w0, w1, w2 of a cell falls along the DP, and a step raises w1
-    by r <= d, so the rows left out are rows no held cell comes from:
-
-    * floor: layer c starts at row lows[c] = max(0, d*c - 2*cap - 1).
-      A cell below it has w0 > cap + 1 and can reach no read cell, and
-      lows rises by at most d per layer, as w1 does per step.  The floor
-      is two rows below the lowest row the operator reads at n = n_max.
-    * top: while every variable still to come has r' >= r, a cell of
-      layer c gains at least r*(n - c) in w1 by degree n, so layer c is
-      cut at row max(d*c//3 + 1, cap - r*(n_max - c)) (never above cap),
-      which is cap - r*(n_max - c) while 3r <= d and d*c//3 + 1 once
-      3r >= d.
+def solution_count_grid(
+    d: int, n_max: int, lows: List[int], tops: List[List[int]], w2cap: int
+) -> CountGrid:
+    """The counting grid on a window its caller derives from the cells it
+    will read (``counts.Reads.window``): layer c, c = 0..n_max, holds the
+    rows lows[c] <= w1 <= tops[-1][c] and the cells w2 <= w2cap of each,
+    and is cut at row tops[r][c] while the variables a_{r,s} are folded
+    in (``_grid``).  ``cell`` raises IndexError outside the window.  A
+    cell is exact if every cell it comes from along the DP lies in the
+    window; no weight falls along the DP, so a window that holds every
+    cell from which a read cell can be reached is exact at the read cells.
     """
     _check_dn(d, n_max)
-    return _grid(d, n_max, d * n_max // 3 + 1, *_window(d, n_max))
-
-
-def _window(d: int, n_max: int) -> Tuple[List[int], List[List[int]]]:
-    """lows[c] and tops[r][c] of ``solution_count_grid``'s window."""
-    cap = d * n_max // 3 + 1
-    lows = [max(0, d * c - 2 * cap - 1) for c in range(n_max + 1)]
-    final = [d * c // 3 + 1 for c in range(n_max + 1)]
-    tops = [
-        [cap - r * (n_max - c) for c in range(n_max + 1)] if 3 * r < d else final
-        for r in range(d + 1)
-    ]
-    return lows, tops
+    return _grid(d, n_max, w2cap, lows, tops)
 
 
 def c_ternary(d: int, n: int, i: int, j: int) -> int:

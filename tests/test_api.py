@@ -23,10 +23,7 @@ PUBLIC = [
     "gamma_binary_full",
     "gamma_binary_qbinom",
     "monomial_count",
-    "nu_ternary_counting",
-    "nu_ternary_genfunc",
     "nu_ternary_peel",
-    "nu_ternary_pqbinom",
     "num_variables",
     "omega_binary",
     "peel_work_estimate",

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -10,15 +11,13 @@ from forminv.counts import (
     BINARY_METHODS,
     OPERATOR_TERMS,
     TERNARY_METHODS,
+    Reads,
     WorkLimitExceeded,
     count,
     gamma_binary,
     gamma_binary_full,
     gamma_binary_qbinom,
-    nu_ternary_counting,
-    nu_ternary_genfunc,
     nu_ternary_peel,
-    nu_ternary_pqbinom,
     peel_work_estimate,
     poincare_series,
     resolve_method,
@@ -36,7 +35,6 @@ from forminv.weights import (
     c_ternary,
     monomial_count,
     num_variables,
-    solution_count_grid,
     variables,
     weight_table,
 )
@@ -126,24 +124,24 @@ class TestGammaBinaryFull:
 
 class TestNuTernary:
     def test_counting_cubic(self):
-        assert nu_ternary_counting(3, 4) == 1
+        assert count("ternary", 3, 4, "counting") == 1
 
     def test_counting_congruence(self):
-        assert nu_ternary_counting(4, 4) == 0
+        assert count("ternary", 4, 4, "counting") == 0
 
     def test_counting_septic(self):
-        assert nu_ternary_counting(7, 12) == 421
+        assert count("ternary", 7, 12, "counting") == 421
 
     def test_genfunc(self):
-        assert nu_ternary_genfunc(3, 6) == 1
-        assert nu_ternary_genfunc(5, 12) == 19
+        assert count("ternary", 3, 6, "genfunc") == 1
+        assert count("ternary", 5, 12, "genfunc") == 19
         for d in (1, 2, 4):
-            assert nu_ternary_genfunc(d, 0) == 1
+            assert count("ternary", d, 0, "genfunc") == 1
 
     def test_pqbinom(self):
-        assert nu_ternary_pqbinom(4, 3) == 1
-        assert nu_ternary_pqbinom(6, 3) == 1
-        assert nu_ternary_pqbinom(7, 6) == 3
+        assert count("ternary", 4, 3, "pqbinom") == 1
+        assert count("ternary", 6, 3, "pqbinom") == 1
+        assert count("ternary", 7, 6, "pqbinom") == 3
 
     def test_peel(self):
         assert nu_ternary_peel(3, 4) == 1
@@ -155,15 +153,15 @@ class TestNuTernary:
         for n in range(7):
             expect = 1 if n == 0 else 0
             assert nu_ternary_peel(1, n) == expect
-            assert nu_ternary_counting(1, n) == expect
+            assert count("ternary", 1, n, "counting") == expect
 
     def test_divisibility_vanishing(self):
         for d in range(1, 6):
             for n in range(9):
                 if (d * n) % 3:
-                    assert nu_ternary_counting(d, n) == 0
-                    assert nu_ternary_genfunc(d, n) == 0
-                    assert nu_ternary_pqbinom(d, n) == 0
+                    assert count("ternary", d, n, "counting") == 0
+                    assert count("ternary", d, n, "genfunc") == 0
+                    assert count("ternary", d, n, "pqbinom") == 0
 
     def test_divisibility_vanishing_builds_no_reader(self, monkeypatch):
         def unbuildable(d, order):
@@ -173,22 +171,22 @@ class TestNuTernary:
             for method in table:
                 if method != "peel":
                     monkeypatch.setitem(table, method, unbuildable)
-        for point in (nu_ternary_counting, nu_ternary_genfunc, nu_ternary_pqbinom):
-            assert point(7, 20) == 0
+        for method in ("counting", "genfunc", "pqbinom"):
+            assert count("ternary", 7, 20, method) == 0
         for point in (gamma_binary, gamma_binary_qbinom):
             assert point(7, 19) == 0
 
     def test_nonnegative(self):
         for d in range(1, 6):
             for n in range(10):
-                assert nu_ternary_counting(d, n) >= 0
+                assert count("ternary", d, n, "counting") >= 0
 
     def test_methods_agree_small(self):
         for d in range(1, 5):
             for n in range(10):
-                a = nu_ternary_counting(d, n)
-                assert nu_ternary_genfunc(d, n) == a
-                assert nu_ternary_pqbinom(d, n) == a
+                a = count("ternary", d, n, "counting")
+                assert count("ternary", d, n, "genfunc") == a
+                assert count("ternary", d, n, "pqbinom") == a
                 assert nu_ternary_peel(d, n) == a
 
     def test_functional_reproduces_peel(self):
@@ -199,7 +197,7 @@ class TestNuTernary:
                 parts = decompose(weight_table(d, n))
                 total = sum(g * e_lambda(hw) for hw, g in parts.items())
                 assert total == parts.get((0, 0), 0)
-                assert total == nu_ternary_counting(d, n)
+                assert total == count("ternary", d, n, "counting")
 
     def test_peel_work_estimate_bounds_measured_work(self, monkeypatch):
         # measured work: the weight table's DP cells plus the decompose
@@ -238,25 +236,22 @@ class TestNuTernary:
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            nu_ternary_counting(-1, 3)
+            count("ternary", -1, 3, "counting")
         with pytest.raises(ValueError):
             gamma_binary(2, -1)
 
     @pytest.mark.parametrize("bad", [True, 3.0, -2])
     def test_rejects_bool_float_and_negative(self, bad):
-        for fn in (
-            gamma_binary,
-            gamma_binary_qbinom,
-            nu_ternary_counting,
-            nu_ternary_genfunc,
-            nu_ternary_pqbinom,
-            nu_ternary_peel,
-            peel_work_estimate,
-        ):
+        for fn in (gamma_binary, gamma_binary_qbinom, nu_ternary_peel, peel_work_estimate):
             with pytest.raises(ValueError):
                 fn(bad, 3)
             with pytest.raises(ValueError):
                 fn(3, bad)
+        for method in ("counting", "genfunc", "pqbinom"):
+            with pytest.raises(ValueError):
+                count("ternary", bad, 3, method)
+            with pytest.raises(ValueError):
+                count("ternary", 3, bad, method)
         with pytest.raises(ValueError):
             poincare_series("ternary", bad, 3)
         with pytest.raises(ValueError):
@@ -350,14 +345,14 @@ class TestResolveMethod:
         assert resolve_method("ternary") == "counting"
         for d, n in ((2, 2), (4, 6), (5, 18)):
             assert count("binary", d, n) == gamma_binary(d, n)
-            assert count("ternary", d, n) == nu_ternary_counting(d, n)
+            assert count("ternary", d, n) == count("ternary", d, n, "counting")
 
     def test_default_is_the_first_key(self):
         assert resolve_method("binary") == next(iter(BINARY_METHODS))
         assert resolve_method("ternary") == next(iter(TERNARY_METHODS))
 
     def test_peel_gets_work_limit(self):
-        assert count("ternary", 4, 9, "peel") == nu_ternary_counting(4, 9) == 4
+        assert count("ternary", 4, 9, "peel") == count("ternary", 4, 9, "counting") == 4
         with pytest.raises(WorkLimitExceeded):
             count("ternary", 4, 10, "peel", work_limit=10)
 
@@ -395,7 +390,7 @@ class TestClippedExpansions:
                 want = sum(
                     c * c_ternary(d, n, i, j) for (i, j), c in FIVE_POINT.items()
                 )
-                assert nu_ternary_counting(d, n) == want, (d, n)
+                assert count("ternary", d, n, "counting") == want, (d, n)
 
     @READER_ROUTES
     def test_cold_points_match_counting(self, method):
@@ -424,9 +419,10 @@ class TestClippedExpansions:
         # cell by cell: the operator's coefficients sum to 0, so an error
         # shared by all five cells would cancel in a series
         for d in range(8):
-            coeff = counts.genfunc_reader(d, order)
-            grid = solution_count_grid(d, order)
-            for cell in operator_cells(d, order):
+            reads = ternary_reads(d, range(order + 1))
+            coeff = counts.genfunc_reader(d, reads)
+            grid = _count_layers(d, order, *reads.box())
+            for cell in read_cells(reads):
                 assert coeff(*cell) == grid.cell(*cell), (d, cell)
 
     def test_genfunc_floor_is_tight(self, monkeypatch):
@@ -438,31 +434,39 @@ class TestClippedExpansions:
     def test_floors_are_the_suffix_minimum(self):
         for d in range(9):
             for order in range(21):
-                for rest in range(d + 1):
-                    want = brute_floors(d, order, rest)
-                    assert counts._floors(d, order, rest) == want, (d, order, rest)
+                for degrees in (range(order + 1), [order]):
+                    reads = ternary_reads(d, degrees)
+                    if not reads.cells:
+                        continue
+                    for rest in range(d + 1):
+                        want = brute_floors(reads, rest)
+                        assert reads.floors(rest) == want, (d, order, rest)
         # past the operator's slope the weakest degree is the order, below
         # it the piece's own degree
-        assert counts._floors(6, 9, 6)[3] == 4 * 9 - 2 - 6 * 6
-        assert counts._floors(6, 9, 3)[3] == 4 * 3 - 2
+        reads = ternary_reads(6, range(10))
+        assert reads.floors(6)[3] == 4 * 9 - 2 - 6 * 6
+        assert reads.floors(3)[3] == 4 * 3 - 2
+        # a point reads one degree, so every floor comes from it
+        assert ternary_reads(6, [9]).floors(3)[3] == 4 * 9 - 2 - 3 * 6
 
 
-def operator_cells(d, order):
-    """Every cell (n, a, b) the operator reads for n <= order."""
-    for n in range(order + 1):
-        if d * n % 3 == 0:
-            w = d * n // 3
-            for a, b in OPERATOR_TERMS:
-                yield (n, w - a, w - b)
+def ternary_reads(d, degrees):
+    """The ``Reads`` a ternary request at ``degrees`` works out."""
+    return Reads(OPERATOR_TERMS, d, 3, degrees)
 
 
-def brute_floors(d, order, rest):
-    """The least a + b of a piece of t^j that can reach a + b >= 2dn/3 - 2
-    at some n <= order, by factors adding at most ``rest`` per power of t:
-    the minimum over n taken directly."""
+def read_cells(reads):
+    """Every cell (n, a, b) of ``reads``."""
+    return [cell for cells in reads.cells.values() for cell, _ in cells]
+
+
+def brute_floors(reads, rest):
+    """The least a + b of a piece of t^j that can reach a cell (n, a, b)
+    read, by factors adding at most ``rest`` per power of t: the minimum
+    over the cells read at n >= j, taken directly."""
     return [
-        min((2 * d * n) // 3 - 2 - rest * (n - j) for n in range(j, order + 1))
-        for j in range(order + 1)
+        min(a + b - rest * (n - j) for n, a, b in read_cells(reads) if n >= j)
+        for j in range(reads.order + 1)
     ]
 
 
@@ -470,18 +474,147 @@ def floor_raised_differs(monkeypatch, method):
     """The degrees d <= 7 whose order-15 series by ``method`` differs from
     counting's once every floor is one higher: one more than the floor
     drops cells the operator reads, and the cross-check must see it."""
-    floors = counts._floors
-
-    def raised(d, order, rest):
-        return [x + 1 for x in floors(d, order, rest)]
-
-    monkeypatch.setattr(counts, "_floors", raised)
+    floors = Reads.floors
+    monkeypatch.setattr(Reads, "floors", lambda reads, rest: [x + 1 for x in floors(reads, rest)])
     return [
         d
         for d in range(1, 8)
         if poincare_series("ternary", d, 15, method=method)
         != poincare_series("ternary", d, 15)
     ]
+
+
+@lru_cache(maxsize=None)
+def monomial_counts(d):
+    """counts[n][a][b]: the degree-n monomials in the a_{r,s}, r + s <= d,
+    with sum r = a and sum s = b, for n <= 15 and a, b <= 5d + 1 (every
+    cell a ternary request of degree <= 15 reads), by a plain DP with one
+    int per cell."""
+    top = 5 * d + 1
+    counts = [[[0] * (top + 1) for _ in range(top + 1)] for _ in range(16)]
+    counts[0][0][0] = 1
+    for r, s in variables(d):
+        for n in range(1, 16):
+            cur, prev = counts[n], counts[n - 1]
+            for a in range(r, top + 1):
+                row, prow = cur[a], prev[a - r]
+                for b in range(s, top + 1):
+                    row[b] += prow[b - s]
+    return counts
+
+
+def misread_cells(method):
+    """Every (d, order, point, cell) at which the reader that ``method``
+    builds from the Reads of a series to order, or of a point at order,
+    d <= 7 and order <= 15, differs from ``monomial_counts`` or raises
+    IndexError."""
+    bad = []
+    for d in range(8):
+        counts = monomial_counts(d)
+        for order in range(16):
+            for degrees in (range(order + 1), [order]):
+                reads = ternary_reads(d, degrees)
+                if not reads.cells:
+                    continue
+                coeff = TERNARY_METHODS[method](d, reads)
+                for n, a, b in read_cells(reads):
+                    try:
+                        right = coeff(n, a, b) == counts[n][a][b]
+                    except IndexError:
+                        right = False
+                    if not right:
+                        bad.append((d, order, len(degrees) == 1, (n, a, b)))
+    return bad
+
+
+class TestReads:
+    """Every ternary reader is exact at every cell of the Reads it is
+    built from, and each extent that the builders derive from it is
+    tight: one step narrower, some cell read is wrong."""
+
+    @READER_ROUTES
+    def test_reader_is_exact_at_every_cell_read(self, method):
+        assert misread_cells(method) == []
+
+    @EXTRACTION_ROUTES
+    def test_floor_one_higher_misreads(self, monkeypatch, method):
+        floors = Reads.floors
+        monkeypatch.setattr(Reads, "floors", lambda reads, rest: [x + 1 for x in floors(reads, rest)])
+        assert misread_cells(method)
+
+    def test_window_top_one_lower_misreads(self, monkeypatch):
+        window = Reads.window
+
+        def lowered(reads, d):
+            lows, tops, w2cap = window(reads, d)
+            return lows, [[t - 1 for t in top] for top in tops], w2cap
+
+        monkeypatch.setattr(Reads, "window", lowered)
+        assert misread_cells("counting")
+
+    def test_window_floor_one_higher_misreads(self, monkeypatch):
+        # a floor of 0 is the origin's row, so only the rows above it rise
+        window = Reads.window
+
+        def raised(reads, d):
+            lows, tops, w2cap = window(reads, d)
+            return [low + 1 if low else 0 for low in lows], tops, w2cap
+
+        monkeypatch.setattr(Reads, "window", raised)
+        assert misread_cells("counting")
+
+    def test_cells_are_the_operator_at_each_degree(self):
+        # (4, 10): 3 | 4n only at n = 0, 3, 6, 9; w = 4n/3, and at w = 0
+        # and w = 1 the cells with a negative coordinate are left out
+        reads = ternary_reads(4, range(11))
+        assert list(reads.cells) == [0, 3, 6, 9] and reads.order == 9
+        assert reads.cells[0] == (((0, 0, 0), 1),)
+        assert sorted(reads.cells[9]) == sorted(
+            ((9, 12 - a, 12 - b), c) for (a, b), c in OPERATOR_TERMS.items()
+        )
+        assert sorted(ternary_reads(3, [1]).cells[1]) == [
+            ((1, 0, 0), 1), ((1, 1, 0), -2), ((1, 1, 1), 1)
+        ]
+        # every degree's cells ascend, and the box is the largest a and b
+        for cells in reads.cells.values():
+            assert list(cells) == sorted(cells)
+        assert reads.box() == (13, 12)
+        assert not ternary_reads(4, [10]).cells
+        assert ternary_reads(4, [10]).order == -1
+        # the binary operator, 1 - q at q^w, w = d*n/2
+        binary = Reads({(0,): 1, (1,): -1}, 3, 2, range(5))
+        assert binary.cells == {0: (((0, 0), 1),), 2: (((2, 2), -1), ((2, 3), 1)), 4: (((4, 5), -1), ((4, 6), 1))}
+
+    @READER_ROUTES
+    def test_a_count_reads_one_degree(self, monkeypatch, method):
+        seen = []
+        real = TERNARY_METHODS[method]
+
+        def spy(d, reads):
+            seen.append((list(reads.cells), reads.order))
+            return real(d, reads)
+
+        monkeypatch.setitem(TERNARY_METHODS, method, spy)
+        assert count("ternary", 5, 12, method) == 19
+        assert seen == [([12], 12)]
+
+    @READER_ROUTES
+    @pytest.mark.parametrize("d, n_max, last", [(4, 10, 9), (5, 31, 30)])
+    def test_series_is_built_at_the_last_read_degree(self, monkeypatch, method, d, n_max, last):
+        # 3 does not divide d*n_max: the reader is built at the last degree
+        # it reads, and the series, zeros included, is counting's
+        want = poincare_series("ternary", d, n_max)
+        seen = []
+        real = TERNARY_METHODS[method]
+
+        def spy(d, reads):
+            seen.append(reads.order)
+            return real(d, reads)
+
+        monkeypatch.setitem(TERNARY_METHODS, method, spy)
+        assert poincare_series("ternary", d, n_max, method=method) == want
+        assert seen == [last]
+        assert len(want) == n_max + 1 and want[-1] == (n_max, 0)
 
 
 def restrict(series, box):
@@ -542,16 +675,19 @@ class TestPackedPqbinom:
     pq-binomial table; they must hold exactly the box-clipped dict product
     of the G_m rows pq_binomial(m, k)."""
 
-    @given(st.integers(0, 7), st.integers(0, 10), st.data())
+    @given(st.integers(0, 7), st.integers(0, 10), st.booleans(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_half_is_clipped_series_product(self, d, order, data):
+    def test_half_is_clipped_series_product(self, d, order, point, data):
         first = data.draw(st.integers(0, d))
         last = data.draw(st.integers(first, d + 1))
         ms = list(range(first, last))
         if data.draw(st.booleans()):
             ms.reverse()
         after = data.draw(st.integers(0, d))
-        box = counts._operator_box(d, order)
+        reads = ternary_reads(d, [order] if point else range(order + 1))
+        if not reads.cells:
+            return
+        order, box = reads.order, reads.box()
         slot = monomial_count(d, order).bit_length() + 1
         want = TruncatedSeries([LaurentPoly({(0, 0): 1})], order=order)
         for i, m in enumerate(ms):
@@ -560,21 +696,23 @@ class TestPackedPqbinom:
             # exact: every exponent is >= 0, so a dropped term never returns
             want = restrict(series_mul(gm, want, order), box)
             rest = max(ms[i + 1:] + [after])
-            want = restrict_band(want, brute_floors(d, order, rest))
+            want = restrict_band(want, brute_floors(reads, rest))
         rows = pq_binomial_table(d, order, box, slot)
-        half = counts._pq_half(d, rows, ms, after, order, _box_masks(box, slot))
+        half = counts._pq_half(rows, ms, after, reads, _box_masks(box, slot))
         assert unpack_graded(half, slot) == series_terms(want)
 
     @pytest.mark.parametrize("d, order", [(1, 9), (4, 10), (6, 7), (7, 10)])
     def test_reader_is_counting_grid_at_operator_cells(self, d, order):
         # cell by cell, against the plain-box grid: the halves are floored,
         # so the reader is exact only around the cells the operator reads
-        coeff = counts.pqbinom_reader(d, order)
-        amax, bmax = counts._operator_box(d, order)
-        grid = _count_layers(d, order, amax, bmax)
-        for cell in operator_cells(d, order):
-            assert coeff(*cell) == grid.cell(*cell), (d, cell)
-        assert coeff(order, -1, 0) == coeff(order, 0, -1) == 0
+        for degrees in (range(order + 1), [order]):
+            reads = ternary_reads(d, degrees)
+            if not reads.cells:
+                continue
+            coeff = counts.pqbinom_reader(d, reads)
+            grid = _count_layers(d, order, *reads.box())
+            for cell in read_cells(reads):
+                assert coeff(*cell) == grid.cell(*cell), (d, cell)
 
     def test_each_total_degree_is_convolved_once(self, monkeypatch):
         calls = []
@@ -587,7 +725,7 @@ class TestPackedPqbinom:
         monkeypatch.setattr(counts, "_convolve", counted)
         d, order = 7, 15
         poincare_series("ternary", d, order, method="pqbinom")
-        read = {(n, a + b) for n, a, b in operator_cells(d, order) if min(a, b) >= 0}
+        read = {(n, a + b) for n, a, b in read_cells(ternary_reads(d, range(order + 1)))}
         assert sorted(calls) == sorted(read)
         # three distinct a + b per degree, one at n = 0
         degrees = [n for n in range(1, order + 1) if d * n % 3 == 0]
@@ -620,8 +758,8 @@ def test_operator_terms_are_the_papers_operator():
 
 class TestPackedGenfunc:
     """genfunc's expansion is graded packed ints; unpacked, it must be the
-    dict expansion of the inverse product restricted to the operator box
-    and to the a + b floor band, with no bit outside the box."""
+    dict expansion of the inverse product restricted to the box of its
+    Reads and to the a + b floor band, with no bit outside the box."""
 
     @pytest.mark.parametrize("d", range(8))
     def test_expansion_is_restricted_inverse_product(self, d):
@@ -630,21 +768,25 @@ class TestPackedGenfunc:
         # exact in the band of rest 0, and no piece lies below the band of
         # the first variable, rest d
         for order in range(13):
-            pieces, slot = counts._genfunc_expansion(d, order)
-            box = counts._operator_box(d, order)
-            band = brute_floors(d, order, 0)
-            full = expand_inverse_product(variables(d), order)
-            want = restrict(restrict_band(full, band), box)
-            got = unpack_graded(pieces, slot)
-            in_band = {(j, a, b): c for (j, a, b), c in got.items() if a + b >= band[j]}
-            assert in_band == series_terms(want), (d, order)
-            first = brute_floors(d, order, d)
-            assert all(a + b >= first[j] for j, a, b in got), (d, order)
+            for degrees in (range(order + 1), [order]):
+                reads = ternary_reads(d, degrees)
+                if not reads.cells:
+                    continue
+                pieces, slot = counts._genfunc_expansion(d, reads)
+                band = brute_floors(reads, 0)
+                full = expand_inverse_product(variables(d), reads.order)
+                want = restrict(restrict_band(full, band), reads.box())
+                got = unpack_graded(pieces, slot)
+                in_band = {(j, a, b): c for (j, a, b), c in got.items() if a + b >= band[j]}
+                assert in_band == series_terms(want), (d, order)
+                first = brute_floors(reads, d)
+                assert all(a + b >= first[j] for j, a, b in got), (d, order)
 
     @pytest.mark.parametrize("d, order", [(1, 30), (4, 20), (7, 12), (10, 9)])
     def test_no_bit_outside_the_box(self, d, order):
-        pieces, slot = counts._genfunc_expansion(d, order)
-        masks = _box_masks(counts._operator_box(d, order), slot)
+        reads = ternary_reads(d, range(order + 1))
+        pieces, slot = counts._genfunc_expansion(d, reads)
+        masks = _box_masks(reads.box(), slot)
         for j, coeff in enumerate(pieces):
             for deg, packed in coeff.items():
                 assert packed & ~masks[deg] == 0, (j, deg)

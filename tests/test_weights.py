@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forminv import weights
-from forminv.counts import poincare_series
+from forminv.counts import OPERATOR_TERMS, Reads, poincare_series
 from forminv.poly import expand_inverse_product
 from forminv.weights import (
     _count_layers,
@@ -109,65 +108,74 @@ class TestPackedLayers:
                     assert grid.cell(c, x, 0) == ref[c][x][0]
 
     def test_solution_count_grid_cap(self):
-        # solution_count_grid keeps only a window of the box (TestWindow),
-        # so the whole box at its cap is the plain _count_layers
-        grid = solution_count_grid(5, 9)
-        cap = 5 * 9 // 3 + 1
-        box = _count_layers(5, 9, cap, cap)
-        ref = reference_count_grid(5, 9, cap, cap)
-        assert (grid.tops[-1], grid.w2cap) == (cap, cap)
+        # solution_count_grid keeps only the window its caller derives
+        # (TestWindow); on the box of the same reads the plain
+        # _count_layers holds every cell
+        reads = series_reads(5, 9)
+        amax, bmax = reads.box()
+        grid = solution_count_grid(5, 9, *reads.window(5))
+        box = _count_layers(5, 9, amax, bmax)
+        ref = reference_count_grid(5, 9, amax, bmax)
+        assert (grid.tops[-1], grid.w2cap) == (amax, bmax) == (16, 15)
         assert all(
             box.cell(9, x, y) == ref[9][x][y]
-            for x in range(cap + 1)
-            for y in range(cap + 1)
+            for x in range(amax + 1)
+            for y in range(bmax + 1)
         )
-        assert grid.cell(9, -1, 0) == 0
-        with pytest.raises(IndexError):
-            grid.cell(9, cap + 1, 0)
+        for x, y in ((-1, 0), (amax + 1, 0), (amax, -1), (amax, bmax + 1)):
+            with pytest.raises(IndexError):
+                grid.cell(9, x, y)
+
+
+def series_reads(d, n_max):
+    """The ``Reads`` of a ternary series to n_max."""
+    return Reads(OPERATOR_TERMS, d, 3, range(n_max + 1))
+
+
+def window_grid(d, n_max):
+    """The counting grid a ternary series to n_max builds."""
+    reads = series_reads(d, n_max)
+    return solution_count_grid(d, reads.order, *reads.window(d))
 
 
 class TestWindow:
     """solution_count_grid stores layer n from row lows[n] up to row
-    d*n//3 + 1 of w1, each row up to w2 = cap, and must be exact at every
-    cell it stores."""
+    tops[n] of w1, each row up to w2 = w2cap, the window that
+    ``Reads.window`` derives, and must be exact at every cell it stores."""
 
     @pytest.mark.parametrize("d", range(6))
     def test_window_cells_match_reference(self, d):
-        # one reference at the largest cap serves every smaller n_max
+        # one reference at the largest box serves every smaller n_max
         ref = reference_count_grid(d, 9, 3 * d + 1, 3 * d + 1)
         for n_max in range(10):
-            grid = solution_count_grid(d, n_max)
-            cap = d * n_max // 3 + 1
-            for n in range(n_max + 1):
-                low, top = grid.lows[n], d * n // 3 + 1
-                assert grid.tops[n] == top
+            grid = window_grid(d, n_max)
+            for n in range(len(grid.lows)):
+                low, top = grid.lows[n], grid.tops[n]
                 for x in range(low, top + 1):
-                    for y in range(cap + 1):
+                    for y in range(grid.w2cap + 1):
                         assert grid.cell(n, x, y) == ref[n][x][y], (n_max, n)
                 # just outside the window
-                outside = [(top + 1, 0), (low, cap + 1)]
-                if low:
-                    outside.append((low - 1, 0))
+                outside = [(top + 1, 0), (low, grid.w2cap + 1), (low - 1, 0)]
                 for x, y in outside:
                     with pytest.raises(IndexError):
                         grid.cell(n, x, y)
 
     def test_window_is_narrower_than_the_box(self):
-        grid = solution_count_grid(9, 24)
-        assert grid.lows[24] == 69 and grid.tops[24] == 73
+        grid = window_grid(9, 24)
+        assert grid.lows[24] == 71 and grid.tops[24] == 73 and grid.w2cap == 72
         assert sum(t - lo + 1 for lo, t in zip(grid.lows, grid.tops)) < 25 * 74 // 2
 
     def test_window_top_is_tight(self, monkeypatch):
         # one row lower, the cuts made while 0 < r < d drop counts the
         # operator reads, and the cross-check must see it
-        window = weights._window
+        window = Reads.window
 
-        def lowered(d, n_max):
-            lows, tops = window(d, n_max)
+        def lowered(reads, d):
+            lows, tops, w2cap = window(reads, d)
             inner = [[t - 1 for t in top] for top in tops[1:-1]]
-            return lows, tops[:1] + inner + tops[-1:]
+            return lows, tops[:1] + inner + tops[-1:], w2cap
 
-        monkeypatch.setattr(weights, "_window", lowered)
+        monkeypatch.setattr(Reads, "window", lowered)
         differ = []
         for d in range(1, 8):
             want = poincare_series("ternary", d, 15, method="genfunc")
@@ -177,36 +185,34 @@ class TestWindow:
 
     def test_window_top_bounds_the_reads(self, monkeypatch):
         # one row lower, the last cut leaves out the top row the operator
-        # reads: at d = 1, n = 6 that is cell (6, 3, 0)
-        window = weights._window
+        # reads: at d = 1 the first is cell (0, 0, 0), at n = 0
+        window = Reads.window
 
-        def lowered(d, n_max):
-            lows, tops = window(d, n_max)
-            return lows, tops[:-1] + [[t - 1 for t in tops[-1]]]
+        def lowered(reads, d):
+            lows, tops, w2cap = window(reads, d)
+            return lows, tops[:-1] + [[t - 1 for t in tops[-1]]], w2cap
 
-        monkeypatch.setattr(weights, "_window", lowered)
-        with pytest.raises(IndexError, match=r"\(3, 0\) is outside layer 6"):
+        monkeypatch.setattr(Reads, "window", lowered)
+        with pytest.raises(IndexError, match=r"\(0, 0\) is outside layer 0"):
             poincare_series("ternary", 1, 6)
 
-    @pytest.mark.parametrize("margin, holds", [(2, True), (3, False)])
+    @pytest.mark.parametrize("margin, holds", [(0, True), (1, False)])
     def test_window_floor_margin(self, monkeypatch, margin, holds):
-        # the floor is two rows looser than it needs to be: raised by two
-        # every series through d = 8, n_max = 18 holds, raised by three
-        # a cell the operator reads falls below it
+        # the floor is tight: as derived every series through d = 8,
+        # n_max = 18 holds, and raised by one a cell the operator reads
+        # loses a count (a floor of 0 is the origin's row, and stays)
         want = {
             (d, n_max): poincare_series("ternary", d, n_max)
             for d in range(1, 9)
             for n_max in range(19)
         }
-        window = weights._window
+        window = Reads.window
 
-        def raised(d, n_max):
-            _, tops = window(d, n_max)
-            cap = d * n_max // 3 + 1
-            lows = [max(0, d * c - 2 * cap - 1 + margin) for c in range(n_max + 1)]
-            return lows, tops
+        def raised(reads, d):
+            lows, tops, w2cap = window(reads, d)
+            return [low + margin if low else 0 for low in lows], tops, w2cap
 
-        monkeypatch.setattr(weights, "_window", raised)
+        monkeypatch.setattr(Reads, "window", raised)
         got = {}
         for key in want:
             try:
@@ -226,8 +232,8 @@ class TestValidation:
             lambda: c_ternary(2, bad, 0, 0),
             lambda: weight_table(bad, 2),
             lambda: weight_table(2, bad),
-            lambda: solution_count_grid(bad, 2),
-            lambda: solution_count_grid(2, bad),
+            lambda: solution_count_grid(bad, 2, [0] * 3, [[1] * 3], 1),
+            lambda: solution_count_grid(2, bad, [0] * 3, [[1] * 3], 1),
             lambda: monomial_count(bad, 2),
             lambda: variables(bad),
             lambda: num_variables(bad),
