@@ -23,10 +23,12 @@ ray; all three run to the walls of the chamber (``_rays``).  So the
 sweep carries each ray line's events as one running sum, and a peel
 costs O(1).  A ray line's weights are one level i + j apart, and the
 sweep fails, naming the weight, where a ray line it carries skips a
-level or stops above its wall.  ``weight_multiplicity`` and ``character``
-keep the alternation (``_alternation``) on purpose, so that decomposing
-a recomposed character checks the sweep against the alternation rather
-than against its own formula.
+level or stops above its wall.  That check also rejects a far highest
+weight, whatever its distance: its peel is O(1) like any other, and its
+rays name a weight the diagram lacks.  ``weight_multiplicity`` and
+``character`` keep the alternation (``_alternation``) on purpose, so
+that decomposing a recomposed character checks the sweep against the
+alternation rather than against its own formula.
 """
 
 from __future__ import annotations
@@ -137,10 +139,13 @@ def weight_multiplicity(lam: HighestWeight, mu: Weight) -> int:
     return _alternation(images, mu)
 
 
+def _dimension(m1: int, m2: int) -> int:
+    return (m1 + 1) * (m2 + 1) * (m1 + m2 + 2) // 2
+
+
 def dimension(lam: HighestWeight) -> int:
     _check_dominant(lam)
-    m1, m2 = lam
-    return (m1 + 1) * (m2 + 1) * (m1 + m2 + 2) // 2
+    return _dimension(*lam)
 
 
 def character(lam: HighestWeight) -> WeightDiagram:
@@ -255,8 +260,11 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     apart, so each line also keeps the level of the weight it must visit
     next: while its sum is nonzero, a visit that skips a level, or a
     sweep that ends above the line's wall, fails and names the weight the
-    diagram lacks.  ``character`` keeps the alternation as the sweep's
-    independent check.
+    diagram lacks.  The same check rejects a highest weight far out:
+    the orbit of (10**6, 0) beside a trivial part is peeled in O(1), and
+    the end of the sweep names (999998, 1), the next weight on its ray
+    along i + 2j = 10**6.  ``character`` keeps the alternation as the
+    sweep's independent check.
     """
     get = diagram.get
     dominant: List[Weight] = []
@@ -284,7 +292,6 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     rays: Tuple[Dict[int, List[int]], Dict[int, List[int]]] = ({}, {})
     along1, along2 = rays
     out: Dict[HighestWeight, int] = {}
-    size = len(dominant)
     for w in sorted(dominant, key=lambda w: (w[0] + w[1], w[0]), reverse=True):
         i, j = w
         level = i + j
@@ -301,22 +308,15 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
                 raise _lacks(_ray_weight(1, level + i, ray[0]))
             ray[0] = level - 1
             e += ray[1]
-        line = lines.get(i - j)
-        if line is None:
-            slope = value = 0
-        else:
-            last, slope, value = line
-            value += slope * (last - i)
-        m = get(w)
-        g = m - value - e
+        # a line not visited yet holds 0, as if last visited at i = 0
+        last, slope, value = lines.get(i - j, (0, 0, 0))
+        value += slope * (last - i)
+        g = get(w) - value - e
         if g < 0:
             if value + e:
                 raise InvalidCharacterError(f"the peeled characters drive weight {w} negative")
-            raise InvalidCharacterError(f"negative multiplicity {m} at dominant weight {w}")
+            raise InvalidCharacterError(f"negative multiplicity {g} at dominant weight {w}")
         if g:
-            if i // 2 + j // 2 >= size:
-                # each of V(w)'s line tops is a dominant weight of its own
-                raise InvalidCharacterError(f"the character of {w} has weights the diagram lacks")
             out[w] = g
             for family, key, (a, b), sign in _rays(w):
                 start = a + b
@@ -339,6 +339,7 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     ]
     if lacked:
         raise _lacks(max(lacked, key=lambda w: (w[0] + w[1], w[0])))
-    if sum(g * dimension(l) for l, g in out.items()) != sum(diagram.values()):
+    # every peeled highest weight is a dominant pair of ints: no check per weight
+    if sum(g * _dimension(m1, m2) for (m1, m2), g in out.items()) != sum(diagram.values()):
         raise InvalidCharacterError("dimension bookkeeping failed")
     return out

@@ -312,6 +312,45 @@ class TestVerify:
         assert line in out.splitlines()
         assert out.splitlines()[-1] == "FAIL"
 
+    def test_detects_functional_failure(self, capsys, monkeypatch):
+        # E(2, 1) one too high: the functional sweep fails there, and it is
+        # the only check that fails
+        from forminv import sl3
+
+        real = sl3.e_lambda
+        monkeypatch.setattr(sl3, "e_lambda", lambda lam: real(lam) + (lam == (2, 1)))
+        code, out, _ = run(
+            capsys,
+            "verify", "--d-max", "3", "--n-max", "6", "--lambda-max", "4",
+        )
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL  trivial-rep functional sweep: E(2,1) = 1, expected 0", "FAIL"]
+
+    def test_detects_table_total_failure(self, capsys, monkeypatch):
+        # one weight of the d = 2, n = 3 table one too high: its total is
+        # 57 against the 56 monomials of degree 3 in 6 coefficients.  Peel
+        # builds its own tables (``counts`` binds ``weight_table`` by name),
+        # so only the table totals fail
+        from forminv import weights
+
+        real = weights.weight_table
+
+        def corrupted(d, n):
+            table = real(d, n)
+            if (d, n) == (2, 3):
+                table[next(iter(table))] += 1
+            return table
+
+        monkeypatch.setattr(weights, "weight_table", corrupted)
+        code, out, _ = run(
+            capsys,
+            "verify", "--d-max", "3", "--n-max", "6", "--lambda-max", "4",
+        )
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL  weight table totals: total 57 != 56 at d=2, n=3", "FAIL"]
+
     @pytest.mark.parametrize(
         "flags, message",
         [

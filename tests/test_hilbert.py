@@ -21,6 +21,8 @@ HSOP = {
     ("binary", 4): (2, 3),
     ("binary", 5): (4, 8, 12),
     ("binary", 6): (2, 4, 6, 10),
+    ("binary", 7): (4, 8, 12, 12, 20),
+    ("binary", 8): (2, 3, 4, 5, 6, 7),
 }
 
 # Conics and binary quadratics: the generic stabilizer is infinite, and the
@@ -93,6 +95,15 @@ def test_the_quartic_numerator():
     h = numerator(series("ternary", 4, "counting"), HSOP["ternary", 4])
     assert max(k for k, c in enumerate(h) if c) == 75 == sum(HSOP["ternary", 4]) - 15
     assert sum(h) == 50
+
+
+@pytest.mark.parametrize("d, h1", [(7, 88), (8, 5)])
+def test_binary_septic_and_octic_numerators(d, h1):
+    # both numerators end well inside the omega series: degree 48 and 18
+    e = HSOP["binary", d]
+    h = numerator(series("binary", d, "omega"), e)
+    assert max(k for k, c in enumerate(h) if c) == sum(e) - dim_v("binary", d)
+    assert sum(h) == h1
 
 
 def test_polynomial_rings_break_the_degree_rule():

@@ -497,14 +497,23 @@ class TestDecompose:
         with pytest.raises(InvalidCharacterError, match=r"have weight \(2, 1\), which the diagram lacks"):
             decompose(diagram)
 
-    def test_far_highest_weight_fails_before_its_events(self):
-        # one orbit far out beside a large trivial part: V(10**6, 0) has
-        # 500001 line tops and the diagram 2 dominant weights, so the
-        # sweep fails before it lists them
-        diagram = {w: 1 for w in sl3._weyl_orbit(10**6, 0)}
-        diagram[(0, 0)] = 10**18
-        with pytest.raises(InvalidCharacterError, match="weights the diagram lacks"):
-            decompose(diagram)
+    def test_far_highest_weight_names_its_missing_weight(self):
+        # one orbit far out beside a large trivial part: the sweep peels
+        # the far weight, adds its three rays in O(1), and the end-of-sweep
+        # ray check names the highest weight they hold that the diagram
+        # lacks, the first below the far weight on one of its top rays
+        cases = {
+            (10**6, 0): (999998, 1),  # on i + 2j = 10**6
+            (0, 10**6): (1, 999998),  # on 2i + j = 10**6
+            (10**6, 10**6): (1000001, 999998),  # on 2i + j = 3 * 10**6
+            (10**6, 3): (1000001, 1),  # on 2i + j = 2 * 10**6 + 3
+        }
+        for far, lacked in cases.items():
+            diagram = {w: 1 for w in sl3._weyl_orbit(*far)}
+            diagram[(0, 0)] = 10**18
+            message = f"have weight {re.escape(str(lacked))}, which the diagram lacks"
+            with pytest.raises(InvalidCharacterError, match=message):
+                decompose(diagram)
 
     def test_not_weyl_invariant(self):
         with pytest.raises(InvalidCharacterError):
