@@ -421,7 +421,7 @@ def pqbinom_reader(d: int, reads: Reads) -> Reader:
     slot = weights.monomial_count(d, order).bit_length() + 1
     cell = (1 << slot) - 1
     masks = _box_masks(box, slot)
-    rows = pq_binomial_table(d, order, box, slot)
+    rows = pq_binomial_table(d, order, masks, slot)
     half = min(d + 1, -(-2 * d // 3) + 1)
     lo = _pq_half(rows, range(half), d if half <= d else 0, reads, masks)
     hi = _pq_half(rows, range(d, half - 1, -1), half - 1, reads, masks)

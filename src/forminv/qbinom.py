@@ -84,12 +84,11 @@ def pq_binomial(d: int, k: int) -> LaurentPoly:
     return result
 
 
-def pq_binomial_table(
-    mmax: int, order: int, box: Tuple[int, int], slot: int
-) -> List[List[int]]:
+def pq_binomial_table(mmax: int, order: int, masks: List[int], slot: int) -> List[List[int]]:
     """Row m, for m = 0..mmax, holds pq_binomial(m, k) clipped to the box
-    p^a q^b, a <= A, b <= B, for every k <= order with m*k <= A + B (the
-    entries of higher degree lie wholly outside the box).
+    p^a q^b, a <= A, b <= B, of ``masks`` = ``_box_masks(box, slot)``,
+    for every k <= order with m*k <= A + B (the entries of higher degree
+    lie wholly outside the box).
 
     Entry (m, k) is homogeneous of degree D = m*k, packed as one int with
     the coefficient of p^(D-b) q^b in slot b (``slot`` bits at offset
@@ -103,14 +102,11 @@ def pq_binomial_table(
     carries, else ValueError.  Every exponent is >= 0 and only grows
     along the recurrence, so masking each entry to the box as it is
     built is exact: a dropped term never comes back.  Raises ValueError
-    unless every argument is a nonnegative int.
+    unless mmax, order and slot are nonnegative ints.
     """
-    _check_dn(mmax, order, *box, slot)
-    if min(box) < 0 or slot < 0:
-        raise ValueError("box and slot must be nonnegative")
-    if comb(mmax + order, order) >> slot:
+    _check_dn(mmax, order, slot)
+    if slot < 0 or comb(mmax + order, order) >> slot:
         raise ValueError(f"{slot}-bit slots cannot hold comb({mmax + order}, {order})")
-    masks = _box_masks(box, slot)
     top = len(masks) - 1
     table = [[1] * (order + 1)]
     for m in range(1, mmax + 1):

@@ -23,12 +23,17 @@ ray; all three run to the walls of the chamber (``_rays``).  So the
 sweep carries each ray line's events as one running sum, and a peel
 costs O(1).  A ray line's weights are one level i + j apart, and the
 sweep fails, naming the weight, where a ray line it carries skips a
-level or stops above its wall.  That check also rejects a far highest
-weight, whatever its distance: its peel is O(1) like any other, and its
-rays name a weight the diagram lacks.  ``weight_multiplicity`` and
-``character`` keep the alternation (``_alternation``) on purpose, so
-that decomposing a recomposed character checks the sweep against the
-alternation rather than against its own formula.
+level or stops above its wall.  A (1, 1) line keeps the same rule: a
+peeled multiplicity never falls going down a line, so the sweep fails,
+naming the weight, where a line that holds multiplicity skips a step of
+(-1, -1) or stops above its wall.  No weight is interpolated, and the
+sweep checks every dominant weight of the peeled characters.  These
+checks also reject a far highest weight, whatever its distance: its
+peel is O(1) like any other, and its rays or its line name a weight the
+diagram lacks.  ``weight_multiplicity`` and ``character`` keep the
+alternation (``_alternation``) on purpose, so that decomposing a
+recomposed character checks the sweep against the alternation rather
+than against its own formula.
 """
 
 from __future__ import annotations
@@ -248,9 +253,13 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     (i + j, i), descending, and visited in that order, which meets every
     line of direction (1, 1) from the top down.  Each line i - j keeps a
     running slope and value, the summed multiplicity there of the
-    characters peeled so far; a visit moves it down by slope times the
-    steps since the line's last visit, then adds to the slope the events
-    at the weight.  The input's multiplicity there minus that value is
+    characters peeled so far; a visit moves it down one step by the
+    slope, then adds to the slope the events at the weight.  Each peeled
+    multiplicity 1 + min(k1, k2, M) never falls going down a line, so
+    while a line's value is nonzero its next visit must be the weight one
+    step of (-1, -1) lower, else the sweep fails and names that weight;
+    a line whose value is 0 has slope 0, so a gap there moves nothing.
+    The input's multiplicity there minus that value is
     the weight's own multiplicity g as a highest weight; where it is
     positive the weight is peeled.  Its character's events lie on three
     rays (``_rays``) that run to the walls, so the sweep keeps one running
@@ -260,11 +269,13 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     apart, so each line also keeps the level of the weight it must visit
     next: while its sum is nonzero, a visit that skips a level, or a
     sweep that ends above the line's wall, fails and names the weight the
-    diagram lacks.  The same check rejects a highest weight far out:
-    the orbit of (10**6, 0) beside a trivial part is peeled in O(1), and
-    the end of the sweep names (999998, 1), the next weight on its ray
-    along i + 2j = 10**6.  ``character`` keeps the alternation as the
-    sweep's independent check.
+    diagram lacks.  The end of the sweep also names the next weight of a
+    (1, 1) line that still holds multiplicity above its wall.  These
+    checks reject a highest weight far out: the orbit of (10**6, 0)
+    beside a trivial part is peeled in O(1), and the end of the sweep
+    names (999998, 1), the next weight on its ray along i + 2j = 10**6.
+    The dimension bookkeeping stays as a backstop.  ``character`` keeps
+    the alternation as the sweep's independent check.
     """
     get = diagram.get
     dominant: List[Weight] = []
@@ -308,9 +319,12 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
                 raise _lacks(_ray_weight(1, level + i, ray[0]))
             ray[0] = level - 1
             e += ray[1]
-        # a line not visited yet holds 0, as if last visited at i = 0
+        # a line not visited yet holds 0; one that holds multiplicity must
+        # visit the weight one step of (-1, -1) below its last
         last, slope, value = lines.get(i - j, (0, 0, 0))
-        value += slope * (last - i)
+        if value and last != i + 1:
+            raise _lacks((last - 1, last - 1 - i + j))
+        value += slope
         g = get(w) - value - e
         if g < 0:
             if value + e:
@@ -323,12 +337,9 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
                 if start == level:  # the ray from w itself: its event is here
                     e += sign * g
                     start -= 1
-                ray = rays[family].get(key)
-                if ray is None:
-                    rays[family][key] = [start, sign * g]
-                else:
-                    ray[0] = start
-                    ray[1] += sign * g
+                ray = rays[family].setdefault(key, [start, 0])
+                ray[0] = start
+                ray[1] += sign * g
         lines[i - j] = (i, slope + e, value + e)
     # a ray line's wall weight is at level (key + 1) // 2
     lacked = [
@@ -337,6 +348,8 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
         for key, (level, total) in rays[family].items()
         if total and level >= (key + 1) // 2
     ]
+    # a line i - j = d last visited at i has a next weight in the chamber when i > 0 and i > d
+    lacked += [(i - 1, i - 1 - d) for d, (i, _, value) in lines.items() if value and 0 < i > d]
     if lacked:
         raise _lacks(max(lacked, key=lambda w: (w[0] + w[1], w[0])))
     # every peeled highest weight is a dominant pair of ints: no check per weight

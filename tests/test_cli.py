@@ -504,6 +504,25 @@ class TestUsageErrors:
         assert f"invalid choice: '{command}'" in err
 
 
+class TestRun:
+    # run() is the forminv console entry point: main on sys.argv, whose
+    # return is the exit status
+    @pytest.mark.parametrize(
+        "argv, status, out",
+        [
+            (("count", "--form", "ternary", "--d", "5", "--n", "18"), 0, "178\n"),
+            (("count", "--form", "ternary"), 2, ""),
+        ],
+        ids=["count", "usage-error"],
+    )
+    def test_exits_with_main_status(self, capsys, monkeypatch, argv, status, out):
+        monkeypatch.setattr(sys, "argv", ["forminv", *argv])
+        with pytest.raises(SystemExit) as info:
+            cli.run()
+        assert info.value.code == status
+        assert capsys.readouterr().out == out
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # a fresh isolated interpreter, so nothing this test run imported counts
     src = str(Path(forminv.__file__).resolve().parent.parent)

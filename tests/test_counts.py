@@ -697,8 +697,8 @@ class TestPackedPqbinom:
             want = restrict(series_mul(gm, want, order), box)
             rest = max(ms[i + 1:] + [after])
             want = restrict_band(want, brute_floors(reads, rest))
-        rows = pq_binomial_table(d, order, box, slot)
-        half = counts._pq_half(rows, ms, after, reads, _box_masks(box, slot))
+        masks = _box_masks(box, slot)
+        half = counts._pq_half(pq_binomial_table(d, order, masks, slot), ms, after, reads, masks)
         assert unpack_graded(half, slot) == series_terms(want)
 
     @pytest.mark.parametrize("d, order", [(1, 9), (4, 10), (6, 7), (7, 10)])

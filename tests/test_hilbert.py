@@ -97,6 +97,26 @@ def test_the_quartic_numerator():
     assert sum(h) == 50
 
 
+# The ternary numerators end at degree 0 (cubics) and 75 (quartics), well
+# inside the series, so counting and genfunc are also read far past their
+# end, where every coefficient must be 0.  test_one_changed_value_fails
+# stays at ORDERS: its cost grows with the square of the order.
+LONG_ORDER = 200
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_ternary_numerators_to_a_long_order(d):
+    e = HSOP["ternary", d]
+    degree = sum(e) - dim_v("ternary", d)
+    counting, genfunc = (
+        numerator([v for _, v in poincare_series("ternary", d, LONG_ORDER, method=m)], e)
+        for m in ("counting", "genfunc")
+    )
+    assert counting == genfunc
+    assert len(counting) == LONG_ORDER + 1 and counting[degree] == 1
+    assert not any(counting[degree + 1:])
+
+
 @pytest.mark.parametrize("d, h1", [(7, 88), (8, 5)])
 def test_binary_septic_and_octic_numerators(d, h1):
     # both numerators end well inside the omega series: degree 48 and 18

@@ -5,6 +5,7 @@ import pytest
 
 from forminv.poly import expand_inverse_product
 from forminv.qbinom import (
+    _box_masks,
     gaussian_binomial,
     gaussian_binomial_low,
     pq_binomial,
@@ -145,7 +146,7 @@ class TestPqBinomialRow:
     def test_grown_row_is_pq_binomials(self, m):
         # a box holding every degree m*k <= 7*15, so no entry is clipped
         slot = comb(m + 15, 15).bit_length()
-        row = pq_binomial_table(m, 15, (105, 105), slot)[m]
+        row = pq_binomial_table(m, 15, _box_masks((105, 105), slot), slot)[m]
         assert len(row) == 16
         for j, entry in enumerate(row):
             assert unpack(entry, m * j, slot) == pq_binomial(m, j).terms
@@ -161,7 +162,7 @@ class TestPqBinomialTable:
         # the narrowest slot the table accepts, so a carry would show
         slot = comb(mmax + order, order).bit_length()
         amax, bmax = box
-        table = pq_binomial_table(mmax, order, box, slot)
+        table = pq_binomial_table(mmax, order, _box_masks(box, slot), slot)
         assert len(table) == mmax + 1
         for m in range(mmax + 1):
             row = table[m]
@@ -180,14 +181,13 @@ class TestPqBinomialTable:
     def test_short_slot_raises(self):
         slot = comb(10 + 20, 20).bit_length()
         with pytest.raises(ValueError):
-            pq_binomial_table(10, 20, (67, 66), slot - 1)
+            pq_binomial_table(10, 20, _box_masks((67, 66), slot - 1), slot - 1)
 
-    @pytest.mark.parametrize(
-        "args", [(-1, 3, (2, 2)), (2, -1, (2, 2)), (2, 3, (-1, 2))]
-    )
+    @pytest.mark.parametrize("args", [(-1, 3, 8), (2, -1, 8), (2, 3, -1)])
     def test_negative_arguments(self, args):
+        mmax, order, slot = args
         with pytest.raises(ValueError):
-            pq_binomial_table(*args, 8)
+            pq_binomial_table(mmax, order, _box_masks((2, 2), 8), slot)
 
 
 class TestGaussianBinomialLow:
@@ -226,11 +226,9 @@ class TestValidation:
             lambda: pq_binomial(2, bad),
             lambda: gaussian_binomial_low(bad, 2),
             lambda: gaussian_binomial_low(2, bad),
-            lambda: pq_binomial_table(bad, 2, (2, 2), 8),
-            lambda: pq_binomial_table(2, bad, (2, 2), 8),
-            lambda: pq_binomial_table(2, 2, (bad, 2), 8),
-            lambda: pq_binomial_table(2, 2, (2, bad), 8),
-            lambda: pq_binomial_table(2, 2, (2, 2), bad),
+            lambda: pq_binomial_table(bad, 2, _box_masks((2, 2), 8), 8),
+            lambda: pq_binomial_table(2, bad, _box_masks((2, 2), 8), 8),
+            lambda: pq_binomial_table(2, 2, _box_masks((2, 2), 8), bad),
         ):
             with pytest.raises(ValueError):
                 call()

@@ -477,35 +477,44 @@ class TestDecompose:
             decompose(diagram)
 
     @pytest.mark.parametrize(
-        "hw",
+        "hw, missing",
         [
             # (2, 1) lies between (4, 0) and (0, 2) on V(4, 0)'s top ray
-            # along i + 2j = 4
-            pytest.param((4, 0), id="top-ray"),
+            # along i + 2j = 4: the visit to (0, 2) skips a level of it
+            pytest.param((4, 0), (2, 1), id="top-ray"),
             # V(7, 0)'s -1 events lie on its bottom ray along i + 2j = 4,
             # from (4, 0) through (2, 1) to (0, 2); the sweep reaches (0, 2)
             # before (1, 0), below (2, 1) on its line i - j
-            pytest.param((7, 0), id="bottom-ray"),
+            pytest.param((7, 0), (2, 1), id="bottom-ray"),
+            # weights on the (1, 1) line i = j, off every ray of hw: the line
+            # holds multiplicity after its visit above the gap, so the next
+            # visit on the line, or with none left the end of the sweep,
+            # names the gap
+            pytest.param((1, 1), (0, 0), id="line-end-V11"),
+            pytest.param((2, 2), (1, 1), id="line-V22"),
+            pytest.param((3, 3), (1, 1), id="line-V33"),
         ],
     )
-    def test_gap_mid_sweep_names_the_missing_weight(self, hw):
-        # V(hw) without the orbit of (2, 1): the visit to (0, 2) skips a
-        # level of the ray line i + 2j = 4 and fails there
+    def test_gap_mid_sweep_names_the_missing_weight(self, hw, missing):
+        # V(hw) without the orbit of one weight
         diagram = character(hw)
-        for w in sl3._weyl_orbit(2, 1):
+        for w in set(sl3._weyl_orbit(*missing)):
             del diagram[w]
-        with pytest.raises(InvalidCharacterError, match=r"have weight \(2, 1\), which the diagram lacks"):
+        message = f"have weight {re.escape(str(missing))}, which the diagram lacks"
+        with pytest.raises(InvalidCharacterError, match=message):
             decompose(diagram)
 
     def test_far_highest_weight_names_its_missing_weight(self):
         # one orbit far out beside a large trivial part: the sweep peels
-        # the far weight, adds its three rays in O(1), and the end-of-sweep
-        # ray check names the highest weight they hold that the diagram
-        # lacks, the first below the far weight on one of its top rays
+        # the far weight and adds its three rays in O(1).  Where the far
+        # weight's (1, 1) line runs through (0, 0), the visit there skips
+        # the line's next weight and names it; otherwise the end-of-sweep
+        # ray check names the highest weight the rays hold that the
+        # diagram lacks, the first below the far weight on a top ray
         cases = {
             (10**6, 0): (999998, 1),  # on i + 2j = 10**6
             (0, 10**6): (1, 999998),  # on 2i + j = 10**6
-            (10**6, 10**6): (1000001, 999998),  # on 2i + j = 3 * 10**6
+            (10**6, 10**6): (999999, 999999),  # on i - j = 0, visited at (0, 0)
             (10**6, 3): (1000001, 1),  # on 2i + j = 2 * 10**6 + 3
         }
         for far, lacked in cases.items():
@@ -514,6 +523,45 @@ class TestDecompose:
             message = f"have weight {re.escape(str(lacked))}, which the diagram lacks"
             with pytest.raises(InvalidCharacterError, match=message):
                 decompose(diagram)
+
+    def test_rejects_name_a_weight_not_the_bookkeeping(self):
+        # seeded recompositions, each with one to three Weyl orbits removed
+        # or shifted by +-1 or +-2: decompose must raise exactly where
+        # reference_peel fails, and every reject is one of the sweep's own
+        # checks; the dimension bookkeeping is a backstop that none reaches
+        rng = random.Random(2727)
+        rejected = lacked = 0
+        for case in range(300):
+            multiset = {
+                (rng.randint(0, 6), rng.randint(0, 6)): rng.randint(1, 3)
+                for _ in range(rng.randint(1, 3))
+            }
+            diagram = recompose(multiset)
+            for _ in range(rng.randint(1, 3)):
+                dominant = sorted(w for w in diagram if w[0] >= 0 and w[1] >= 0)
+                if not dominant:
+                    break
+                orbit = set(sl3._weyl_orbit(*rng.choice(dominant)))
+                delta = rng.choice((None, -2, -1, 1, 2))
+                for v in orbit:
+                    if delta is None:
+                        del diagram[v]
+                    else:
+                        diagram[v] += delta
+            try:
+                want = reference_peel(diagram)
+            except AssertionError:
+                rejected += 1
+                with pytest.raises(InvalidCharacterError) as info:
+                    decompose(diagram)
+                assert "bookkeeping" not in str(info.value), case
+                named = re.search(r"have weight \((\d+), (\d+)\), which the diagram lacks", str(info.value))
+                if named:
+                    lacked += 1
+                    assert not diagram.get((int(named[1]), int(named[2]))), case
+            else:
+                assert decompose(diagram) == want, case
+        assert 250 < rejected < 300 and lacked > 30, (rejected, lacked)
 
     def test_not_weyl_invariant(self):
         with pytest.raises(InvalidCharacterError):
