@@ -157,28 +157,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--d-max must be >= 1")
     if args.n_max < 0 or args.lambda_max < 0:
         raise ValueError("--n-max and --lambda-max must be >= 0")
-    lines: List[str] = []
-    ok = True
-
-    def check(name: str, failure: Optional[str]) -> None:
-        nonlocal ok
-        if failure is None:
-            lines.append(f"PASS  {name}")
-        else:
-            ok = False
-            lines.append(f"FAIL  {name}: {failure}")
-
     failure, peels = _verify_agreement("ternary", args)
     if failure is None and not peels:
         failure = f"no peel comparison ran within --work-limit {args.work_limit}"
-    check(f"ternary method agreement ({peels} peel comparisons)", failure)
-    check("binary method agreement", _verify_agreement("binary", args)[0])
-    check("trivial-rep functional sweep", _verify_functional(args.lambda_max))
-    check(
-        "weight table totals",
-        _verify_table_totals(min(args.d_max, 4), min(args.n_max, 8)),
-    )
-
+    # (name, failure or None) per check, in the order they run and print
+    checks = [
+        (f"ternary method agreement ({peels} peel comparisons)", failure),
+        ("binary method agreement", _verify_agreement("binary", args)[0]),
+        ("trivial-rep functional sweep", _verify_functional(args.lambda_max)),
+        ("weight table totals", _verify_table_totals(min(args.d_max, 4), min(args.n_max, 8))),
+    ]
+    ok = all(why is None for _, why in checks)
+    lines = [f"PASS  {name}" if why is None else f"FAIL  {name}: {why}" for name, why in checks]
     lines.append("PASS" if ok else "FAIL")
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0 if ok else 1

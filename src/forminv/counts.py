@@ -55,7 +55,7 @@ reads it.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import repeat
 from math import inf
 from operator import sub
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -63,7 +63,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from . import weights
 from .qbinom import _box_masks, gaussian_binomial_low, pq_binomial_table
 from .sl3 import FIVE_POINT, decompose
-from .weights import _check_dn, variables, weight_table
+from .weights import _check_dn, weight_table
 
 # None of these is called here; perfbench/tracer.py requires the bindings.
 from .poly import expand_inverse_product, series_mul  # noqa: F401
@@ -366,28 +366,31 @@ def _genfunc_expansion(d: int, reads: Reads) -> Tuple[List[Dict[int, int]], int]
 
     Entry j maps each total degree D = a + b of the t^j coefficient to
     one int holding the coefficient of p^(D-b) q^b in slot b.  The
-    variables are folded in one at a time, in descending k + l, by the
-    recurrence S'[j] = S[j] + p^k q^l S'[j-1]; multiplying by p^k q^l
-    moves piece D to D + k + l and shifts it left by l slots.  Each new
-    piece is masked to the box (``_box_masks``) and kept only if
-    D >= ``reads.floors(k + l)[j]``: S'[j-1] already holds the variable
-    being folded, and every later one has k + l no larger.  So the floors
-    rise as the fold goes on, and the last variable, p^0 q^0, leaves the
-    expansion exact at D >= ``reads.floors(0)[j]``, which holds every cell
-    read; a piece below that may hold part of its coefficient.  Both cuts
-    are exact because every exponent is >= 0: a + b never falls along the
+    variables are folded in one at a time by the recurrence
+    S'[j] = S[j] + p^k q^l S'[j-1], by factor degree step = k + l from d
+    down to 0, and p^(step-l) q^l for l = 0..step within a step;
+    multiplying by p^k q^l moves piece D to D + step and shifts it left by
+    l slots.  Each new piece is masked to the box (``_box_masks``) and
+    kept only if D >= ``reads.floors(step)[j]``, one floors per step:
+    S'[j-1] already holds the variable being folded, and every later one
+    has k + l no larger.  So the floors rise as the fold goes on, and the
+    last variable, p^0 q^0, leaves the expansion exact at
+    D >= ``reads.floors(0)[j]``, which holds every cell read; a piece
+    below that may hold part of its coefficient.  Both cuts are exact
+    because every exponent is >= 0: a + b never falls along the
     recurrence, and a term dropped for the box never comes back.  Every
     slot is a count of monomials of degree <= order, which the slot holds
-    without carry.
+    without carry.  Every sum is made here, up front, before
+    ``genfunc_reader`` returns; its reader is one slot read.
     """
     order = reads.order
     slot = weights.monomial_count(d, order).bit_length() + 1
     masks = _box_masks(reads.box(), slot)
     top = len(masks) - 1
     coeffs: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(order)]
-    for step, group in groupby(sorted(variables(d), key=sum, reverse=True), key=sum):
+    for step in range(d, -1, -1):
         lows = reads.floors(step)
-        for _, l in group:
+        for l in range(step + 1):
             shift = l * slot
             for j in range(1, order + 1):
                 cur, low = coeffs[j], lows[j]
@@ -413,9 +416,11 @@ def pqbinom_reader(d: int, reads: Reads) -> Reader:
     That sum holds, in every slot, part of a coefficient of the full
     series, so no slot carries into the next one.  The five cells the
     operator reads at degree n have only three distinct a + b, so each
-    sum is made once, in a dict that lives as long as the reader.  The
-    floors make the reader exact only at a + b >= ``reads.floors(0)[n]``,
-    which holds every cell read.
+    distinct (n, a + b) of ``reads.cells`` is summed once, up front,
+    before the reader returns; the reader is one slot read of those sums
+    and raises KeyError for any (n, a + b) not read.  The floors make the
+    reader exact only at a + b >= ``reads.floors(0)[n]``, which holds
+    every cell read.
     """
     order, box = reads.order, reads.box()
     slot = weights.monomial_count(d, order).bit_length() + 1
@@ -425,13 +430,11 @@ def pqbinom_reader(d: int, reads: Reads) -> Reader:
     half = min(d + 1, -(-2 * d // 3) + 1)
     lo = _pq_half(rows, range(half), d if half <= d else 0, reads, masks)
     hi = _pq_half(rows, range(d, half - 1, -1), half - 1, reads, masks)
-    sums: Dict[Tuple[int, int], int] = {}
+    keys = {(n, a + b) for cells in reads.cells.values() for (n, a, b), _ in cells}
+    sums = {key: _convolve(lo, hi, *key) for key in keys}
 
     def coeff(n: int, a: int, b: int) -> int:
-        key = (n, a + b)
-        if key not in sums:
-            sums[key] = _convolve(lo, hi, n, a + b)
-        return (sums[key] >> (b * slot)) & cell
+        return (sums[n, a + b] >> (b * slot)) & cell
 
     return coeff
 

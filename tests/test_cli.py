@@ -263,9 +263,15 @@ class TestVerify:
             "verify", "--d-max", "3", "--n-max", "6", "--lambda-max", "4",
         )
         assert code == 1
-        assert "FAIL" in out
-        assert "d=3, n=4" in out
-        assert out.splitlines()[0].endswith(": counting=1 but peel=2 at d=3, n=4")
+        # one check fails, and every check still prints, in its order
+        assert out.splitlines() == [
+            "FAIL  ternary method agreement (19 peel comparisons): "
+            "counting=1 but peel=2 at d=3, n=4",
+            "PASS  binary method agreement",
+            "PASS  trivial-rep functional sweep",
+            "PASS  weight table totals",
+            "FAIL",
+        ]
 
     @pytest.mark.parametrize(
         "form, method, line",

@@ -731,6 +731,16 @@ class TestPackedPqbinom:
         degrees = [n for n in range(1, order + 1) if d * n % 3 == 0]
         assert len(read) == 3 * len(degrees) + 1
 
+    def test_reader_holds_only_the_sums_read(self):
+        # every sum is convolved before the reader returns, so a cell whose
+        # (n, a + b) was not read has no sum to read a slot of
+        reads = ternary_reads(3, [4])  # a + b = 6, 7 and 8 at n = 4
+        coeff = counts.pqbinom_reader(3, reads)
+        assert coeff(4, 5, 2) == _count_layers(3, 4, *reads.box()).cell(4, 5, 2)
+        for cell in [(4, 0, 0), (4, 4, 5), (3, 3, 3)]:
+            with pytest.raises(KeyError):
+                coeff(*cell)
+
     def test_convolution_is_per_total_degree(self, monkeypatch):
         # a reader that answered every (a, b) of a degree from the first
         # a + b read there must break some series
