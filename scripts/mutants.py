@@ -1,0 +1,243 @@
+#!/usr/bin/env python3
+"""Check that the test suite kills every mutant in ``MUTANTS``.
+
+Each mutant replaces one exact text, which must occur exactly once, in
+one file of the package with a new text, and names the tests that must
+then fail.  For each mutant the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, applies the mutant there
+and runs pytest on the named tests only.  The repository itself is never
+written.  The named tests first run once on an unmutated copy, where
+they must all pass, so that a test broken for another reason kills no
+mutant.
+
+A mutant is killed when every test it names fails; a parametrized test
+fails when any of its cases does.  The script exits 1 when a mutant
+survives, when its old text is missing or not unique (a refactor must
+update the entry, not skip it), when pytest cannot run a named test, or
+when the unmutated copy fails one; otherwise it exits 0.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python scripts/mutants.py
+
+Some helpers are shared between routes (``_packed_layers`` and
+``_grid`` by counting and peel, ``_box_masks`` by genfunc and pqbinom,
+``Reads`` by every ternary reader), so a mutant there can move two
+routes together, and a test that compares those routes cannot see it.
+Each such mutant names tests that check a route against pinned values
+or its own reference instead.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import List, NamedTuple, Sequence, Set
+
+ROOT = Path(__file__).resolve().parent.parent
+PYTEST_TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: Sequence[str]  # pytest node ids, without parameters
+
+
+W, S = "src/forminv/weights.py", "src/forminv/sl3.py"
+C = "src/forminv/counts.py"
+WT = "tests/test_weights.py::"
+ST = "tests/test_sl3.py::"
+CT = "tests/test_counts.py::"
+
+MUTANTS = (
+    # the packed DP kernel, shared by counting and peel
+    Mutant(
+        "_packed_layers shifts one bit too far",
+        W,
+        "prev = layers[c] = (layers[c] + (prev << shift)) & masks[c]",
+        "prev = layers[c] = (layers[c] + (prev << (shift + 1))) & masks[c]",
+        [WT + "TestPackedLayers::test_padding_edge", WT + "TestCTernary::test_against_enumeration",
+         WT + "TestWeightTable::test_dominant_part_against_enumeration"],
+    ),
+    Mutant(
+        "_packed_layers moves one bit short into a raised layer",
+        W,
+        "move = shift - drop\n",
+        "move = shift - drop - 1\n",
+        [WT + "TestWindow::test_window_cells_match_reference"],
+    ),
+    Mutant(
+        "_grid's row mask keeps one padding slot",
+        W,
+        "full, filled = (1 << ((w2cap + 1) * slot)) - 1, 1",
+        "full, filled = (1 << ((w2cap + 2) * slot)) - 1, 1",
+        [WT + "TestPackedLayers::test_padding_edge",
+         WT + "TestWeightTable::test_dominant_part_against_enumeration"],
+    ),
+    # peel's dominant build
+    Mutant(
+        "the dominant w1 cap one too small",
+        W,
+        "(wmax // 2, wmax // 3) if dominant",
+        "(wmax // 2 - 1, wmax // 3) if dominant",
+        [WT + "TestWeightTable::test_dominant_part_against_enumeration",
+         WT + "TestWeightTable::test_weyl_invariant_and_dominant_part_built_alone"],
+    ),
+    Mutant(
+        "the dominant w2 cap one too small",
+        W,
+        "(wmax // 2, wmax // 3) if dominant",
+        "(wmax // 2, wmax // 3 - 1) if dominant",
+        [WT + "TestWeightTable::test_dominant_part_against_enumeration",
+         WT + "TestWeightTable::test_weyl_invariant_and_dominant_part_built_alone"],
+    ),
+    Mutant(
+        "the dominant row bound w2 <= w1 one too small",
+        W,
+        "min(w1, wmax - 2 * w1)",
+        "min(w1 - 1, wmax - 2 * w1)",
+        [WT + "TestWeightTable::test_dominant_part_against_enumeration",
+         WT + "TestWeightTable::test_weyl_invariant_and_dominant_part_built_alone"],
+    ),
+    Mutant(
+        "the dominant row bound w2 <= dn - 2 w1 one too small",
+        W,
+        "min(w1, wmax - 2 * w1)",
+        "min(w1, wmax - 2 * w1 - 1)",
+        [WT + "TestWeightTable::test_dominant_part_against_enumeration",
+         WT + "TestWeightTable::test_weyl_invariant_and_dominant_part_built_alone"],
+    ),
+    # decompose on a dominant diagram
+    Mutant(
+        "the total bookkeeping misses a total that is too large",
+        S,
+        ") != total:",
+        ") > total:",
+        [ST + "TestDecompose::test_dominant_diagram_with_total"],
+    ),
+    Mutant(
+        "a dominant diagram keeps a weight with one negative coordinate",
+        S,
+        "if a < 0 or b < 0:",
+        "if a < 0 and b < 0:",
+        [ST + "TestDecompose::test_dominant_diagram_with_total"],
+    ),
+    # decompose's sweep checks
+    Mutant(
+        "the sweep skips a (1, 1) line's missing step",
+        S,
+        "if value and last != i + 1:",
+        "if False:",
+        [ST + "TestDecompose::test_rejects_name_a_weight_not_the_bookkeeping"],
+    ),
+    Mutant(
+        "the sweep skips a missing level on a ray along -alpha1",
+        S,
+        "            if ray[0] != level:\n                raise _lacks(_ray_weight(0,",
+        "            if False:\n                raise _lacks(_ray_weight(0,",
+        [ST + "TestDecompose::test_gap_mid_sweep_names_the_missing_weight"],
+    ),
+    # the ternary readers: _box_masks is shared by genfunc and pqbinom,
+    # Reads by every reader
+    Mutant(
+        "genfunc folds the factors in ascending degree",
+        C,
+        "for step in range(d, -1, -1):",
+        "for step in range(d + 1):",
+        [CT + "TestNuTernary::test_genfunc"],
+    ),
+    Mutant(
+        "_box_masks drops the top slot of each degree",
+        "src/forminv/qbinom.py",
+        "width = min(bmax, deg) - first + 1",
+        "width = min(bmax, deg) - first",
+        [CT + "TestNuTernary::test_genfunc", CT + "TestNuTernary::test_pqbinom",
+         CT + "TestPackedGenfunc::test_expansion_is_restricted_inverse_product",
+         "tests/test_qbinom.py::TestPqBinomialTable::test_entries_are_clipped_pq_binomials"],
+    ),
+    Mutant(
+        "Reads.floors one too high",
+        C,
+        "return [-x for x in _suffix_max(self._sunk_sums, -rest)]",
+        "return [-x + 1 for x in _suffix_max(self._sunk_sums, -rest)]",
+        [CT + "TestClippedExpansions::test_floors_are_the_suffix_minimum",
+         CT + "TestNuTernary::test_genfunc", CT + "TestNuTernary::test_pqbinom"],
+    ),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def failed_tests(where: Path, tests: Sequence[str]) -> Set[str]:
+    """The named tests that fail in the tree at ``where``.  Raises
+    RuntimeError when pytest cannot run them (a usage or collection
+    error, or no test collected)."""
+    env = dict(os.environ, PYTHONPATH=str(where / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
+        cwd=where, env=env, capture_output=True, text=True, timeout=PYTEST_TIMEOUT_S,
+    )
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    failed = set()
+    for line in proc.stdout.splitlines():
+        if line.startswith("FAILED "):
+            failed.add(line.split()[1].split("[")[0])
+    return failed
+
+
+def main() -> int:
+    faults: List[str] = []
+    named = sorted({test for m in MUTANTS for test in m.tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        copy_tree(Path(tmp))
+        broken = failed_tests(Path(tmp), named)
+    if broken:
+        print(f"the unmutated tree fails {len(broken)} named tests: {', '.join(sorted(broken))}")
+        return 1
+    start = time.perf_counter()
+    for m in MUTANTS:
+        source = (ROOT / m.path).read_text()
+        found = source.count(m.old)
+        if found != 1:
+            faults.append(m.name)
+            print(f"MISSING   {m.name}: its old text occurs {found} times in {m.path}")
+            continue
+        t0 = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp)
+            copy_tree(tree)
+            (tree / m.path).write_text(source.replace(m.old, m.new))
+            try:
+                failed = failed_tests(tree, m.tests)
+            except (RuntimeError, subprocess.TimeoutExpired) as err:
+                faults.append(m.name)
+                print(f"ERROR     {m.name}: {err}")
+                continue
+        passed = [t for t in m.tests if t not in failed]
+        took = time.perf_counter() - t0
+        if passed:
+            faults.append(m.name)
+            print(f"SURVIVED  {m.name}: {', '.join(passed)} passed ({took:.1f} s)")
+        else:
+            print(f"killed    {m.name} ({len(m.tests)} tests, {took:.1f} s)")
+    total = time.perf_counter() - start
+    print(f"{len(MUTANTS) - len(faults)} of {len(MUTANTS)} mutants killed in {total:.1f} s")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

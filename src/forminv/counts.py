@@ -17,7 +17,8 @@ linearly independent degree-n invariants,
                  expanded one variable at a time on graded packed ints,
   * pqbinom   -- the same series assembled from pq-binomial factors,
                  whose packed table is built by the q-Pascal recurrence,
-  * peel      -- highest-weight peeling of the full weight table.
+  * peel      -- highest-weight peeling of the weight table's dominant
+                 part, built on the dominant box alone.
 
 All methods return exact Python ints and agree with each other; the
 redundancy is the point.
@@ -234,19 +235,22 @@ def nu_ternary_peel(
     d: int, n: int, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> int:
     """Trivial-representation multiplicity via highest-weight peeling of
-    the full weight table.  Guarded by a state-count work limit, an int
-    of at least 1."""
+    the dominant part of the weight table, whose character has
+    ``monomial_count(d, n)`` weights in all.  Guarded by a state-count
+    work limit, an int of at least 1."""
     _check_request(d, n, work_limit)
     est = peel_work_estimate(d, n)
     if est > work_limit:
         raise WorkLimitExceeded(
             f"peel at d={d}, n={n} needs ~{est} states (limit {work_limit})"
         )
-    return decompose(weight_table(d, n)).get((0, 0), 0)
+    table = weight_table(d, n, dominant=True)
+    return decompose(table, weights.monomial_count(d, n)).get((0, 0), 0)
 
 
 def peel_work_estimate(d: int, n: int) -> int:
-    """Rough state count of the peel route: the weight-table DP plus the
+    """Rough state count of the peel route: the DP of the weight table's
+    dominant part, on the box w1 <= dn//2, w2 <= dn//3, plus the
     ``decompose`` sweep.  The sweep visits at most the T = (dn+1)(dn+2)/2
     dominant weights i + j <= dn, and a weight peeled there starts at most
     three rays (``sl3._rays``: two of +g line tops and at most one of -g
@@ -254,7 +258,7 @@ def peel_work_estimate(d: int, n: int) -> int:
     Raises ValueError unless d and n are nonnegative ints."""
     _check_dn(d, n)
     dn = d * n
-    table_states = weights.num_variables(d) * (n + 1) * (dn + 1) ** 2
+    table_states = weights.num_variables(d) * (n + 1) * (dn // 2 + 1) * (dn // 3 + 1)
     dominant = (dn + 1) * (dn + 2) // 2
     return table_states + 4 * dominant
 

@@ -38,7 +38,7 @@ than against its own formula.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 Weight = Tuple[int, int]
 HighestWeight = Tuple[int, int]
@@ -237,7 +237,7 @@ def _lacks(w: Weight) -> InvalidCharacterError:
     return InvalidCharacterError(f"the peeled characters have weight {w}, which the diagram lacks")
 
 
-def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
+def decompose(diagram: WeightDiagram, total: Optional[int] = None) -> Dict[HighestWeight, int]:
     """Resolve a character into irreducible highest weights.
 
     Peels on the dominant sector only: multiplicities at dominant
@@ -248,6 +248,12 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     int) signals that the input was not a valid character.  One pass
     over every weight checks the types and the s1 and s2 invariance and
     collects the dominant weights.
+
+    With ``total`` given, ``diagram`` is the dominant part of a character
+    whose multiplicities sum to ``total``: the pass checks the types and
+    rejects a weight that is not dominant, and it makes no Weyl-invariance
+    lookup, since the dominant part alone fixes the rest of a character.
+    The dimension bookkeeping then compares against ``total``.
 
     One downward sweep: the dominant weights are sorted once by
     (i + j, i), descending, and visited in that order, which meets every
@@ -291,7 +297,10 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
         if type(m) is not int:
             raise InvalidCharacterError(f"multiplicity {m!r} at weight {w} is not an int")
         a, b = w
-        if (get((-a, a + b), 0) != m or get((a + b, -b), 0) != m) and skewed is None:
+        if total is not None:
+            if a < 0 or b < 0:
+                raise InvalidCharacterError(f"weight {w} of a dominant diagram is not dominant")
+        elif (get((-a, a + b), 0) != m or get((a + b, -b), 0) != m) and skewed is None:
             skewed = w
         if m and a >= 0 and b >= 0:
             dominant.append(w)
@@ -353,6 +362,8 @@ def decompose(diagram: WeightDiagram) -> Dict[HighestWeight, int]:
     if lacked:
         raise _lacks(max(lacked, key=lambda w: (w[0] + w[1], w[0])))
     # every peeled highest weight is a dominant pair of ints: no check per weight
-    if sum(g * _dimension(m1, m2) for (m1, m2), g in out.items()) != sum(diagram.values()):
+    if total is None:
+        total = sum(diagram.values())
+    if sum(g * _dimension(m1, m2) for (m1, m2), g in out.items()) != total:
         raise InvalidCharacterError("dimension bookkeeping failed")
     return out

@@ -39,10 +39,11 @@ that many rows less, a right shift where the total is negative; the
 rows it pushes below the bottom are below lows[c].
 
 ``c_ternary`` and ``weight_table`` build the plain box: the window
-0..w1cap in every layer.  ``solution_count_grid`` builds the window its
-caller gives, a floor and a top per layer, the top lowered as the
-variables are folded in; the caller derives it from the cells it will
-read, and nothing here knows which cells those are.
+0..w1cap in every layer (for the dominant part of the weight table, the
+box w1 <= d*n//2, w2 <= d*n//3 that holds it).  ``solution_count_grid``
+builds the window its caller gives, a floor and a top per layer, the top
+lowered as the variables are folded in; the caller derives it from the
+cells it will read, and nothing here knows which cells those are.
 
 Results are exact Python ints at any size.  Nothing is cached: a grid or
 a binary DP is rebuilt on every call.
@@ -256,25 +257,31 @@ def c_ternary(d: int, n: int, i: int, j: int) -> int:
     return _count_layers(d, n, w1, w2).cell(n, w1, w2)
 
 
-def weight_table(d: int, n: int) -> Dict[Weight, int]:
+def weight_table(d: int, n: int, dominant: bool = False) -> Dict[Weight, int]:
     """The weight diagram of the degree-n monomials: weight (i, j) ->
-    multiplicity, nonzero entries only.
+    multiplicity, nonzero entries only; with ``dominant``, only its
+    dominant part, the weights with i, j >= 0.
 
     A monomial with weight sums (w1, w2) sits at weight
     (i, j) = (n*d - 2*w1 - w2, w1 - w2); the map is injective, so each
     grid cell lands on its own weight.  Only the triangle
     w1 + w2 <= d*n is read: past it w0 = d*n - w1 - w2 < 0, and the cell
-    is 0.
+    is 0.  The weight is dominant exactly when w2 <= w1 and
+    2*w1 + w2 <= d*n, so the dominant part is read from the rows
+    w1 <= d*n//2 at w2 <= min(w1, d*n - 2*w1) <= d*n//3, and built on
+    that box alone: no weight falls along the DP, so every cell of the
+    box is exact.
     """
     _check_dn(d, n)
     wmax = d * n
-    grid = _count_layers(d, n, wmax, wmax)
+    w1cap, w2cap = (wmax // 2, wmax // 3) if dominant else (wmax, wmax)
+    grid = _count_layers(d, n, w1cap, w2cap)
     layer, slot, cell_mask = grid.layers[n], grid.slot, (1 << grid.slot) - 1
     row_mask = (1 << grid.row) - 1
     entries: Dict[Weight, int] = {}
-    for w1 in range(wmax + 1):
+    for w1 in range(w1cap + 1):
         row = (layer >> (w1 * grid.row)) & row_mask
-        for w2 in range(wmax - w1 + 1):
+        for w2 in range((min(w1, wmax - 2 * w1) if dominant else wmax - w1) + 1):
             c = (row >> (w2 * slot)) & cell_mask
             if c:
                 entries[(n * d - 2 * w1 - w2, w1 - w2)] = c

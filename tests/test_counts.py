@@ -200,9 +200,10 @@ class TestNuTernary:
                 assert total == count("ternary", d, n, "counting")
 
     def test_peel_work_estimate_bounds_measured_work(self, monkeypatch):
-        # measured work: the weight table's DP cells plus the decompose
-        # sweep's, one visit per nonzero dominant weight and one per ray a
-        # peeled highest weight starts.  The estimate must bound it and
+        # measured work: the DP cells of the weight table's dominant box,
+        # w1 <= dn//2 and w2 <= dn//3, plus the decompose sweep's, one
+        # visit per nonzero dominant weight and one per ray a peeled
+        # highest weight starts.  The estimate must bound it and
         # stay within twice it.  The sweep's totals per d are pinned, so a
         # change in how many weights it visits or how many rays it starts
         # shows here.
@@ -225,7 +226,8 @@ class TestNuTernary:
                 visits = sum(
                     1 for (i, j), m in weight_table(d, n).items() if m and i >= 0 and j >= 0
                 )
-                work = num_variables(d) * (n + 1) * (d * n + 1) ** 2 + visits + starts
+                box = (d * n // 2 + 1) * (d * n // 3 + 1)
+                work = num_variables(d) * (n + 1) * box + visits + starts
                 assert work <= peel_work_estimate(d, n) <= 2 * work, (d, n, visits, starts)
                 totals[d] += visits + starts
         assert totals == {1: 97, 2: 367, 3: 1164, 4: 2141}

@@ -14,7 +14,7 @@ from forminv.sl3 import (
     e_lambda,
     weight_multiplicity,
 )
-from forminv.weights import weight_table
+from forminv.weights import monomial_count, weight_table
 
 
 # The Weyl alternation written out directly: six Weyl lambdas and every
@@ -134,6 +134,16 @@ class TestAgainstReference:
             for n in range(9):
                 table = weight_table(d, n)
                 assert decompose(table) == reference_peel(table), (d, n)
+
+    def test_decompose_dominant_weight_table(self):
+        # peel decomposes the dominant part of the table against the
+        # monomial count, with no Weyl pass: the full table's decomposition
+        sizes = [(d, n) for d in range(5) for n in range(13)]
+        sizes += [(5, 9), (7, 21), (8, 24), (6, 30), (10, 21)]
+        for d, n in sizes:
+            dominant = weight_table(d, n, dominant=True)
+            got = decompose(dominant, monomial_count(d, n))
+            assert got == decompose(weight_table(d, n)), (d, n)
 
     def test_character(self):
         for m1 in range(9):
@@ -562,6 +572,21 @@ class TestDecompose:
             else:
                 assert decompose(diagram) == want, case
         assert 250 < rejected < 300 and lacked > 30, (rejected, lacked)
+
+    def test_dominant_diagram_with_total(self):
+        # the dominant part of the adjoint character, whose 8 weights sum
+        # to its dimension
+        dominant = {w: m for w, m in character((1, 1)).items() if w[0] >= 0 and w[1] >= 0}
+        assert decompose(dominant, 8) == {(1, 1): 1}
+        for total in (7, 9):
+            with pytest.raises(InvalidCharacterError, match="^dimension bookkeeping failed$"):
+                decompose(dominant, total)
+        for w in ((-1, 2), (2, -1), (-1, -1)):
+            with pytest.raises(InvalidCharacterError, match=re.escape(f"weight {w} of a dominant")):
+                decompose({**dominant, w: 1}, 8)
+        # a full diagram is no dominant one
+        with pytest.raises(InvalidCharacterError, match="is not dominant"):
+            decompose(character((1, 1)), 8)
 
     def test_not_weyl_invariant(self):
         with pytest.raises(InvalidCharacterError):

@@ -369,6 +369,28 @@ class TestWeightTable:
                         if (i, j) not in table:
                             assert c_ternary(d, n, i, j) == 0
 
+    @pytest.mark.parametrize("d,n", [(1, 4), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)])
+    def test_dominant_part_against_enumeration(self, d, n):
+        want = {}
+        for (w1, w2), c in brute_ternary_counts(d, n).items():
+            i, j = n * d - 2 * w1 - w2, w1 - w2
+            if i >= 0 and j >= 0:
+                want[(i, j)] = c
+        assert weight_table(d, n, dominant=True) == want
+
+    def test_weyl_invariant_and_dominant_part_built_alone(self):
+        # peel builds only the dominant part and decompose skips its Weyl
+        # pass there, so the full table's s1 and s2 invariance is pinned
+        # here: at every size the benchmark peels, and at (7, 21) and
+        # (8, 24), which CI peels
+        sizes = [(d, n) for d in range(5) for n in range(13)] + [(5, 9), (7, 21), (8, 24)]
+        for d, n in sizes:
+            table = weight_table(d, n)
+            for (a, b), m in table.items():
+                assert table.get((-a, a + b)) == m == table.get((a + b, -b)), (d, n, a, b)
+            dominant = {w: m for w, m in table.items() if w[0] >= 0 and w[1] >= 0}
+            assert weight_table(d, n, dominant=True) == dominant, (d, n)
+
     def test_generating_function_consistency(self):
         # c(d, n, i, j) = coefficient of t^n p^w1 q^w2 in the inverse product
         for d in range(1, 4):
