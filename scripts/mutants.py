@@ -52,10 +52,11 @@ class Mutant(NamedTuple):
 
 
 W, S = "src/forminv/weights.py", "src/forminv/sl3.py"
-C = "src/forminv/counts.py"
+C, Q = "src/forminv/counts.py", "src/forminv/qbinom.py"
 WT = "tests/test_weights.py::"
 ST = "tests/test_sl3.py::"
 CT = "tests/test_counts.py::"
+QT = "tests/test_qbinom.py::"
 
 MUTANTS = (
     # the packed DP kernel, shared by counting and peel
@@ -81,6 +82,46 @@ MUTANTS = (
         "full, filled = (1 << ((w2cap + 2) * slot)) - 1, 1",
         [WT + "TestPackedLayers::test_padding_edge",
          WT + "TestWeightTable::test_dominant_part_against_enumeration"],
+    ),
+    # the slot rule (weights module docstring), one mutant per packed
+    # route.  Each is killed where the bound is 1, as at order 0: a 1-bit
+    # slot, which the mutant leaves 0 bits wide.  The bounds are loose by
+    # many bits, so a slot one bit narrower does not carry at the tested
+    # sizes.
+    Mutant(
+        "_grid's slot one bit narrower than its bound",
+        W,
+        "slot = monomial_count(d, n).bit_length()",
+        "slot = monomial_count(d, n).bit_length() - 1",
+        [WT + "TestPackedLayers::test_cells_match_reference"],
+    ),
+    Mutant(
+        "omega_reader's slot one bit narrower than its bound",
+        W,
+        "slot = comb(order + d, d).bit_length()",
+        "slot = comb(order + d, d).bit_length() - 1",
+        [WT + "TestOmegaBinary::test_against_reference_dp"],
+    ),
+    Mutant(
+        "gaussian_binomial_low's slot one bit narrower than its bound",
+        Q,
+        "slot = comb(d + order, order).bit_length()",
+        "slot = comb(d + order, order).bit_length() - 1",
+        [QT + "TestGaussianBinomialLow::test_is_low_part_of_gaussian_binomial"],
+    ),
+    Mutant(
+        "_genfunc_expansion's slot one bit narrower than its bound",
+        C,
+        "slot = weights.monomial_count(d, order).bit_length()\n    masks",
+        "slot = weights.monomial_count(d, order).bit_length() - 1\n    masks",
+        [CT + "TestNuTernary::test_genfunc"],
+    ),
+    Mutant(
+        "pqbinom_reader's slot one bit narrower than its bound",
+        C,
+        "slot = weights.monomial_count(d, order).bit_length()\n    cell",
+        "slot = weights.monomial_count(d, order).bit_length() - 1\n    cell",
+        [CT + "TestNuTernary::test_pqbinom"],
     ),
     # peel's dominant build
     Mutant(
@@ -156,12 +197,12 @@ MUTANTS = (
     ),
     Mutant(
         "_box_masks drops the top slot of each degree",
-        "src/forminv/qbinom.py",
+        Q,
         "width = min(bmax, deg) - first + 1",
         "width = min(bmax, deg) - first",
         [CT + "TestNuTernary::test_genfunc", CT + "TestNuTernary::test_pqbinom",
          CT + "TestPackedGenfunc::test_expansion_is_restricted_inverse_product",
-         "tests/test_qbinom.py::TestPqBinomialTable::test_entries_are_clipped_pq_binomials"],
+         QT + "TestPqBinomialTable::test_entries_are_clipped_pq_binomials"],
     ),
     Mutant(
         "Reads.floors one too high",

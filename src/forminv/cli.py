@@ -178,11 +178,10 @@ def _verify_agreement(form: str, args: argparse.Namespace) -> Tuple[Optional[str
     """The first disagreement (or None) of each method of the form with
     its default, the first, for d = 1..--d-max and n = 0..--n-max, and the
     number of peel comparisons made.  Each series method is compared as
-    one series.  Peel, the last ternary method, is compared degree by
-    degree, and skips every (d, n) whose estimate exceeds --work-limit."""
+    one series.  Peel, a ternary method, is compared degree by degree,
+    and skips every (d, n) whose estimate exceeds --work-limit."""
     table = BINARY_METHODS if form == "binary" else TERNARY_METHODS
-    first, *others = table
-    peel = others.pop() if form == "ternary" else None
+    first, *others = [method for method in table if method != "peel"]
     peels = 0
     for d in range(1, args.d_max + 1):
         base = poincare_series(form, d, args.n_max, method=first)
@@ -191,15 +190,15 @@ def _verify_agreement(form: str, args: argparse.Namespace) -> Tuple[Optional[str
             for (n, a), (_, b) in zip(base, rows):
                 if a != b:
                     return f"{first}={a} but {method}={b} at d={d}, n={n}", peels
-        if peel is not None:
+        if "peel" in table:
             for n, a in base:
                 try:
-                    b = counts.nu_ternary_peel(d, n, work_limit=args.work_limit)
+                    b = counts.count(form, d, n, "peel", args.work_limit)
                 except WorkLimitExceeded:
                     continue
                 peels += 1
                 if a != b:
-                    return f"{first}={a} but {peel}={b} at d={d}, n={n}", peels
+                    return f"{first}={a} but peel={b} at d={d}, n={n}", peels
     return None, peels
 
 

@@ -383,12 +383,13 @@ def _genfunc_expansion(d: int, reads: Reads) -> Tuple[List[Dict[int, int]], int]
     below that may hold part of its coefficient.  Both cuts are exact
     because every exponent is >= 0: a + b never falls along the
     recurrence, and a term dropped for the box never comes back.  Every
-    slot is a count of monomials of degree <= order, which the slot holds
-    without carry.  Every sum is made here, up front, before
-    ``genfunc_reader`` returns; its reader is one slot read.
+    slot is part of a count of monomials of degree <= order, so the slot
+    is the bit length of ``monomial_count(d, order)`` (the slot rule,
+    ``weights`` module docstring).  Every sum is made here, up front,
+    before ``genfunc_reader`` returns; its reader is one slot read.
     """
     order = reads.order
-    slot = weights.monomial_count(d, order).bit_length() + 1
+    slot = weights.monomial_count(d, order).bit_length()
     masks = _box_masks(reads.box(), slot)
     top = len(masks) - 1
     coeffs: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(order)]
@@ -418,7 +419,8 @@ def pqbinom_reader(d: int, reads: Reads) -> Reader:
         coeff(n, a, b) = slot b of  sum_i sum_D1 lo[i][D1] * hi[n-i][a+b-D1].
 
     That sum holds, in every slot, part of a coefficient of the full
-    series, so no slot carries into the next one.  The five cells the
+    series, so no slot carries into the next one (the slot rule,
+    ``weights`` module docstring).  The five cells the
     operator reads at degree n have only three distinct a + b, so each
     distinct (n, a + b) of ``reads.cells`` is summed once, up front,
     before the reader returns; the reader is one slot read of those sums
@@ -427,7 +429,7 @@ def pqbinom_reader(d: int, reads: Reads) -> Reader:
     every cell read.
     """
     order, box = reads.order, reads.box()
-    slot = weights.monomial_count(d, order).bit_length() + 1
+    slot = weights.monomial_count(d, order).bit_length()
     cell = (1 << slot) - 1
     masks = _box_masks(box, slot)
     rows = pq_binomial_table(d, order, masks, slot)
@@ -480,7 +482,7 @@ def _pq_half(
     each product to the box and dropping it below the floor are exact: a
     dropped term never comes back, and a + b never falls.  Every slot of
     a product, masked or not, is part of a count of monomials of degree
-    <= order, which the slot holds without carry.
+    <= order (the slot rule, ``weights`` module docstring).
     """
     top = len(masks) - 1
     prod: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(reads.order)]
@@ -507,8 +509,8 @@ def _pq_half(
 
 # Each form's methods, its default first, mapped to what ``_run`` calls:
 # a reader route's builder, (d, order) -> coeff for binary forms and
-# (d, reads) -> coeff for ternary forms, or peel's point count.  Peel,
-# the oracle that ``forminv verify`` runs degree by degree, is last.
+# (d, reads) -> coeff for ternary forms, or peel's point count, the
+# oracle that ``forminv verify`` runs degree by degree.
 BINARY_METHODS: Dict[str, Callable[[int, int], Reader]] = {
     "omega": weights.omega_reader,
     "qbinom": gaussian_binomial_low,

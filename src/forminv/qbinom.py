@@ -7,12 +7,15 @@ a box of exponents) as packed ints by the q-Pascal recurrence: one
 shift, one add and one mask per entry, no polynomial product and no
 division.
 
-``gaussian_binomial`` and ``pq_binomial`` are their test oracles,
-computed from the defining products by exact polynomial division
-(``poly.LaurentPoly``), dividing as we multiply so intermediates stay
-small.  Each division is asserted exact; a remainder aborts the
-computation.  No route calls them and the package root does not export
-them: they stay here only because ``perfbench/tracer.py`` binds them.
+``gaussian_binomial`` and ``pq_binomial`` are their test oracles.
+``pq_binomial`` is computed from the defining product by exact
+polynomial division (``poly.LaurentPoly``), dividing as we multiply so
+intermediates stay small.  Each division is asserted exact; a remainder
+aborts the computation.  ``gaussian_binomial`` is ``pq_binomial`` at
+p = 1, the Gaussian binomial of the Sylvester-Cayley formula that the
+pq-binomial generalises.  No route calls them and the package root does
+not export them: they stay here only because ``perfbench/tracer.py``
+binds them.
 """
 
 from __future__ import annotations
@@ -28,14 +31,11 @@ def gaussian_binomial(d: int, n: int) -> LaurentPoly:
     """(1-q^{d+1})...(1-q^{d+n}) / ((1-q)...(1-q^n)), a polynomial in q.
 
     Counts partitions fitting in a d x n box; degree d*n, nonnegative
-    coefficients.  Raises ValueError unless d and n are nonnegative ints.
+    coefficients.  This is ``pq_binomial(d, n)`` at p = 1: that is
+    homogeneous of degree d*n, so each power of q is exactly one of its
+    terms.  Raises ValueError unless d and n are nonnegative ints.
     """
-    _check_dn(d, n)
-    result = LaurentPoly({(0, 0): 1})
-    for i in range(1, n + 1):
-        result = result * _one_minus_q(d + i)
-        result = result.divexact(_one_minus_q(i))
-    return result
+    return LaurentPoly({(0, b): c for (_, b), c in pq_binomial(d, n).terms.items()})
 
 
 def gaussian_binomial_low(d: int, order: int) -> Callable[[int, int], int]:
@@ -50,7 +50,8 @@ def gaussian_binomial_low(d: int, order: int) -> Callable[[int, int], int]:
     coefficient of q^e in slot e, updated in place for m = 1..d from
     Q(0, k) = Q(m, 0) = 1: row[k] = (row[k-1] + (row[k] << k*slot)) & mask,
     the mask keeping slots 0..d*order//2.  Every coefficient is at most
-    comb(d + order, order), so slots of its bit length never carry.
+    comb(d + order, order), so the slot is its bit length (the slot rule,
+    ``weights`` module docstring).
     Every exponent is >= 0 and only grows along the recurrence, so
     truncating each entry as it is built is exact.  Raises ValueError
     unless d and order are nonnegative ints.
@@ -130,10 +131,6 @@ def _box_masks(box: Tuple[int, int], slot: int) -> List[int]:
         width = min(bmax, deg) - first + 1
         masks.append(((1 << (width * slot)) - 1) << (first * slot))
     return masks
-
-
-def _one_minus_q(i: int) -> LaurentPoly:
-    return LaurentPoly({(0, 0): 1, (0, i): -1})
 
 
 def _p_minus_q(i: int) -> LaurentPoly:

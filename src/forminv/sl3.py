@@ -73,19 +73,13 @@ def _check_dominant(lam: HighestWeight) -> None:
         raise ValueError("highest weight components must be nonnegative")
 
 
-def _reflections(a: int, b: int) -> Tuple[Weight, Weight]:
-    """(s1(a, b), s2(a, b)): the two simple reflections, in
-    fundamental-weight coordinates."""
-    return (-a, a + b), (a + b, -b)
-
-
 def _weyl_orbit(a: int, b: int) -> Tuple[Weight, ...]:
     """w(a, b) for the six Weyl elements w, in fundamental-weight
     coordinates: identity, s1, s2, s1 s2, s2 s1, longest element.  The
-    last three are the longest element's map (x, y) -> (-y, -x) applied
-    to the first three, in reverse order."""
-    (c, e), (f, g) = _reflections(a, b)
-    return ((a, b), (c, e), (f, g), (-g, -f), (-e, -c), (-b, -a))
+    simple reflections are s1(a, b) = (-a, a + b) and
+    s2(a, b) = (a + b, -b); the last three are the longest element's map
+    (x, y) -> (-y, -x) applied to the first three, in reverse order."""
+    return ((a, b), (-a, a + b), (a + b, -b), (b, -a - b), (-a - b, a), (-b, -a))
 
 
 def _weyl_images(lam: HighestWeight) -> WeylImages:
@@ -354,8 +348,8 @@ def decompose(diagram: WeightDiagram, total: Optional[int] = None) -> Dict[Highe
     lacked = [
         _ray_weight(family, key, level)
         for family in (0, 1)
-        for key, (level, total) in rays[family].items()
-        if total and level >= (key + 1) // 2
+        for key, (level, held) in rays[family].items()
+        if held and level >= (key + 1) // 2
     ]
     # a line i - j = d last visited at i has a next weight in the chamber when i > 0 and i > d
     lacked += [(i - 1, i - 1 - d) for d, (i, _, value) in lines.items() if value and 0 < i > d]

@@ -17,12 +17,23 @@ moves a cell by ``shift`` bits is one step per layer, for c = 1..n,
 
     layer[c] = (layer[c] + (layer[c-1] << shift)) & mask[c],
 
-where ``mask[c]`` keeps the cells of layer c inside its window.  No
-addition carries into the next cell: every cell, padding included, holds
-a nonnegative count of monomials of degree at most n, and ``slot`` is
-one bit wider than a bound on that count (``monomial_count(d, n)`` for
-the ternary grid; ``comb(n+d, d)`` for the binary layers).  A cell is
-read back with one shift and one mask.
+where ``mask[c]`` keeps the cells of layer c inside its window.  A cell
+is read back with one shift and one mask.
+
+Every packed route in the package (this kernel's grid and omega layers,
+``counts``' genfunc expansion and pqbinom pieces, ``qbinom``'s q-Pascal
+row and pq-binomial table) takes the same slot width: the bit length of
+a bound on the count its coefficients are parts of (``monomial_count(d,
+n)`` for the ternary routes, ``comb(n+d, d)`` for the binary ones).  No
+addition carries into the next slot, because every slot of every int
+they add or multiply holds, before any mask, a nonnegative part of one
+count that the bound covers: a grid or omega step adds two parts of one
+cell's count, or adds a count to a slot that the last mask zeroed; a
+raised layer's right shift only drops rows; a genfunc or q-Pascal step
+adds two parts of one coefficient; and a pqbinom piece product, sum of
+products or convolution sum holds part of one coefficient of the full
+series.  So no slot exceeds the bound, which ``bound.bit_length()`` bits
+hold.
 
 ``omega_reader`` packs one weight per slot, and the binary variable
 alpha_p of weight p shifts by p*slot (alpha_0 by 0).  The
@@ -135,11 +146,12 @@ def omega_reader(d: int, order: int) -> Callable[[int, int], int]:
     so layer n holds the degree-n monomials counted by weight, one slot
     per weight up to d*order//2: alpha_p shifts by p*slot, alpha_0 by 0.
     Every slot of layer n is at most the number comb(n + d, d) of
-    degree-n monomials, which the slot holds without carry.  Raises
+    degree-n monomials, so the slot is the bit length of
+    comb(order + d, d) (the slot rule, module docstring).  Raises
     ValueError unless d and order are nonnegative ints.
     """
     _check_dn(d, order)
-    slot = comb(order + d, d).bit_length() + 1
+    slot = comb(order + d, d).bit_length()
     shifts = [p * slot for p in range(d + 1)]
     mask = (1 << ((d * order // 2 + 1) * slot)) - 1
     layers = _packed_layers([(shifts, [mask] * (order + 1))], order)
@@ -185,7 +197,7 @@ def _grid(
     stored from row lows[c] of w1, and cut at row tops[r][c] while the
     variables a_{r,s} are folded in (``variables`` order, r ascending).
     lows[c] must not fall as c grows, nor tops[r][c] grow with r."""
-    slot = monomial_count(d, n).bit_length() + 1
+    slot = monomial_count(d, n).bit_length()
     row = (w2cap + 1 + d) * slot
     rows = [top - low + 1 for top, low in zip(tops[0], lows)]
     height = max(rows)
@@ -276,7 +288,7 @@ def weight_table(d: int, n: int, dominant: bool = False) -> Dict[Weight, int]:
     wmax = d * n
     w1cap, w2cap = (wmax // 2, wmax // 3) if dominant else (wmax, wmax)
     grid = _count_layers(d, n, w1cap, w2cap)
-    layer, slot, cell_mask = grid.layers[n], grid.slot, (1 << grid.slot) - 1
+    layer, slot, cell_mask = grid.layers[n], grid.slot, grid.mask
     row_mask = (1 << grid.row) - 1
     entries: Dict[Weight, int] = {}
     for w1 in range(w1cap + 1):

@@ -251,13 +251,13 @@ class TestVerify:
     def test_detects_corruption(self, capsys, monkeypatch):
         from forminv import counts
 
-        real = counts.nu_ternary_peel
+        real = counts.TERNARY_METHODS["peel"]
 
         def corrupted(d, n, work_limit=counts.DEFAULT_WORK_LIMIT):
             bump = 1 if (d, n) == (3, 4) else 0
             return real(d, n, work_limit=work_limit) + bump
 
-        monkeypatch.setattr(counts, "nu_ternary_peel", corrupted)
+        monkeypatch.setitem(counts.TERNARY_METHODS, "peel", corrupted)
         code, out, _ = run(
             capsys,
             "verify", "--d-max", "3", "--n-max", "6", "--lambda-max", "4",

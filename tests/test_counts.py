@@ -142,6 +142,8 @@ class TestNuTernary:
         assert count("ternary", 4, 3, "pqbinom") == 1
         assert count("ternary", 6, 3, "pqbinom") == 1
         assert count("ternary", 7, 6, "pqbinom") == 3
+        for d in (1, 2, 4):
+            assert count("ternary", d, 0, "pqbinom") == 1
 
     def test_peel(self):
         assert nu_ternary_peel(3, 4) == 1
@@ -301,7 +303,7 @@ class TestPoincareSeries:
         # layer n alone counts the partitions into exactly n parts, not at
         # most n: the DP without alpha_0
         def layer_alone(d, order):
-            slot = comb(order + d, d).bit_length() + 1
+            slot = comb(order + d, d).bit_length()
             mask = (1 << ((d * order // 2 + 1) * slot)) - 1
             shifts = [p * slot for p in range(1, d + 1)]
             layers = weights._packed_layers([(shifts, [mask] * (order + 1))], order)
@@ -690,7 +692,7 @@ class TestPackedPqbinom:
         if not reads.cells:
             return
         order, box = reads.order, reads.box()
-        slot = monomial_count(d, order).bit_length() + 1
+        slot = monomial_count(d, order).bit_length()
         want = TruncatedSeries([LaurentPoly({(0, 0): 1})], order=order)
         for i, m in enumerate(ms):
             row = [pq_binomial(m, k) for k in range(order + 1)]
@@ -732,6 +734,18 @@ class TestPackedPqbinom:
         # three distinct a + b per degree, one at n = 0
         degrees = [n for n in range(1, order + 1) if d * n % 3 == 0]
         assert len(read) == 3 * len(degrees) + 1
+
+    def test_slot_is_the_bound_bit_length(self):
+        # the narrowest slot that holds monomial_count(d, order), so a
+        # carry would show
+        for d in range(8):
+            for order in range(13):
+                reads = ternary_reads(d, range(order + 1))
+                if reads.cells:
+                    coeff = counts.pqbinom_reader(d, reads)
+                    closure = dict(zip(coeff.__code__.co_freevars, coeff.__closure__))
+                    slot = closure["slot"].cell_contents
+                    assert slot == monomial_count(d, reads.order).bit_length(), (d, order)
 
     def test_reader_holds_only_the_sums_read(self):
         # every sum is convolved before the reader returns, so a cell whose
@@ -793,6 +807,16 @@ class TestPackedGenfunc:
                 assert in_band == series_terms(want), (d, order)
                 first = brute_floors(reads, d)
                 assert all(a + b >= first[j] for j, a, b in got), (d, order)
+
+    def test_slot_is_the_bound_bit_length(self):
+        # the narrowest slot that holds monomial_count(d, order), so a
+        # carry would show
+        for d in range(8):
+            for order in range(13):
+                reads = ternary_reads(d, range(order + 1))
+                if reads.cells:
+                    _, slot = counts._genfunc_expansion(d, reads)
+                    assert slot == monomial_count(d, reads.order).bit_length(), (d, order)
 
     @pytest.mark.parametrize("d, order", [(1, 30), (4, 20), (7, 12), (10, 9)])
     def test_no_bit_outside_the_box(self, d, order):

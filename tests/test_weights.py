@@ -15,6 +15,7 @@ from forminv.weights import (
     monomial_count,
     num_variables,
     omega_binary,
+    omega_reader,
     solution_count_grid,
     variables,
     weight_table,
@@ -97,6 +98,17 @@ class TestPackedLayers:
             for x in range(w1cap + 1):
                 for y in range(w2cap + 1):
                     assert grid.cell(c, x, y) == ref[c][x][y]
+
+    def test_slot_is_the_bound_bit_length(self):
+        # the narrowest slot that holds monomial_count(d, n), so a carry
+        # would show; the window grid takes the same width
+        for d in range(7):
+            for n in range(9):
+                grid = _count_layers(d, n, d * n, d * n)
+                assert grid.slot == monomial_count(d, n).bit_length(), (d, n)
+                assert grid.mask == (1 << grid.slot) - 1
+        reads = series_reads(5, 9)
+        assert solution_count_grid(5, 9, *reads.window(5)).slot == monomial_count(5, 9).bit_length()
 
     def test_padding_edge(self):
         # w2cap = 0 < d: every s > 0 shift lands wholly in the padding
@@ -279,6 +291,15 @@ class TestOmegaBinary:
             for n in range(13):
                 ref = reference_omega_row(d, n)
                 assert [omega_binary(d, n, w) for w in range(d * n + 1)] == ref
+
+    def test_slot_is_the_bound_bit_length(self):
+        # the narrowest slot that holds comb(order + d, d), so a carry
+        # would show
+        for d in range(9):
+            for order in range(9):
+                coeff = omega_reader(d, order)
+                closure = dict(zip(coeff.__code__.co_freevars, coeff.__closure__))
+                assert closure["slot"].cell_contents == comb(order + d, d).bit_length()
 
     def test_box_transpose_symmetry(self):
         for d in range(9):
