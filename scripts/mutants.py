@@ -156,6 +156,23 @@ MUTANTS = (
         [WT + "TestWeightTable::test_dominant_part_against_enumeration",
          WT + "TestWeightTable::test_weyl_invariant_and_dominant_part_built_alone"],
     ),
+    # character's sweep of the root-lattice coset: a step of 1 evaluates
+    # the whole triangle and returns the same diagram, so only the call
+    # count sees it
+    Mutant(
+        "character evaluates the whole triangle",
+        S,
+        "span - i + 1, 3):",
+        "span - i + 1, 1):",
+        [ST + "TestCharacter::test_evaluates_only_the_root_lattice_coset"],
+    ),
+    Mutant(
+        "character sweeps the wrong coset",
+        S,
+        "(i - lam[0] + lam[1]) % 3",
+        "(i - lam[0] + lam[1] + 1) % 3",
+        [ST + "TestAgainstReference::test_character"],
+    ),
     # decompose on a dominant diagram
     Mutant(
         "the total bookkeeping misses a total that is too large",

@@ -154,8 +154,12 @@ def character(lam: HighestWeight) -> WeightDiagram:
     Weyl image of a dominant weight mu = lam - k1 alpha1 - k2 alpha2 with
     k1, k2 >= 0.  The simple roots alpha1 = (2, -1) and alpha2 = (-1, 2)
     each lower i + j by 1, so the dominant support lies in the triangle
-    i, j >= 0, i + j <= m1 + m2.  Only those weights are evaluated, and
-    each nonzero multiplicity is written to the Weyl orbit of its weight.
+    i, j >= 0, i + j <= m1 + m2.  Every weight of the irrep also lies in
+    lam's coset of the root lattice, where 2(m1 - i) + (m2 - j) is a
+    multiple of 3, that is j = i - m1 + m2 mod 3; ``_alternation`` is 0
+    off it at its first test.  So only the triangle's weights on that
+    coset are evaluated, one j in three, and each nonzero multiplicity
+    is written to the Weyl orbit of its weight.
     As every evaluated weight is dominant, only the identity, s1 and s2
     terms of the alternation are taken; each other term has a negative
     simple-root coordinate there, so is 0 (``_alternation``).  This
@@ -167,7 +171,7 @@ def character(lam: HighestWeight) -> WeightDiagram:
     span = lam[0] + lam[1]
     out: WeightDiagram = {}
     for i in range(span + 1):
-        for j in range(span - i + 1):
+        for j in range((i - lam[0] + lam[1]) % 3, span - i + 1, 3):
             m = _alternation(images, (i, j))
             if m:
                 for w in _weyl_orbit(i, j):

@@ -223,6 +223,24 @@ class TestCharacter:
             with pytest.raises(ValueError):
                 character(lam)
 
+    def test_evaluates_only_the_root_lattice_coset(self, monkeypatch):
+        # the alternation runs once per weight of the triangle
+        # i + j <= m1 + m2 whose j is i - m1 + m2 mod 3, none elsewhere
+        calls = []
+        real = sl3._alternation
+
+        def recorded(images, mu):
+            calls.append(mu)
+            return real(images, mu)
+
+        monkeypatch.setattr(sl3, "_alternation", recorded)
+        for m1, m2 in ((0, 0), (2, 1), (6, 6), (7, 3)):
+            calls.clear()
+            character((m1, m2))
+            span = m1 + m2
+            want = sum(len(range((i - m1 + m2) % 3, span - i + 1, 3)) for i in range(span + 1))
+            assert len(calls) == want, (m1, m2)
+
     def test_duality(self):
         for m in range(7):
             for k in range(7):
