@@ -173,6 +173,45 @@ MUTANTS = (
         "(i - lam[0] + lam[1] + 1) % 3",
         [ST + "TestAgainstReference::test_character"],
     ),
+    # e_lambda's root-lattice test: without it every multiplicity read off
+    # the lattice is 0, so only the call count sees it
+    Mutant(
+        "e_lambda evaluates lam off the root lattice",
+        S,
+        "    if (2 * lam[0] + lam[1]) % 3:\n        return 0\n",
+        "",
+        [ST + "TestELambda::test_reads_multiplicities_only_on_the_root_lattice"],
+    ),
+    Mutant(
+        "e_lambda's root-lattice test inverted",
+        S,
+        "if (2 * lam[0] + lam[1]) % 3:",
+        "if not (2 * lam[0] + lam[1]) % 3:",
+        [ST + "TestELambda::test_trivial"],
+    ),
+    Mutant(
+        "e_lambda checks lam only on the root lattice",
+        S,
+        "    _check_dominant(lam)\n    if (2 * lam[0]",
+        "    if (2 * lam[0]",
+        [ST + "TestMalformedInput::test_e_lambda_rejects_negative_highest_weight",
+         ST + "TestMalformedInput::test_rejects_weight_that_is_not_a_pair_of_ints"],
+    ),
+    # decompose's Weyl invariance, checked once per dominant orbit
+    Mutant(
+        "the orbit check drops the longest element's image",
+        S,
+        " == get(s0):",
+        ":",
+        [ST + "TestDecompose::test_one_non_dominant_image_changed"],
+    ),
+    Mutant(
+        "a wall weight's orbit counted as 6",
+        S,
+        "6 if a and b else 3 if a or b else 1",
+        "6 if a or b else 1",
+        [ST + "TestDecompose::test_irreducible_input"],
+    ),
     # decompose on a dominant diagram
     Mutant(
         "the total bookkeeping misses a total that is too large",
@@ -184,8 +223,8 @@ MUTANTS = (
     Mutant(
         "a dominant diagram keeps a weight with one negative coordinate",
         S,
-        "if a < 0 or b < 0:",
-        "if a < 0 and b < 0:",
+        "total is not None and (a < 0 or b < 0):",
+        "total is not None and (a < 0 and b < 0):",
         [ST + "TestDecompose::test_dominant_diagram_with_total"],
     ),
     # decompose's sweep checks

@@ -34,6 +34,14 @@ diagram lacks.  ``weight_multiplicity`` and ``character`` keep the
 alternation (``_alternation``) on purpose, so that decomposing a
 recomposed character checks the sweep against the alternation rather
 than against its own formula.
+
+Both ``e_lambda`` and ``decompose`` work per Weyl orbit where the work
+per weight is redundant.  Every FIVE_POINT weight lies in the root
+lattice, so ``e_lambda`` is 0 with no multiplicity read for a lam off
+it, two lam in three.  ``decompose`` checks a full diagram's Weyl
+invariance at its nonzero dominant weights only, one lookup per image
+of their orbits, and counts the orbits' weights against the nonzero
+entries, so no weight outside those orbits passes unseen.
 """
 
 from __future__ import annotations
@@ -183,8 +191,16 @@ def e_lambda(lam: HighestWeight) -> int:
     """The five-point functional FIVE_POINT on the weight diagram of lam.
 
     Equals 1 exactly for the trivial representation and 0 otherwise,
-    which is what turns weight counts into invariant counts.
+    which is what turns weight counts into invariant counts.  Every
+    FIVE_POINT weight lies in the root lattice, and V(lam) has weights
+    only in lam's coset of it, which is the lattice itself exactly when
+    2 m1 + m2 is 0 mod 3 (``character``).  Off the lattice every
+    multiplicity read would be 0, so the functional is 0 with no
+    alternation evaluated; lam is checked first all the same.
     """
+    _check_dominant(lam)
+    if (2 * lam[0] + lam[1]) % 3:
+        return 0
     return sum(c * weight_multiplicity(lam, mu) for mu, c in FIVE_POINT.items())
 
 
@@ -244,8 +260,14 @@ def decompose(diagram: WeightDiagram, total: Optional[int] = None) -> Dict[Highe
     support.  Any negative residual (or a non-Weyl-invariant input, a
     weight that is not a pair of ints, or a multiplicity that is not an
     int) signals that the input was not a valid character.  One pass
-    over every weight checks the types and the s1 and s2 invariance and
-    collects the dominant weights.
+    over every weight checks the types, counts the nonzero weights and
+    collects the nonzero dominant ones.  Weyl invariance is then checked
+    once per orbit: each such dominant weight's five other images
+    (``_weyl_orbit``) must hold its multiplicity, and the orbits' sizes,
+    6, 3 or 1 as the weight has no, one or two zero coordinates, must
+    sum to the nonzero count.  On a failure the message names the first
+    weight, in diagram order, that s1 or s2 moves to another
+    multiplicity, a missing weight counting 0.
 
     With ``total`` given, ``diagram`` is the dominant part of a character
     whose multiplicities sum to ``total``: the pass checks the types and
@@ -283,27 +305,40 @@ def decompose(diagram: WeightDiagram, total: Optional[int] = None) -> Dict[Highe
     """
     get = diagram.get
     dominant: List[Weight] = []
-    # the first weight where s1 or s2 changes the multiplicity, a missing
-    # weight counting 0; s1 and s2 generate the Weyl group, and a weight
-    # outside the diagram whose image is in it is caught at that image,
-    # as s1 and s2 are involutions.  It is raised after the loop, so that
-    # a weight or multiplicity of the wrong type is named first.
-    skewed = None
+    left = 0  # the nonzero weights not yet in a constant Weyl orbit
     for w, m in diagram.items():
         if not _is_weight(w):
             raise InvalidCharacterError(f"weight {w!r} is not a pair of ints")
         if type(m) is not int:
             raise InvalidCharacterError(f"multiplicity {m!r} at weight {w} is not an int")
         a, b = w
-        if total is not None:
-            if a < 0 or b < 0:
-                raise InvalidCharacterError(f"weight {w} of a dominant diagram is not dominant")
-        elif (get((-a, a + b), 0) != m or get((a + b, -b), 0) != m) and skewed is None:
-            skewed = w
-        if m and a >= 0 and b >= 0:
-            dominant.append(w)
-    if skewed is not None:
-        raise InvalidCharacterError(f"diagram is not Weyl-invariant at weight {skewed}")
+        if total is not None and (a < 0 or b < 0):
+            raise InvalidCharacterError(f"weight {w} of a dominant diagram is not dominant")
+        if m:
+            left += 1
+            if a >= 0 and b >= 0:
+                dominant.append(w)
+    if total is None:
+        # Each Weyl orbit holds one dominant weight (a, b), and 6, 3 or 1
+        # weights as both of a and b are nonzero, one is, or neither.  The
+        # orbits of distinct dominant weights are disjoint, so the diagram
+        # is invariant exactly when the constant orbits of the nonzero
+        # dominant weights hold every nonzero weight: an orbit that is not
+        # constant is not subtracted, and its own dominant weight is left.
+        for a, b in dominant:
+            _, s1, s2, s12, s21, s0 = _weyl_orbit(a, b)
+            if get((a, b)) == get(s1) == get(s2) == get(s12) == get(s21) == get(s0):
+                left -= 6 if a and b else 3 if a or b else 1
+        if left:
+            # name the first weight where s1 or s2 changes the multiplicity,
+            # a missing weight counting 0: s1 and s2 generate the Weyl group,
+            # and a weight outside the diagram whose image is in it is caught
+            # at that image, as s1 and s2 are involutions
+            for w, m in diagram.items():
+                if {get(s, 0) for s in _weyl_orbit(*w)[1:3]} != {m}:
+                    raise InvalidCharacterError(f"diagram is not Weyl-invariant at weight {w}")
+            # s1 and s2 fix every weight, so an orbit size is wrong: fail all the same
+            raise InvalidCharacterError(f"orbit sizes miss the nonzero weight count by {left}")
     lines: Dict[int, Tuple[int, int, int]] = {}  # i - j -> (i, slope, value) at its last visit
     # per family (0 along -alpha1, 1 along -alpha2): ray line key ->
     # [level of the weight it visits next, sum of the signed g on it]

@@ -279,6 +279,24 @@ class TestELambda:
                 expect = 1 if (m, k) == (0, 0) else 0
                 assert e_lambda((m, k)) == expect
 
+    def test_reads_multiplicities_only_on_the_root_lattice(self, monkeypatch):
+        # every FIVE_POINT weight lies in the root lattice, so lam off it
+        # (2 m1 + m2 not 0 mod 3) reads none; lam on it reads all five
+        calls = []
+        real = sl3.weight_multiplicity
+
+        def recorded(lam, mu):
+            calls.append(mu)
+            return real(lam, mu)
+
+        monkeypatch.setattr(sl3, "weight_multiplicity", recorded)
+        for m1 in range(9):
+            for m2 in range(9):
+                calls.clear()
+                e_lambda((m1, m2))
+                want = 0 if (2 * m1 + m2) % 3 else len(sl3.FIVE_POINT)
+                assert len(calls) == want, (m1, m2)
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
@@ -292,6 +310,8 @@ class TestMalformedInput:
             pytest.param(lambda: dimension((True, 1)), id="dimension-bool"),
             pytest.param(lambda: dimension((2, 0.5)), id="dimension-float"),
             pytest.param(lambda: e_lambda((0.0, 0)), id="e_lambda-float"),
+            # 2 * True + 0 is off the root lattice: checked all the same
+            pytest.param(lambda: e_lambda((True, 0)), id="e_lambda-bool"),
             pytest.param(
                 lambda: weight_multiplicity((True, 0), (1, 0)),
                 id="weight_multiplicity-bool-lam",
@@ -313,6 +333,12 @@ class TestMalformedInput:
     def test_rejects_weight_that_is_not_a_pair_of_ints(self, call):
         with pytest.raises(ValueError, match="pair of ints"):
             call()
+
+    # (-1, 0) and (0, -1) are off the root lattice: checked all the same
+    @pytest.mark.parametrize("lam", [(-1, 0), (0, -1), (-2, 1)], ids=str)
+    def test_e_lambda_rejects_negative_highest_weight(self, lam):
+        with pytest.raises(ValueError, match="^highest weight components must be nonnegative$"):
+            e_lambda(lam)
 
     @pytest.mark.parametrize("mult", [1.5, True, "1"])
     def test_decompose_rejects_multiplicity_that_is_not_an_int(self, mult):
@@ -606,9 +632,43 @@ class TestDecompose:
         with pytest.raises(InvalidCharacterError, match="is not dominant"):
             decompose(character((1, 1)), 8)
 
+    @staticmethod
+    def skewed_at(diagram, w):
+        with pytest.raises(
+            InvalidCharacterError, match=f"^{re.escape(f'diagram is not Weyl-invariant at weight {w}')}$"
+        ):
+            decompose(diagram)
+
     def test_not_weyl_invariant(self):
-        with pytest.raises(InvalidCharacterError):
-            decompose({(1, 0): 1})
+        self.skewed_at({(1, 0): 1}, (1, 0))
+
+    # V(1, 1) is, in diagram order, (0, 0): 2 and the orbit (1, 1), (-1, 2),
+    # (2, -1), (1, -2), (-2, 1), (-1, -1): 1.  The message names the first
+    # weight in that order whose s1 or s2 image holds another multiplicity.
+    @pytest.mark.parametrize(
+        "changed, named",
+        [((-1, 2), (1, 1)), ((2, -1), (1, 1)), ((1, -2), (-1, 2)), ((-2, 1), (2, -1)),
+         ((-1, -1), (1, -2))],
+    )
+    def test_one_non_dominant_image_changed(self, changed, named):
+        diagram = character((1, 1))
+        diagram[changed] = 2
+        self.skewed_at(diagram, named)
+
+    def test_extra_weight_outside_every_orbit(self):
+        # (-3, 1) is in no orbit of V(1, 1); its s1 image (3, -2) is missing
+        self.skewed_at({**character((1, 1)), (-3, 1): 1}, (-3, 1))
+
+    def test_zero_at_a_dominant_weight_whose_images_are_not(self):
+        diagram = character((1, 1))
+        diagram[(1, 1)] = 0
+        self.skewed_at(diagram, (1, 1))
+
+    def test_invariant_diagram_with_explicit_zeros(self):
+        # zeros on and off the orbits, before and after the support
+        diagram = {(2, 0): 0, **character((1, 1)), (-5, 2): 0, (3, -7): 0, (0, 0): 2}
+        assert decompose(diagram) == {(1, 1): 1}
+        assert decompose({(0, 0): 0, (1, -1): 0}) == {}
 
     def test_negative_multiplicity(self):
         # adjoint character with the zero weight removed: peeling (1,1)
