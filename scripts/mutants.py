@@ -22,8 +22,9 @@ Run from anywhere, with pytest and hypothesis installed:
 
 Some helpers are shared between routes (``_packed_layers`` and
 ``_grid`` by counting and peel, ``_box_masks`` by genfunc and pqbinom,
-``Reads`` by every ternary reader), so a mutant there can move two
-routes together, and a test that compares those routes cannot see it.
+``pq_binomial_table`` by binary qbinom and pqbinom, ``Reads`` by every
+ternary reader), so a mutant there can move two routes together, and a
+test that compares those routes cannot see it.
 Each such mutant names tests that check a route against pinned values
 or its own reference instead.
 """
@@ -102,6 +103,8 @@ MUTANTS = (
         "slot = comb(order + d, d).bit_length() - 1",
         [WT + "TestOmegaBinary::test_against_reference_dp"],
     ),
+    # gaussian_binomial_low's slot is also checked by pq_binomial_table's
+    # carry guard, so this one is killed by the guard's ValueError
     Mutant(
         "gaussian_binomial_low's slot one bit narrower than its bound",
         Q,
@@ -122,6 +125,66 @@ MUTANTS = (
         "slot = weights.monomial_count(d, order).bit_length()\n    cell",
         "slot = weights.monomial_count(d, order).bit_length() - 1\n    cell",
         [CT + "TestNuTernary::test_pqbinom"],
+    ),
+    # the one q-Pascal recurrence, shared by binary qbinom (row d, at
+    # p = 1) and pqbinom (every row), so each is killed by the table's own
+    # tests against the oracles
+    Mutant(
+        "the q-Pascal shift one slot short",
+        Q,
+        "(k * slot)",
+        "((k - 1) * slot)",
+        [QT + "TestGaussianBinomialLow::test_is_low_part_of_gaussian_binomial",
+         QT + "TestPqBinomialTable::test_entries_are_clipped_pq_binomials"],
+    ),
+    Mutant(
+        "every row of the pq-binomial table aliases one list",
+        Q,
+        "row = row[: top // m + 1]",
+        "del row[top // m + 1:]",
+        [QT + "TestPqBinomialTable::test_entries_are_clipped_pq_binomials"],
+    ),
+    Mutant(
+        "each pq-binomial row cut one entry short",
+        Q,
+        "row = row[: top // m + 1]",
+        "row = row[: top // m]",
+        [QT + "TestGaussianBinomialLow::test_is_low_part_of_gaussian_binomial",
+         QT + "TestPqBinomialTable::test_entries_are_clipped_pq_binomials"],
+    ),
+    # the five-point functional, shared by e_lambda and every ternary
+    # reader route (through OPERATOR_TERMS)
+    Mutant(
+        "FIVE_POINT's (1, 1) coefficient with its sign flipped",
+        S,
+        "(1, 1): -2",
+        "(1, 1): 2",
+        [ST + "TestELambda::test_adjoint",
+         "tests/test_counts.py::test_operator_terms_are_the_papers_operator"],
+    ),
+    # the Weyl alternation, the oracle of character and of the sweep
+    Mutant(
+        "_alternation exits early only when both coordinates are negative",
+        S,
+        "n1 < 0 or n2 < 0:",
+        "n1 < 0 and n2 < 0:",
+        [ST + "TestAgainstReference::test_weight_multiplicity_box"],
+    ),
+    Mutant(
+        "_alternation exits early at n2 = 0",
+        S,
+        "n1 < 0 or n2 < 0:",
+        "n1 < 0 or n2 <= 0:",
+        [ST + "TestWeightMultiplicity::test_standard_highest_weight",
+         ST + "TestCharacter::test_trivial"],
+    ),
+    Mutant(
+        "_alternation reads K off the root lattice",
+        S,
+        "if n1 % 3 or n1 < 0",
+        "if n1 < 0",
+        [ST + "TestWeightMultiplicity::test_outside_diagram",
+         ST + "TestAgainstReference::test_weight_multiplicity_box"],
     ),
     # peel's dominant build
     Mutant(
@@ -259,6 +322,22 @@ MUTANTS = (
         [CT + "TestNuTernary::test_genfunc", CT + "TestNuTernary::test_pqbinom",
          CT + "TestPackedGenfunc::test_expansion_is_restricted_inverse_product",
          QT + "TestPqBinomialTable::test_entries_are_clipped_pq_binomials"],
+    ),
+    Mutant(
+        "pqbinom's hi half floored as if lo ended one factor lower",
+        C,
+        "half - 1, reads, masks)",
+        "half - 2, reads, masks)",
+        [CT + "TestNuTernary::test_pqbinom", CT + "TestReads::test_reader_is_exact_at_every_cell_read"],
+    ),
+    Mutant(
+        "Reads.box one too small in a",
+        C,
+        "return max([a for (_, a, _), _ in cells]), ",
+        "return max([a for (_, a, _), _ in cells]) - 1, ",
+        [CT + "TestReads::test_cells_are_the_operator_at_each_degree",
+         CT + "TestPackedGenfunc::test_expansion_is_restricted_inverse_product",
+         CT + "TestNuTernary::test_pqbinom"],
     ),
     Mutant(
         "Reads.floors one too high",

@@ -5,8 +5,9 @@ invariants, the coefficient of q^{dn/2} in (1 - q) [d+n choose n]_q,
 
   * omega     -- weight counts of the coefficient monomials, from one
                  packed partition DP (``weights.omega_reader``),
-  * qbinom    -- the q-binomials themselves, from one packed q-Pascal
-                 row (``qbinom.gaussian_binomial_low``).
+  * qbinom    -- the q-binomials themselves, row d of the packed
+                 pq-binomial table at p = 1
+                 (``qbinom.gaussian_binomial_low``).
 
 Ternary forms: four mutually independent methods for the number of
 linearly independent degree-n invariants,

@@ -117,10 +117,8 @@ class TruncatedSeries:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Iterable[LaurentPoly], order: int | None = None):
+    def __init__(self, coeffs: Iterable[LaurentPoly], order: int):
         cs = list(coeffs)
-        if order is None:
-            order = len(cs) - 1
         if order < 0:
             raise ValueError("order must be nonnegative")
         while len(cs) < order + 1:

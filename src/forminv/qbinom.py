@@ -1,11 +1,12 @@
 """Gaussian (q-) and two-variable (pq-) binomial coefficients.
 
 ``gaussian_binomial_low`` and ``pq_binomial_table`` are the ones the
-routes use.  They build q-binomials (the low parts of a row of them,
-read by the binary qbinom route) and a table of pq-binomials (clipped to
-a box of exponents) as packed ints by the q-Pascal recurrence: one
-shift, one add and one mask per entry, no polynomial product and no
-division.
+routes use.  ``pq_binomial_table`` builds a table of pq-binomials,
+clipped to a box of exponents, as packed ints by the q-Pascal
+recurrence: one shift, one add and one mask per entry, no polynomial
+product and no division.  ``gaussian_binomial_low`` reads its row d at
+p = 1, the low parts of a row of q-binomials, for the binary qbinom
+route.
 
 ``gaussian_binomial`` and ``pq_binomial`` are their test oracles.
 ``pq_binomial`` is computed from the defining product by exact
@@ -42,27 +43,18 @@ def gaussian_binomial_low(d: int, order: int) -> Callable[[int, int], int]:
     """coeff(k, e): the coefficient of q^e in gaussian_binomial(d, k) for
     every k <= order and e <= d*order//2, and 0 for e < 0.
 
-    Built by the q-Pascal identity for Q(m, k) = gaussian_binomial(m, k),
-
-        Q(m, k) = Q(m, k-1) + q^k Q(m-1, k),
-
-    over one row k = 0..order, each entry packed as one int with the
-    coefficient of q^e in slot e, updated in place for m = 1..d from
-    Q(0, k) = Q(m, 0) = 1: row[k] = (row[k-1] + (row[k] << k*slot)) & mask,
-    the mask keeping slots 0..d*order//2.  Every coefficient is at most
-    comb(d + order, order), so the slot is its bit length (the slot rule,
-    ``weights`` module docstring).
-    Every exponent is >= 0 and only grows along the recurrence, so
-    truncating each entry as it is built is exact.  Raises ValueError
+    Row d of ``pq_binomial_table`` at p = 1, where the slot e of an
+    entry, the coefficient of p^(D-e) q^e, is that of q^e.  Every degree
+    takes the one mask of slots 0..d*order//2, and the masks run to
+    degree d*order, so every row holds k = 0..order.  Every coefficient
+    is at most comb(d + order, order), so the slot is its bit length
+    (the slot rule, ``weights`` module docstring).  Raises ValueError
     unless d and order are nonnegative ints.
     """
     _check_dn(d, order)
     slot = comb(d + order, order).bit_length()
     mask = (1 << ((d * order // 2 + 1) * slot)) - 1
-    row = [1] * (order + 1)
-    for _ in range(d):
-        for k in range(1, order + 1):
-            row[k] = (row[k - 1] + (row[k] << (k * slot))) & mask
+    row = pq_binomial_table(d, order, [mask] * (d * order + 1), slot)[d]
     cell = (1 << slot) - 1
 
     def coeff(k: int, e: int) -> int:
@@ -86,35 +78,39 @@ def pq_binomial(d: int, k: int) -> LaurentPoly:
 
 
 def pq_binomial_table(mmax: int, order: int, masks: List[int], slot: int) -> List[List[int]]:
-    """Row m, for m = 0..mmax, holds pq_binomial(m, k) clipped to the box
-    p^a q^b, a <= A, b <= B, of ``masks`` = ``_box_masks(box, slot)``,
-    for every k <= order with m*k <= A + B (the entries of higher degree
-    lie wholly outside the box).
+    """Row m, for m = 0..mmax, holds pq_binomial(m, k), masked, for
+    k = 0..order.  Entry (m, k) is homogeneous of degree D = m*k;
+    ``masks[D]`` is applied to every entry of degree D, and a row ends
+    where m*k passes len(masks) - 1.  The ternary pqbinom route passes
+    ``_box_masks(box, slot)``, which clips each entry to the box p^a q^b,
+    a <= A, b <= B (an entry of degree above A + B lies wholly outside
+    it); ``gaussian_binomial_low`` passes one mask for every degree.
 
-    Entry (m, k) is homogeneous of degree D = m*k, packed as one int with
-    the coefficient of p^(D-b) q^b in slot b (``slot`` bits at offset
-    b*slot).  The rows are built by the q-Pascal identity
+    Entry (m, k) is packed as one int with the coefficient of
+    p^(D-b) q^b in slot b (``slot`` bits at offset b*slot).  The rows are
+    built by the q-Pascal identity
 
         pq_binomial(m, k) = p^m pq_binomial(m, k-1) + q^k pq_binomial(m-1, k),
 
     which in this layout is P[m][k] = P[m][k-1] + (P[m-1][k] << k*slot),
-    from P[0][k] = P[m][0] = 1.  Every coefficient is at most
+    from P[0][k] = P[m][0] = 1: each row is a cut copy of the one before,
+    updated in place for k = 1, 2, ...  Every coefficient is at most
     comb(m + k, k), so a slot that holds comb(mmax + order, order) never
     carries, else ValueError.  Every exponent is >= 0 and only grows
-    along the recurrence, so masking each entry to the box as it is
-    built is exact: a dropped term never comes back.  Raises ValueError
-    unless mmax, order and slot are nonnegative ints.
+    along the recurrence, so masking each entry as it is built is exact:
+    a dropped term never comes back.  Raises ValueError unless mmax,
+    order and slot are nonnegative ints.
     """
     _check_dn(mmax, order, slot)
     if slot < 0 or comb(mmax + order, order) >> slot:
         raise ValueError(f"{slot}-bit slots cannot hold comb({mmax + order}, {order})")
     top = len(masks) - 1
-    table = [[1] * (order + 1)]
+    row = [1] * (order + 1)
+    table = [row]
     for m in range(1, mmax + 1):
-        prev = table[-1]
-        row = [1]
-        for k in range(1, min(order, top // m) + 1):
-            row.append((row[-1] + (prev[k] << (k * slot))) & masks[m * k])
+        row = row[: top // m + 1]
+        for k in range(1, len(row)):
+            row[k] = (row[k - 1] + (row[k] << (k * slot))) & masks[m * k]
         table.append(row)
     return table
 

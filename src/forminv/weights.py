@@ -21,13 +21,13 @@ where ``mask[c]`` keeps the cells of layer c inside its window.  A cell
 is read back with one shift and one mask.
 
 Every packed route in the package (this kernel's grid and omega layers,
-``counts``' genfunc expansion and pqbinom pieces, ``qbinom``'s q-Pascal
-row and pq-binomial table) takes the same slot width: the bit length of
-a bound on the count its coefficients are parts of (``monomial_count(d,
-n)`` for the ternary routes, ``comb(n+d, d)`` for the binary ones).  No
-addition carries into the next slot, because every slot of every int
-they add or multiply holds, before any mask, a nonnegative part of one
-count that the bound covers: a grid or omega step adds two parts of one
+``counts``' genfunc expansion and pqbinom pieces, ``qbinom``'s
+pq-binomial table, binary qbinom's row included) takes the same slot
+width: the bit length of a bound on the count its coefficients are parts
+of (``monomial_count(d, n)`` for the ternary routes, ``comb(n+d, d)``
+for the binary ones).  No addition carries into the next slot, because
+every slot of every int they add or multiply holds, before any mask, a
+nonnegative part of one count that the bound covers: a grid or omega step adds two parts of one
 cell's count, or adds a count to a slot that the last mask zeroed; a
 raised layer's right shift only drops rows; a genfunc or q-Pascal step
 adds two parts of one coefficient; and a pqbinom piece product, sum of

@@ -143,6 +143,10 @@ class TestSeries:
         with pytest.raises(OrderTooSmallError):
             series_mul(series_one(1), series_one(5), 3)
 
+    def test_negative_order(self):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            TruncatedSeries([ONE], order=-1)
+
     def test_truncation_consistency(self):
         x = expand_inverse_product([(1, 0), (0, 1), (1, 1)], 6)
         y = expand_inverse_product([(0, 0), (2, 1)], 6)
@@ -172,6 +176,10 @@ class TestExpandInverseProduct:
     def test_negative_exponent_expands(self):
         s = expand_inverse_product([(-1, 2)], 2)
         assert s.coeffs[2].terms == {(-2, 4): 1}
+
+    def test_negative_order(self):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            expand_inverse_product([(1, 0)], -1)
 
     @given(
         st.lists(
