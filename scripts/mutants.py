@@ -140,17 +140,25 @@ MUTANTS = (
     Mutant(
         "every row of the pq-binomial table aliases one list",
         Q,
-        "row = row[: top // m + 1]",
-        "del row[top // m + 1:]",
+        "[row[:] for row in",
+        "[row for row in",
         [QT + "TestPqBinomialTable::test_entries_are_clipped_pq_binomials"],
     ),
     Mutant(
         "each pq-binomial row cut one entry short",
         Q,
-        "row = row[: top // m + 1]",
-        "row = row[: top // m]",
+        "del row[top // m + 1 :]",
+        "del row[top // m :]",
         [QT + "TestGaussianBinomialLow::test_is_low_part_of_gaussian_binomial",
          QT + "TestPqBinomialTable::test_entries_are_clipped_pq_binomials"],
+    ),
+    # the same reads from the whole table: only the build's memory sees it
+    Mutant(
+        "binary qbinom builds the whole table to read row d",
+        Q,
+        "for row in _pq_binomial_rows(d, order, [mask] * (d * order + 1), slot):\n        pass\n",
+        "row = pq_binomial_table(d, order, [mask] * (d * order + 1), slot)[d]\n",
+        [QT + "TestGaussianBinomialLow::test_build_holds_one_row"],
     ),
     # the five-point functional, shared by e_lambda and every ternary
     # reader route (through OPERATOR_TERMS)
@@ -289,6 +297,22 @@ MUTANTS = (
         "total is not None and (a < 0 or b < 0):",
         "total is not None and (a < 0 and b < 0):",
         [ST + "TestDecompose::test_dominant_diagram_with_total"],
+    ),
+    # decompose's sweep: its order and its ray starts
+    Mutant(
+        "the sweep visits the records ascending",
+        S,
+        "dominant.sort(reverse=True)",
+        "dominant.sort()",
+        [ST + "TestDecompose::test_irreducible_input"],
+    ),
+    Mutant(
+        "the second top ray starts one level too high",
+        S,
+        "2 * m1 + m2, m1 + m2 - 1, 1)",
+        "2 * m1 + m2, m1 + m2, 1)",
+        [ST + "TestDecompose::test_ray_starts_are_the_hexagon_rule_weights",
+         ST + "TestDecompose::test_irreducible_input"],
     ),
     # decompose's sweep checks
     Mutant(

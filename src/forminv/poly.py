@@ -152,10 +152,9 @@ def expand_inverse_product(factors: Iterable[Exponents], order: int) -> Truncate
 
     Each factor contributes a geometric series; they are folded in one
     at a time with the recurrence  S'[j] = S[j] + p^k q^l * S'[j-1],
-    which keeps the work proportional to the support size.
+    which keeps the work proportional to the support size.  A negative
+    order raises ValueError, from ``TruncatedSeries``.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     coeffs: List[Dict[Exponents, int]] = [{(0, 0): 1}] + [{} for _ in range(order)]
     for (k, l) in factors:
         for j in range(1, order + 1):

@@ -22,7 +22,7 @@ binds them.
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, List, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 from .poly import LaurentPoly
 from .weights import _check_dn
@@ -44,9 +44,10 @@ def gaussian_binomial_low(d: int, order: int) -> Callable[[int, int], int]:
     every k <= order and e <= d*order//2, and 0 for e < 0.
 
     Row d of ``pq_binomial_table`` at p = 1, where the slot e of an
-    entry, the coefficient of p^(D-e) q^e, is that of q^e.  Every degree
-    takes the one mask of slots 0..d*order//2, and the masks run to
-    degree d*order, so every row holds k = 0..order.  Every coefficient
+    entry, the coefficient of p^(D-e) q^e, is that of q^e.  The build
+    holds one row, updated in place up to row d.  Every degree takes the
+    one mask of slots 0..d*order//2, and the masks run to degree
+    d*order, so every row holds k = 0..order.  Every coefficient
     is at most comb(d + order, order), so the slot is its bit length
     (the slot rule, ``weights`` module docstring).  Raises ValueError
     unless d and order are nonnegative ints.
@@ -54,7 +55,8 @@ def gaussian_binomial_low(d: int, order: int) -> Callable[[int, int], int]:
     _check_dn(d, order)
     slot = comb(d + order, order).bit_length()
     mask = (1 << ((d * order // 2 + 1) * slot)) - 1
-    row = pq_binomial_table(d, order, [mask] * (d * order + 1), slot)[d]
+    for row in _pq_binomial_rows(d, order, [mask] * (d * order + 1), slot):
+        pass
     cell = (1 << slot) - 1
 
     def coeff(k: int, e: int) -> int:
@@ -93,26 +95,31 @@ def pq_binomial_table(mmax: int, order: int, masks: List[int], slot: int) -> Lis
         pq_binomial(m, k) = p^m pq_binomial(m, k-1) + q^k pq_binomial(m-1, k),
 
     which in this layout is P[m][k] = P[m][k-1] + (P[m-1][k] << k*slot),
-    from P[0][k] = P[m][0] = 1: each row is a cut copy of the one before,
-    updated in place for k = 1, 2, ...  Every coefficient is at most
-    comb(m + k, k), so a slot that holds comb(mmax + order, order) never
-    carries, else ValueError.  Every exponent is >= 0 and only grows
+    from P[0][k] = P[m][0] = 1: one row is cut and updated in place for
+    k = 1, 2, ... (``_pq_binomial_rows``), and the table keeps a copy of
+    each.  Every coefficient is at most comb(m + k, k), so a slot that
+    holds comb(mmax + order, order) never carries, else ValueError.  Every exponent is >= 0 and only grows
     along the recurrence, so masking each entry as it is built is exact:
     a dropped term never comes back.  Raises ValueError unless mmax,
     order and slot are nonnegative ints.
     """
+    return [row[:] for row in _pq_binomial_rows(mmax, order, masks, slot)]
+
+
+def _pq_binomial_rows(mmax: int, order: int, masks: List[int], slot: int) -> Iterator[List[int]]:
+    """The rows of ``pq_binomial_table``, as one list updated in place
+    and yielded as each row is done: a caller copies the rows it keeps."""
     _check_dn(mmax, order, slot)
     if slot < 0 or comb(mmax + order, order) >> slot:
         raise ValueError(f"{slot}-bit slots cannot hold comb({mmax + order}, {order})")
     top = len(masks) - 1
     row = [1] * (order + 1)
-    table = [row]
+    yield row
     for m in range(1, mmax + 1):
-        row = row[: top // m + 1]
+        del row[top // m + 1 :]
         for k in range(1, len(row)):
             row[k] = (row[k - 1] + (row[k] << (k * slot))) & masks[m * k]
-        table.append(row)
-    return table
+        yield row
 
 
 def _box_masks(box: Tuple[int, int], slot: int) -> List[int]:

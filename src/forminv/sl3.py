@@ -52,7 +52,7 @@ Weight = Tuple[int, int]
 HighestWeight = Tuple[int, int]
 WeightDiagram = Dict[Weight, int]
 WeylImages = Tuple[Tuple[int, int, int], ...]
-Ray = Tuple[int, int, Weight, int]  # (family, key, start, sign): see ``_rays``
+Ray = Tuple[int, int, int, int]  # (family, key, start level, sign): see ``_rays``
 
 
 class InvalidCharacterError(ValueError):
@@ -206,7 +206,9 @@ def e_lambda(lam: HighestWeight) -> int:
 
 def _rays(hw: HighestWeight) -> Tuple[Ray, ...]:
     """Where the character of V(hw) enters ``decompose``'s sweep: its rays,
-    as (family, key, start, sign), sign times its multiplicity g.
+    as (family, key, start, sign), sign times its multiplicity g, and
+    start the level i + j of the ray's first weight, which
+    ``_ray_weight(family, key, start)`` names.
 
     Summed over the dominant mu = hw - k1 alpha1 - k2 alpha2, the hexagon
     rule's 1 + min(k1, k2, M), M = min(m1, m2), is
@@ -232,11 +234,11 @@ def _rays(hw: HighestWeight) -> Tuple[Ray, ...]:
     Every dominant weight of a ray is a weight of V(hw).
     """
     m1, m2 = hw
-    tops = ((0, m1 + 2 * m2, hw, 1), (1, 2 * m1 + m2, (m1 + 1, m2 - 2), 1))
+    tops = ((0, m1 + 2 * m2, m1 + m2, 1), (1, 2 * m1 + m2, m1 + m2 - 1, 1))
     if m1 >= m2 + 3:
-        return tops + ((0, m1 - m2 - 3, (m1 - m2 - 3, 0), -1),)
+        return tops + ((0, m1 - m2 - 3, m1 - m2 - 3, -1),)
     if m2 >= m1 + 3:
-        return tops + ((1, m2 - m1 - 3, (0, m2 - m1 - 3), -1),)
+        return tops + ((1, m2 - m1 - 3, m2 - m1 - 3, -1),)
     return tops
 
 
@@ -275,11 +277,12 @@ def decompose(diagram: WeightDiagram, total: Optional[int] = None) -> Dict[Highe
     lookup, since the dominant part alone fixes the rest of a character.
     The dimension bookkeeping then compares against ``total``.
 
-    One downward sweep: the dominant weights are sorted once by
-    (i + j, i), descending, and visited in that order, which meets every
-    line of direction (1, 1) from the top down.  Each line i - j keeps a
-    running slope and value, the summed multiplicity there of the
-    characters peeled so far; a visit moves it down one step by the
+    One downward sweep: the pass records each nonzero dominant weight as
+    (i + j, i, weight), and the records are sorted once, descending, and
+    visited in that order (no two weights share (i + j, i)), which meets
+    every line of direction (1, 1) from the top down.  Each line i - j
+    keeps a running slope and value, the summed multiplicity there of
+    the characters peeled so far; a visit moves it down one step by the
     slope, then adds to the slope the events at the weight.  Each peeled
     multiplicity 1 + min(k1, k2, M) never falls going down a line, so
     while a line's value is nonzero its next visit must be the weight one
@@ -304,7 +307,7 @@ def decompose(diagram: WeightDiagram, total: Optional[int] = None) -> Dict[Highe
     the alternation as the sweep's independent check.
     """
     get = diagram.get
-    dominant: List[Weight] = []
+    dominant: List[Tuple[int, int, Weight]] = []  # (level i + j, i, weight)
     left = 0  # the nonzero weights not yet in a constant Weyl orbit
     for w, m in diagram.items():
         if not _is_weight(w):
@@ -317,7 +320,7 @@ def decompose(diagram: WeightDiagram, total: Optional[int] = None) -> Dict[Highe
         if m:
             left += 1
             if a >= 0 and b >= 0:
-                dominant.append(w)
+                dominant.append((a + b, a, w))
     if total is None:
         # Each Weyl orbit holds one dominant weight (a, b), and 6, 3 or 1
         # weights as both of a and b are nonzero, one is, or neither.  The
@@ -325,7 +328,7 @@ def decompose(diagram: WeightDiagram, total: Optional[int] = None) -> Dict[Highe
         # is invariant exactly when the constant orbits of the nonzero
         # dominant weights hold every nonzero weight: an orbit that is not
         # constant is not subtracted, and its own dominant weight is left.
-        for a, b in dominant:
+        for _, _, (a, b) in dominant:
             _, s1, s2, s12, s21, s0 = _weyl_orbit(a, b)
             if get((a, b)) == get(s1) == get(s2) == get(s12) == get(s21) == get(s0):
                 left -= 6 if a and b else 3 if a or b else 1
@@ -345,9 +348,9 @@ def decompose(diagram: WeightDiagram, total: Optional[int] = None) -> Dict[Highe
     rays: Tuple[Dict[int, List[int]], Dict[int, List[int]]] = ({}, {})
     along1, along2 = rays
     out: Dict[HighestWeight, int] = {}
-    for w in sorted(dominant, key=lambda w: (w[0] + w[1], w[0]), reverse=True):
-        i, j = w
-        level = i + j
+    dominant.sort(reverse=True)
+    for level, i, w in dominant:
+        j = level - i
         e = 0
         ray = along1.get(level + j)
         if ray is not None and ray[1]:
@@ -374,8 +377,7 @@ def decompose(diagram: WeightDiagram, total: Optional[int] = None) -> Dict[Highe
             raise InvalidCharacterError(f"negative multiplicity {g} at dominant weight {w}")
         if g:
             out[w] = g
-            for family, key, (a, b), sign in _rays(w):
-                start = a + b
+            for family, key, start, sign in _rays(w):
                 if start == level:  # the ray from w itself: its event is here
                     e += sign * g
                     start -= 1

@@ -1,3 +1,5 @@
+import sys
+import tracemalloc
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -207,6 +209,22 @@ class TestGaussianBinomialLow:
             want = [oracle.terms.get((0, e), 0) for e in range(top + 1)]
             # nothing below q^0, and the mask clears every slot past top
             assert got == [0] + want + [0], k
+
+    def test_build_holds_one_row(self):
+        # the build updates one row in place up to row d, so its peak is
+        # the row the reader keeps plus a few entries' temporaries; a build
+        # that kept every row of the table would peak at about 5 rows here
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            coeff = gaussian_binomial_low(8, 200)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        closure = dict(zip(coeff.__code__.co_freevars, coeff.__closure__))
+        row = closure["row"].cell_contents
+        assert len(row) == 201
+        assert peak < 2 * (sys.getsizeof(row) + sum(map(sys.getsizeof, row)))
 
     @pytest.mark.parametrize("args", [(-1, 3), (2, -1), (-1, -1)])
     def test_negative_arguments(self, args):

@@ -414,8 +414,9 @@ class TestDecompose:
 
     def test_scan_terms_match_alternation(self):
         # the sweep's rays for one highest weight with g = 1, walked from
-        # their starts to the walls (family 0 by (-2, 1) on i + 2j = key,
-        # family 1 by (1, -2) on 2i + j = key), and the events they place
+        # their start weights (_ray_weight at their start levels) to the
+        # walls (family 0 by (-2, 1) on i + 2j = key, family 1 by (1, -2)
+        # on 2i + j = key), and the events they place
         # summed down each line i - j (an event e at a weight adds
         # e * (1 + t) at the weight t steps of (-1, -1) below it), against
         # their definition, at every weight of the dominant triangle plus a
@@ -427,8 +428,9 @@ class TestDecompose:
                 hw = (m1, m2)
                 images = sl3._weyl_images(hw)[:3]
                 events = []
-                for family, key, (a, b), sign in sl3._rays(hw):
+                for family, key, start, sign in sl3._rays(hw):
                     step = (1, -2) if family else (-2, 1)
+                    a, b = sl3._ray_weight(family, key, start)
                     assert (2 * a + b if family else a + 2 * b) == key, (hw, family)
                     while a >= 0 and b >= 0:
                         events.append(((a, b), sign))
@@ -443,6 +445,22 @@ class TestDecompose:
                         )
                         assert value == sl3._alternation(images, (i, j)), (hw, (i, j))
                 assert decompose(character(hw)) == {hw: 1}
+
+    def test_ray_starts_are_the_hexagon_rule_weights(self):
+        # each ray starts at the level i + j of the weight the hexagon rule
+        # names: hw itself along -alpha1, the next weight below hw along
+        # -alpha2, and the bottom (m1 - m2 - 3, 0) or (0, m2 - m1 - 3)
+        for m1 in range(13):
+            for m2 in range(13):
+                starts = [(m1, m2), (m1 + 1, m2 - 2)]
+                if m1 >= m2 + 3:
+                    starts.append((m1 - m2 - 3, 0))
+                if m2 >= m1 + 3:
+                    starts.append((0, m2 - m1 - 3))
+                rays = sl3._rays((m1, m2))
+                assert [start for _, _, start, _ in rays] == [a + b for a, b in starts]
+                for (family, key, start, _), w in zip(rays, starts):
+                    assert sl3._ray_weight(family, key, start) == w, ((m1, m2), family)
 
     def test_raises_exactly_where_reference_peel_fails(self):
         # seeded recompositions, a third with one Weyl orbit perturbed and
