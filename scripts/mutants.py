@@ -354,6 +354,24 @@ MUTANTS = (
         "half - 2, reads, masks)",
         [CT + "TestNuTernary::test_pqbinom", CT + "TestReads::test_reader_is_exact_at_every_cell_read"],
     ),
+    # pqbinom's combine of its two halves, each killed against monomial
+    # counts and against a plain double loop over the pieces
+    Mutant(
+        "_convolve skips its last split",
+        C,
+        "for i in range(n + 1):",
+        "for i in range(n):",
+        [CT + "TestReads::test_reader_is_exact_at_every_cell_read",
+         CT + "TestPackedPqbinom::test_convolve_is_the_sum_over_every_pair_of_pieces"],
+    ),
+    Mutant(
+        "_convolve overwrites a sum instead of adding to it",
+        C,
+        "sums[deg] += x * y",
+        "sums[deg] = x * y",
+        [CT + "TestReads::test_reader_is_exact_at_every_cell_read",
+         CT + "TestPackedPqbinom::test_convolve_is_the_sum_over_every_pair_of_pieces"],
+    ),
     Mutant(
         "Reads.box one too small in a",
         C,

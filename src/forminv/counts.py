@@ -421,13 +421,13 @@ def pqbinom_reader(d: int, reads: Reads) -> Reader:
 
     That sum holds, in every slot, part of a coefficient of the full
     series, so no slot carries into the next one (the slot rule,
-    ``weights`` module docstring).  The five cells the
-    operator reads at degree n have only three distinct a + b, so each
-    distinct (n, a + b) of ``reads.cells`` is summed once, up front,
-    before the reader returns; the reader is one slot read of those sums
-    and raises KeyError for any (n, a + b) not read.  The floors make the
-    reader exact only at a + b >= ``reads.floors(0)[n]``, which holds
-    every cell read.
+    ``weights`` module docstring).  The five cells the operator reads at
+    degree n have only three distinct a + b (one at n = 0), and one
+    ``_convolve`` per read degree sums all of them, up front, before the
+    reader returns; the reader is one slot read of those sums and raises
+    KeyError for any (n, a + b) not read.  The floors make the reader
+    exact only at a + b >= ``reads.floors(0)[n]``, which holds every
+    cell read.
     """
     order, box = reads.order, reads.box()
     slot = weights.monomial_count(d, order).bit_length()
@@ -437,28 +437,37 @@ def pqbinom_reader(d: int, reads: Reads) -> Reader:
     half = min(d + 1, -(-2 * d // 3) + 1)
     lo = _pq_half(rows, range(half), d if half <= d else 0, reads, masks)
     hi = _pq_half(rows, range(d, half - 1, -1), half - 1, reads, masks)
-    keys = {(n, a + b) for cells in reads.cells.values() for (n, a, b), _ in cells}
-    sums = {key: _convolve(lo, hi, *key) for key in keys}
+    sums = {
+        n: _convolve(lo, hi, n, sorted({a + b for (_, a, b), _ in cells}))
+        for n, cells in reads.cells.items()
+    }
 
     def coeff(n: int, a: int, b: int) -> int:
-        return (sums[n, a + b] >> (b * slot)) & cell
+        return (sums[n][a + b] >> (b * slot)) & cell
 
     return coeff
 
 
 def _convolve(
-    lo: List[Dict[int, int]], hi: List[Dict[int, int]], n: int, deg: int
-) -> int:
-    """sum_i sum_D1 lo[i][D1] * hi[n-i][deg-D1]: the packed t^n piece of
-    total degree ``deg`` of the product of two graded packed series."""
-    total = 0
+    lo: List[Dict[int, int]], hi: List[Dict[int, int]], n: int, degs: Sequence[int]
+) -> Dict[int, int]:
+    """deg -> sum_i sum_D1 lo[i][D1] * hi[n-i][deg-D1] for each deg in
+    ``degs``: the packed t^n pieces of those total degrees of the product
+    of two graded packed series.  Each split i scans the smaller of
+    lo[i] and hi[n-i] once and looks its partner up at every deg, so
+    each product is the same pair of pieces whichever side is scanned."""
+    sums = dict.fromkeys(degs, 0)
     for i in range(n + 1):
-        get = hi[n - i].get
-        for d1, x in lo[i].items():
-            y = get(deg - d1)
-            if y:
-                total += x * y
-    return total
+        scan, other = lo[i], hi[n - i]
+        if len(scan) > len(other):
+            scan, other = other, scan
+        get = other.get
+        for d1, x in scan.items():
+            for deg in degs:
+                y = get(deg - d1)
+                if y:
+                    sums[deg] += x * y
+    return sums
 
 
 def _pq_half(

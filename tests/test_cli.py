@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import forminv
-from forminv import cli
+from forminv import cli, counts
 
 
 def run(capsys, *argv):
@@ -508,6 +512,123 @@ class TestUsageErrors:
         code, out, err = run(capsys, command, "--d", "2", "--max", "2")
         assert (code, out) == (2, "")
         assert f"invalid choice: '{command}'" in err
+
+
+# The contract test's flags: a good value nine times in ten; otherwise a
+# negative size, a string that is no int, or a choice that is none.
+def _mostly(good, bad):
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 9 else good)
+
+
+def _size(top):
+    junk = st.sampled_from(["x", "1.5", "", "-", "3x", "0x1"])
+    return _mostly(st.integers(0, top).map(str), st.integers(-3, -1).map(str) | junk)
+
+
+def _choice(values, junk):
+    return _mostly(st.sampled_from(values), st.just(junk))
+
+
+def _flag(name, values, required=True):
+    """[name, value], or no flag at all: one time in ten for a required
+    flag, and half the time for an optional one."""
+    pair = values.map(lambda v: [name, v])
+    return _mostly(pair, st.just([])) if required else st.one_of(pair, st.just([]))
+
+
+def _switch(name):
+    return st.sampled_from([[], [name]])
+
+
+_METHOD = _flag("--method", _choice(cli._ALL_METHODS, "nope"), False)
+_FORM = _flag("--form", _choice(["binary", "ternary"], "quaternary"))
+_WORK_LIMIT = _flag(
+    "--work-limit", st.sampled_from(["0", "1", str(counts.DEFAULT_WORK_LIMIT)]), False
+)
+# every flag but --out, and --help one time in ten; verify's defaults are
+# no small sizes, so its size flags are always given
+_COMMANDS = {
+    "count": [_FORM, _flag("--d", _size(6)), _flag("--n", _size(10)), _METHOD,
+              _switch("--json"), _WORK_LIMIT],
+    "series": [_FORM, _flag("--d", _size(6)), _flag("--max", _size(10)), _METHOD,
+               _flag("--format", _choice(["text", "json", "csv"], "xml"), False),
+               _switch("--skip-zeros"), _WORK_LIMIT],
+    "verify": [_size(top).map(lambda v, f=flag: [f, v])
+               for flag, top in [("--d-max", 2), ("--n-max", 4), ("--lambda-max", 3)]]
+              + [_WORK_LIMIT],
+}
+
+
+@st.composite
+def _argv(draw):
+    """argv, and its flags that take a value as flag -> value."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    flags = draw(st.permutations([draw(flag) for flag in _COMMANDS[command]]))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(["--help"])
+    argv = [command] + [word for flag in flags for word in flag]
+    return argv, dict(flag for flag in flags if len(flag) == 2)
+
+
+def _rows(out, fmt):
+    """(n, value) per row of a series' stdout in ``fmt``."""
+    if fmt == "json":
+        return [(row["n"], int(row["value"])) for row in json.loads(out)["coefficients"]]
+    lines = out.splitlines()[1:] if fmt == "csv" else out.splitlines()
+    sep = "," if fmt == "csv" else "\t"
+    return [tuple(map(int, line.split(sep))) for line in lines]
+
+
+def _pairs(command, *words):
+    """An argv of flags that each take a value, as ``_argv`` draws it."""
+    return [command, *words], dict(zip(words[::2], words[1::2]))
+
+
+# the two rarest outcomes, over the work limit
+@given(_argv())
+@example(_pairs("count", "--form", "ternary", "--d", "3", "--n", "3",
+                "--method", "peel", "--work-limit", "1"))
+@example(_pairs("verify", "--d-max", "1", "--n-max", "1", "--lambda-max", "1",
+                "--work-limit", "1"))
+@settings(max_examples=150, deadline=None)
+def test_cli_contract(drawn):
+    # every argv over count, series and verify exits 0, 2 or 3, with no
+    # traceback and, on a nonzero exit, one error line; exit 0 prints what
+    # the form's default method counts
+    argv, flags = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    if "--help" in argv and code == 0:
+        assert out.startswith("usage: forminv") and err == ""
+        return
+    if argv[0] == "verify" and flags.get("--work-limit") == "1" and code == 1:
+        # a check that failed is exit 1 with a report, not an error: at
+        # limit 1 no peel comparison fits, which verify reports as FAIL
+        assert out.splitlines()[0].endswith("no peel comparison ran within --work-limit 1")
+        assert (out.splitlines()[-1], err) == ("FAIL", "")
+        return
+    assert code in (0, 2, 3), (argv, out, err)
+    if code:
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert out == ""
+        return
+    assert err == ""
+    if argv[0] == "verify":
+        assert out.splitlines()[-1] == "PASS"
+        return
+    form, d = flags["--form"], int(flags["--d"])
+    if argv[0] == "count":
+        n = int(flags["--n"])
+        value = json.loads(out)["value"] if "--json" in argv else out
+        assert int(value) == counts.count(form, d, n)
+    else:
+        want = counts.poincare_series(
+            form, d, int(flags["--max"]), include_zeros="--skip-zeros" not in argv
+        )
+        assert _rows(out, flags.get("--format", "text")) == want
 
 
 class TestRun:

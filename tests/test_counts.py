@@ -722,18 +722,49 @@ class TestPackedPqbinom:
         calls = []
         real = counts._convolve
 
-        def counted(lo, hi, n, deg):
-            calls.append((n, deg))
-            return real(lo, hi, n, deg)
+        def counted(lo, hi, n, degs):
+            calls.append((n, tuple(degs)))
+            return real(lo, hi, n, degs)
 
         monkeypatch.setattr(counts, "_convolve", counted)
         d, order = 7, 15
         poincare_series("ternary", d, order, method="pqbinom")
-        read = {(n, a + b) for n, a, b in read_cells(ternary_reads(d, range(order + 1)))}
-        assert sorted(calls) == sorted(read)
+        read = {}
+        for n, a, b in read_cells(ternary_reads(d, range(order + 1))):
+            read.setdefault(n, set()).add(a + b)
+        # one call per read degree, with each distinct a + b once
+        assert sorted(n for n, _ in calls) == sorted(read)
+        for n, degs in calls:
+            assert sorted(degs) == sorted(read[n]), n
         # three distinct a + b per degree, one at n = 0
-        degrees = [n for n in range(1, order + 1) if d * n % 3 == 0]
-        assert len(read) == 3 * len(degrees) + 1
+        assert sorted(map(len, read.values())) == [1] + [3] * (len(read) - 1)
+
+    def test_convolve_is_the_sum_over_every_pair_of_pieces(self, monkeypatch):
+        # against a plain double loop over every pair of pieces of the
+        # real halves, at every read degree; the sizes hold splits where
+        # hi[n - i] has fewer pieces and splits where lo[i] has
+        real = counts._convolve
+        sides = set()
+        for d, order in [(3, 15), (5, 15), (7, 15), (4, 60)]:
+            reads = ternary_reads(d, range(order + 1))
+            halves = []
+            monkeypatch.setattr(
+                counts, "_convolve",
+                lambda lo, hi, n, degs: halves.append((lo, hi)) or real(lo, hi, n, degs),
+            )
+            counts.pqbinom_reader(d, reads)
+            lo, hi = halves[0]
+            for n, cells in reads.cells.items():
+                degs = {a + b for (_, a, b), _ in cells}
+                want = dict.fromkeys(degs, 0)
+                for i in range(n + 1):
+                    sides.add((len(lo[i]) > len(hi[n - i])) - (len(lo[i]) < len(hi[n - i])))
+                    for d1, x in lo[i].items():
+                        for d2, y in hi[n - i].items():
+                            if d1 + d2 in degs:
+                                want[d1 + d2] += x * y
+                assert real(lo, hi, n, degs) == want, (d, order, n)
+        assert {-1, 1} <= sides
 
     def test_slot_is_the_bound_bit_length(self):
         # the narrowest slot that holds monomial_count(d, order), so a
@@ -758,22 +789,20 @@ class TestPackedPqbinom:
                 coeff(*cell)
 
     def test_convolution_is_per_total_degree(self, monkeypatch):
-        # a reader that answered every (a, b) of a degree from the first
-        # a + b read there must break some series
+        # a _convolve that answered every a + b of a degree with the sum
+        # for its least one must break some series
         real = counts._convolve
-        first = {}
 
-        def first_degree(lo, hi, n, deg):
-            return real(lo, hi, n, first.setdefault(n, deg))
+        def first_degree(lo, hi, n, degs):
+            return dict.fromkeys(degs, real(lo, hi, n, [min(degs)])[min(degs)])
 
         monkeypatch.setattr(counts, "_convolve", first_degree)
-        differ = []
-        for d in range(1, 8):
-            first.clear()
-            if poincare_series("ternary", d, 15, method="pqbinom") != poincare_series(
-                "ternary", d, 15
-            ):
-                differ.append(d)
+        differ = [
+            d
+            for d in range(1, 8)
+            if poincare_series("ternary", d, 15, method="pqbinom")
+            != poincare_series("ternary", d, 15)
+        ]
         assert differ
 
 
