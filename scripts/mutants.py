@@ -76,6 +76,59 @@ MUTANTS = (
         "move = shift - drop - 1\n",
         [WT + "TestWindow::test_window_cells_match_reference"],
     ),
+    # the one loop that builds every layer mask: without a rebuild a
+    # falling layer keeps its rows past its top, and every count stays
+    # exact, so only the layer's bit length sees it
+    Mutant(
+        "_grid never rebuilds the mask of a falling layer",
+        W,
+        "if h != rows[c]:",
+        "if h > rows[c]:",
+        [WT + "TestWindow::test_layers_stay_inside_their_window"],
+    ),
+    # the window contract, checked once in solution_count_grid
+    Mutant(
+        "solution_count_grid accepts lows of another length",
+        W,
+        "    if len(lows) != n_max + 1:\n        raise ValueError(\"lows must hold n_max + 1 layers\")\n",
+        "",
+        [WT + "TestValidation::test_grid_rejects_lows_of_another_length"],
+    ),
+    Mutant(
+        "solution_count_grid accepts a row of tops of another length",
+        W,
+        "len(tops) != d + 1 or set(map(len, tops)) != {n_max + 1}:",
+        "len(tops) != d + 1:",
+        [WT + "TestValidation::test_grid_rejects_tops_of_another_shape"],
+    ),
+    Mutant(
+        "solution_count_grid accepts lows that start above 0",
+        W,
+        "if lows[0] != 0 or not",
+        "if not",
+        [WT + "TestValidation::test_grid_rejects_lows_that_start_above_0"],
+    ),
+    Mutant(
+        "solution_count_grid accepts falling lows",
+        W,
+        " or not all(map(le, lows, lows[1:])):",
+        ":",
+        [WT + "TestValidation::test_grid_rejects_falling_lows"],
+    ),
+    Mutant(
+        "solution_count_grid accepts tops that grow",
+        W,
+        "all(map(ge, top, cut))",
+        "True",
+        [WT + "TestValidation::test_grid_rejects_tops_that_grow"],
+    ),
+    Mutant(
+        "CountGrid.cell reads a negative layer from the end",
+        W,
+        "if not (0 <= c < len(lows) and",
+        "if not (c < len(lows) and",
+        [WT + "TestValidation::test_cell_rejects_a_layer_outside_the_grid"],
+    ),
     Mutant(
         "_grid's row mask keeps one padding slot",
         W,
@@ -283,7 +336,21 @@ MUTANTS = (
         "6 if a or b else 1",
         [ST + "TestDecompose::test_irreducible_input"],
     ),
-    # decompose on a dominant diagram
+    # decompose on a dominant diagram, and its total
+    Mutant(
+        "decompose takes a total that is not an int",
+        S,
+        "type(total) is not int or ",
+        "",
+        [ST + "TestDecompose::test_rejects_a_total_that_is_not_a_nonnegative_int"],
+    ),
+    Mutant(
+        "decompose takes a negative total",
+        S,
+        " or total < 0)",
+        ")",
+        [ST + "TestDecompose::test_rejects_a_total_that_is_not_a_nonnegative_int"],
+    ),
     Mutant(
         "the total bookkeeping misses a total that is too large",
         S,
@@ -347,11 +414,19 @@ MUTANTS = (
          CT + "TestPackedGenfunc::test_expansion_is_restricted_inverse_product",
          QT + "TestPqBinomialTable::test_entries_are_clipped_pq_binomials"],
     ),
+    # each pqbinom half is floored against the other half's factors
     Mutant(
         "pqbinom's hi half floored as if lo ended one factor lower",
         C,
-        "half - 1, reads, masks)",
-        "half - 2, reads, masks)",
+        "_pq_half(rows, his, los,",
+        "_pq_half(rows, his, los[:-1],",
+        [CT + "TestNuTernary::test_pqbinom", CT + "TestReads::test_reader_is_exact_at_every_cell_read"],
+    ),
+    Mutant(
+        "pqbinom's lo half floored as if hi lacked G_d",
+        C,
+        "_pq_half(rows, los, his,",
+        "_pq_half(rows, los, his[1:],",
         [CT + "TestNuTernary::test_pqbinom", CT + "TestReads::test_reader_is_exact_at_every_cell_read"],
     ),
     # pqbinom's combine of its two halves, each killed against monomial

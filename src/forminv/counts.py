@@ -411,11 +411,12 @@ def _genfunc_expansion(d: int, reads: Reads) -> Tuple[List[Dict[int, int]], int]
 def pqbinom_reader(d: int, reads: Reads) -> Reader:
     """G_0 ... G_d multiplied in two halves, each clipped to
     ``reads.box()`` and floored on a + b, held as graded packed ints
-    (``_pq_half``).  The split is at half = min(d + 1, ceil(2d/3) + 1): lo
-    is G_0 ... G_{half-1}, and hi is G_d down to G_half, whose pieces are
-    the ones that reach the operator's floor along its slope.  A
-    coefficient of their product, never formed, is slot b of a sum of
-    piece products:
+    (``_pq_half``).  The split is at half = ceil(2d/3) + 1, which is at
+    most d + 1: lo is G_0 ... G_{half-1}, and hi is G_d down to G_half
+    (none when half = d + 1), whose pieces are the ones that reach the
+    operator's floor along its slope.  Each half is floored against the
+    other half's factors, which will still multiply it.  A coefficient of
+    their product, never formed, is slot b of a sum of piece products:
 
         coeff(n, a, b) = slot b of  sum_i sum_D1 lo[i][D1] * hi[n-i][a+b-D1].
 
@@ -434,9 +435,9 @@ def pqbinom_reader(d: int, reads: Reads) -> Reader:
     cell = (1 << slot) - 1
     masks = _box_masks(box, slot)
     rows = pq_binomial_table(d, order, masks, slot)
-    half = min(d + 1, -(-2 * d // 3) + 1)
-    lo = _pq_half(rows, range(half), d if half <= d else 0, reads, masks)
-    hi = _pq_half(rows, range(d, half - 1, -1), half - 1, reads, masks)
+    half = -(-2 * d // 3) + 1
+    los, his = range(half), range(d, half - 1, -1)
+    lo, hi = _pq_half(rows, los, his, reads, masks), _pq_half(rows, his, los, reads, masks)
     sums = {
         n: _convolve(lo, hi, n, sorted({a + b for (_, a, b), _ in cells}))
         for n, cells in reads.cells.items()
@@ -471,7 +472,7 @@ def _convolve(
 
 
 def _pq_half(
-    rows: List[List[int]], ms: Sequence[int], after: int, reads: Reads, masks: List[int]
+    rows: List[List[int]], ms: Sequence[int], later: Sequence[int], reads: Reads, masks: List[int]
 ) -> List[Dict[int, int]]:
     """prod_{m in ms} G_m up to t^order, clipped to the box of ``masks``
     (``_box_masks``) and floored on a + b, as graded packed ints: entry j
@@ -484,21 +485,22 @@ def _pq_half(
     the box), and multiplying in G_m is one int multiply per pair of
     pieces.  G_m is never folded in one factor (1 - t p^k q^l)^{-1} at a
     time: that is genfunc's recurrence, and the routes stay independent.
-    The factors are multiplied in the order of ``ms``, and
-    ``after`` is the largest m of the factors that multiply the half
-    later (the other half), or 0.  Once G_m is in, a piece of t^j is kept
-    only above ``reads.floors(rest)``, where rest is the largest m still
-    to come, in ``ms`` or after it.  Every exponent is >= 0, so masking
-    each product to the box and dropping it below the floor are exact: a
-    dropped term never comes back, and a + b never falls.  Every slot of
-    a product, masked or not, is part of a count of monomials of degree
-    <= order (the slot rule, ``weights`` module docstring).
+    The factors are multiplied in the order of ``ms``, and ``later``
+    holds the m of the factors that multiply the half later (the other
+    half's).  Once G_m is in, a piece of t^j is kept only above
+    ``reads.floors(rest)``, where rest is the largest m still to come, in
+    ``ms`` after it or in ``later``, or 0 if none is.  Every exponent is
+    >= 0, so masking each product to the box and dropping it below the
+    floor are exact: a dropped term never comes back, and a + b never
+    falls.  Every slot of a product, masked or not, is part of a count of
+    monomials of degree <= order (the slot rule, ``weights`` module
+    docstring).
     """
     top = len(masks) - 1
     prod: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(reads.order)]
     for i, m in enumerate(ms):
         row = rows[m]
-        lows = reads.floors(max(max(ms[i + 1:], default=0), after))
+        lows = reads.floors(max([*ms[i + 1:], *later, 0]))
         nxt: List[Dict[int, int]] = []
         for j, low in enumerate(lows):
             acc: Dict[int, int] = {}

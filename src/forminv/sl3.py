@@ -275,7 +275,8 @@ def decompose(diagram: WeightDiagram, total: Optional[int] = None) -> Dict[Highe
     whose multiplicities sum to ``total``: the pass checks the types and
     rejects a weight that is not dominant, and it makes no Weyl-invariance
     lookup, since the dominant part alone fixes the rest of a character.
-    The dimension bookkeeping then compares against ``total``.
+    The dimension bookkeeping then compares against ``total``, which must
+    be a nonnegative int (a bool is not one), else ValueError.
 
     One downward sweep: the pass records each nonzero dominant weight as
     (i + j, i, weight), and the records are sorted once, descending, and
@@ -306,6 +307,8 @@ def decompose(diagram: WeightDiagram, total: Optional[int] = None) -> Dict[Highe
     The dimension bookkeeping stays as a backstop.  ``character`` keeps
     the alternation as the sweep's independent check.
     """
+    if total is not None and (type(total) is not int or total < 0):
+        raise ValueError(f"total must be a nonnegative int, got {total!r}")
     get = diagram.get
     dominant: List[Tuple[int, int, Weight]] = []  # (level i + j, i, weight)
     left = 0  # the nonzero weights not yet in a constant Weyl orbit

@@ -53,8 +53,9 @@ rows it pushes below the bottom are below lows[c].
 0..w1cap in every layer (for the dominant part of the weight table, the
 box w1 <= d*n//2, w2 <= d*n//3 that holds it).  ``solution_count_grid``
 builds the window its caller gives, a floor and a top per layer, the top
-lowered as the variables are folded in; the caller derives it from the
-cells it will read, and nothing here knows which cells those are.
+lowered as the variables are folded in, and checks it against the window
+contract (``_grid``); the caller derives it from the cells it will read,
+and nothing here knows which cells those are.
 
 Results are exact Python ints at any size.  Nothing is cached: a grid or
 a binary DP is rebuilt on every call.
@@ -63,6 +64,7 @@ a binary DP is rebuilt on every call.
 from __future__ import annotations
 
 from math import comb
+from operator import ge, le
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 Weight = Tuple[int, int]
@@ -96,12 +98,12 @@ class CountGrid:
         self.mask = (1 << slot) - 1
 
     def cell(self, c: int, w1: int, w2: int) -> int:
-        """IndexError outside the rows of layer c or outside
+        """IndexError outside the layers 0..n, the rows of layer c or
         0 <= w2 <= w2cap, where the grid holds no counts."""
-        low = self.lows[c]
-        if not (low <= w1 <= self.tops[c] and 0 <= w2 <= self.w2cap):
+        lows = self.lows
+        if not (0 <= c < len(lows) and lows[c] <= w1 <= self.tops[c] and 0 <= w2 <= self.w2cap):
             raise IndexError(f"cell ({w1}, {w2}) is outside layer {c} of the grid")
-        return (self.layers[c] >> ((w1 - low) * self.row + w2 * self.slot)) & self.mask
+        return (self.layers[c] >> ((w1 - lows[c]) * self.row + w2 * self.slot)) & self.mask
 
 
 def _check_dn(d: int, n: int, *others: int) -> None:
@@ -196,11 +198,18 @@ def _grid(
     """The packed ternary DP on a window (module docstring): layer c is
     stored from row lows[c] of w1, and cut at row tops[r][c] while the
     variables a_{r,s} are folded in (``variables`` order, r ascending).
-    lows[c] must not fall as c grows, nor tops[r][c] grow with r."""
+
+    The window contract: lows holds n + 1 layers, and tops d + 1 rows of
+    n + 1 layers each; lows[0] = 0, as layer 0 is the DP's seed, the
+    origin, which no mask touches; lows[c] never falls as c grows, as the
+    layers stored from a row above 0 end the list (``_packed_layers``'
+    drops); and tops[r][c] never grows with r, as every mask is cut from
+    the height of tops[0].  A layer whose top is below its floor is empty.
+    ``solution_count_grid`` checks the contract, and ``_count_layers``
+    keeps it by construction."""
     slot = monomial_count(d, n).bit_length()
     row = (w2cap + 1 + d) * slot
-    rows = [top - low + 1 for top, low in zip(tops[0], lows)]
-    height = max(rows)
+    height = max([top - low + 1 for top, low in zip(tops[0], lows)])
     # each row: w2cap + 1 cells, then d padding slots; the row count
     # doubles per step, and the rows past height are shifted out
     full, filled = (1 << ((w2cap + 1) * slot)) - 1, 1
@@ -208,16 +217,15 @@ def _grid(
         full |= full << (filled * row)
         filled *= 2
     full >>= (filled - height) * row
-    masks = [full if h == height else full >> ((height - h) * row) for h in rows]
+    rows, masks = [0] * (n + 1), [0] * (n + 1)
 
     def groups() -> Iterator[Tuple[Sequence[int], List[int]]]:
         for r, cut in enumerate(tops):
-            if r and cut != tops[r - 1]:
-                # a layer's mask is rebuilt only when its row count falls
-                for c in range(n + 1):
-                    h = cut[c] - lows[c] + 1
-                    if h != rows[c]:
-                        rows[c], masks[c] = h, full >> ((height - h) * row)
+            # a layer's mask is built only when its row count changes
+            for c in range(n + 1):
+                h = cut[c] - lows[c] + 1
+                if h != rows[c]:
+                    rows[c], masks[c] = h, full if h == height else full >> ((height - h) * row)
             yield range(r * row, r * row + (d - r + 1) * slot, slot), masks
 
     # the layers stored from a row above 0 end the list, as lows never falls
@@ -239,12 +247,22 @@ def solution_count_grid(
     will read (``counts.Reads.window``): layer c, c = 0..n_max, holds the
     rows lows[c] <= w1 <= tops[-1][c] and the cells w2 <= w2cap of each,
     and is cut at row tops[r][c] while the variables a_{r,s} are folded
-    in (``_grid``).  ``cell`` raises IndexError outside the window.  A
-    cell is exact if every cell it comes from along the DP lies in the
-    window; no weight falls along the DP, so a window that holds every
-    cell from which a read cell can be reached is exact at the read cells.
+    in (``_grid``).  Raises ValueError, naming the broken rule, unless the
+    window keeps the window contract (``_grid``).  ``cell`` raises
+    IndexError outside the window.  A cell is exact if every cell it comes
+    from along the DP lies in the window; no weight falls along the DP, so
+    a window that holds every cell from which a read cell can be reached
+    is exact at the read cells.
     """
     _check_dn(d, n_max)
+    if len(lows) != n_max + 1:
+        raise ValueError("lows must hold n_max + 1 layers")
+    if len(tops) != d + 1 or set(map(len, tops)) != {n_max + 1}:
+        raise ValueError("tops must hold d + 1 rows of n_max + 1 layers")
+    if lows[0] != 0 or not all(map(le, lows, lows[1:])):
+        raise ValueError("lows must start at 0 and never fall")
+    if not all(all(map(ge, top, cut)) for top, cut in zip(tops, tops[1:])):
+        raise ValueError("tops[r][c] must never grow with r")
     return _grid(d, n_max, w2cap, lows, tops)
 
 

@@ -702,7 +702,7 @@ class TestPackedPqbinom:
             rest = max(ms[i + 1:] + [after])
             want = restrict_band(want, brute_floors(reads, rest))
         masks = _box_masks(box, slot)
-        half = counts._pq_half(pq_binomial_table(d, order, masks, slot), ms, after, reads, masks)
+        half = counts._pq_half(pq_binomial_table(d, order, masks, slot), ms, [after], reads, masks)
         assert unpack_graded(half, slot) == series_terms(want)
 
     @pytest.mark.parametrize("d, order", [(1, 9), (4, 10), (6, 7), (7, 10)])

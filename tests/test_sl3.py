@@ -650,6 +650,15 @@ class TestDecompose:
         with pytest.raises(InvalidCharacterError, match="is not dominant"):
             decompose(character((1, 1)), 8)
 
+    def test_rejects_a_total_that_is_not_a_nonnegative_int(self):
+        # unchecked, each of these fails the dimension bookkeeping, or, as
+        # 8.0, passes as 8
+        dominant = {w: m for w, m in character((1, 1)).items() if w[0] >= 0 and w[1] >= 0}
+        for total in (True, "8", 8.0, -8):
+            with pytest.raises(ValueError, match=f"^total must be a nonnegative int, got {total!r}$"):
+                decompose(dominant, total)
+        assert decompose({}, 0) == {}
+
     @staticmethod
     def skewed_at(diagram, w):
         with pytest.raises(

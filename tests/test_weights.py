@@ -177,14 +177,29 @@ class TestWindow:
         assert grid.lows[24] == 71 and grid.tops[24] == 73 and grid.w2cap == 72
         assert sum(t - lo + 1 for lo, t in zip(grid.lows, grid.tops)) < 25 * 74 // 2
 
+    def test_layers_stay_inside_their_window(self):
+        # a mask that is not rebuilt when a layer's top falls leaves every
+        # count exact, so only the layer's bit length shows it
+        sizes = [(3, 26), (4, 30), (5, 30), (6, 13), (7, 21), (8, 24), (9, 24), (10, 21)]
+        for d, order in sizes + [(3, 4), (5, 18), (7, 21)]:
+            for degrees in (range(order + 1), [order]):
+                reads = Reads(OPERATOR_TERMS, d, 3, degrees)
+                grid = solution_count_grid(d, reads.order, *reads.window(d))
+                # layer 0 is the DP's seed, never masked
+                assert grid.layers[0] == 1
+                for c in range(1, len(grid.layers)):
+                    rows = max(grid.tops[c] - grid.lows[c] + 1, 0)
+                    assert grid.layers[c].bit_length() <= rows * grid.row, (d, order, c)
+
     def test_window_top_is_tight(self, monkeypatch):
         # one row lower, the cuts made while 0 < r < d drop counts the
-        # operator reads, and the cross-check must see it
+        # operator reads, and the cross-check must see it; a cut never
+        # falls below the last one (the window contract, _grid)
         window = Reads.window
 
         def lowered(reads, d):
             lows, tops, w2cap = window(reads, d)
-            inner = [[t - 1 for t in top] for top in tops[1:-1]]
+            inner = [[max(t - 1, last) for t, last in zip(top, tops[-1])] for top in tops[1:-1]]
             return lows, tops[:1] + inner + tops[-1:], w2cap
 
         monkeypatch.setattr(Reads, "window", lowered)
@@ -261,6 +276,47 @@ class TestValidation:
             c_ternary(2, 3, bad, 0)
         with pytest.raises(ValueError):
             c_ternary(2, 3, 0, bad)
+
+    def test_grid_rejects_lows_of_another_length(self):
+        for lows in ([0, 0], [0, 0, 0, 0]):
+            with pytest.raises(ValueError, match=r"^lows must hold n_max \+ 1 layers$"):
+                solution_count_grid(2, 2, lows, [[4] * 3] * 3, 4)
+
+    def test_grid_rejects_tops_of_another_shape(self):
+        for tops in ([[4] * 3] * 2, [[4] * 3, [4] * 2, [4] * 3]):
+            with pytest.raises(ValueError, match=r"^tops must hold d \+ 1 rows"):
+                solution_count_grid(2, 2, [0] * 3, tops, 4)
+
+    def test_grid_rejects_lows_that_start_above_0(self):
+        # layer 0's seed sits at row lows[0]: unchecked, this window reads
+        # cell (0, 1, 0) as 1, where no degree-0 monomial has w1 = 1
+        with pytest.raises(ValueError, match="^lows must start at 0 and never fall$"):
+            solution_count_grid(2, 1, [1, 1], [[2, 2]] * 3, 2)
+
+    def test_grid_rejects_falling_lows(self):
+        # unchecked, this window misreads 12 cells, among them (1, 1, 2)
+        # as 1 (it is 0) and (2, 2, 1) as 1 (it is 2)
+        with pytest.raises(ValueError, match="^lows must start at 0 and never fall$"):
+            solution_count_grid(2, 2, [0, 1, 0], [[4, 4, 4]] * 3, 4)
+        # empty layers, tops below lows, stay allowed: a point makes them
+        lows, tops, w2cap = Reads(OPERATOR_TERMS, 3, 3, [6]).window(3)
+        assert tops[-1][1] < lows[1]
+        grid = solution_count_grid(3, 6, lows, tops, w2cap)
+        assert grid.cell(6, 6, 6) == _count_layers(3, 6, 7, 6).cell(6, 6, 6) > 0
+
+    def test_grid_rejects_tops_that_grow(self):
+        # unchecked, this window dies of a negative shift count
+        with pytest.raises(ValueError, match=r"^tops\[r\]\[c\] must never grow with r$"):
+            solution_count_grid(2, 1, [0, 0], [[1, 1], [2, 2], [2, 2]], 2)
+
+    def test_cell_rejects_a_layer_outside_the_grid(self):
+        # unchecked, layer -1 reads layer 3's count of 2 from the end of
+        # the list
+        grid = _count_layers(2, 3, 6, 6)
+        assert grid.cell(3, 3, 3) == 2
+        for c in (-1, -4, 4):
+            with pytest.raises(IndexError, match=rf"^cell \(3, 3\) is outside layer {c} of the grid$"):
+                grid.cell(c, 3, 3)
 
     def test_negative_weights_are_counts_of_zero(self):
         assert omega_binary(2, 2, -1) == 0
