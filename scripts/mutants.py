@@ -414,12 +414,13 @@ MUTANTS = (
          CT + "TestPackedGenfunc::test_expansion_is_restricted_inverse_product",
          QT + "TestPqBinomialTable::test_entries_are_clipped_pq_binomials"],
     ),
-    # each pqbinom half is floored against the other half's factors
+    # each pqbinom half is floored against the other half's factors; lo
+    # descends to G_0, so its first factor sets hi's last floor
     Mutant(
-        "pqbinom's hi half floored as if lo ended one factor lower",
+        "pqbinom's hi half floored as if lo lacked its largest factor",
         C,
         "_pq_half(rows, his, los,",
-        "_pq_half(rows, his, los[:-1],",
+        "_pq_half(rows, his, los[1:],",
         [CT + "TestNuTernary::test_pqbinom", CT + "TestReads::test_reader_is_exact_at_every_cell_read"],
     ),
     Mutant(
@@ -428,6 +429,41 @@ MUTANTS = (
         "_pq_half(rows, los, his,",
         "_pq_half(rows, los, his[1:],",
         [CT + "TestNuTernary::test_pqbinom", CT + "TestReads::test_reader_is_exact_at_every_cell_read"],
+    ),
+    # each pqbinom half starts from its first factor's own pieces and
+    # takes G_0 as a running sum over j: killed against the brute-force
+    # clipped product, the table's own ints and pinned counts.  A seed
+    # piece below its floor stays below every later floor, so only a
+    # one-factor half shows it
+    Mutant(
+        "pqbinom's seed keeps pieces below its floor",
+        C,
+        "{m * j: row[j]} if j < len(row) and m * j >= low else {}",
+        "{m * j: row[j]} if j < len(row) else {}",
+        [CT + "TestPackedPqbinom::test_one_factor_half_holds_the_tables_ints"],
+    ),
+    Mutant(
+        "pqbinom's running sum over G_0 restarts at each j",
+        C,
+        "acc = {deg: x for deg, x in acc.items() if deg >= low}",
+        "acc = {}",
+        [CT + "TestNuTernary::test_pqbinom",
+         CT + "TestPackedPqbinom::test_reader_halves_are_clipped_series_products"],
+    ),
+    Mutant(
+        "pqbinom's running sum over G_0 keeps pieces below lows[j]",
+        C,
+        "acc = {deg: x for deg, x in acc.items() if deg >= low}",
+        "acc = dict(acc)",
+        [CT + "TestPackedPqbinom::test_reader_halves_are_clipped_series_products"],
+    ),
+    Mutant(
+        "pqbinom's empty half lacks its t^0 piece",
+        C,
+        "prod: List[Dict[int, int]] = [{0: 1}] + ",
+        "prod: List[Dict[int, int]] = [{}] + ",
+        [CT + "TestNuTernary::test_pqbinom",
+         CT + "TestPackedPqbinom::test_reader_halves_are_clipped_series_products"],
     ),
     # pqbinom's combine of its two halves, each killed against monomial
     # counts and against a plain double loop over the pieces

@@ -409,14 +409,18 @@ def _genfunc_expansion(d: int, reads: Reads) -> Tuple[List[Dict[int, int]], int]
 
 
 def pqbinom_reader(d: int, reads: Reads) -> Reader:
-    """G_0 ... G_d multiplied in two halves, each clipped to
+    """G_d ... G_0 multiplied in two halves, each clipped to
     ``reads.box()`` and floored on a + b, held as graded packed ints
     (``_pq_half``).  The split is at half = ceil(2d/3) + 1, which is at
-    most d + 1: lo is G_0 ... G_{half-1}, and hi is G_d down to G_half
-    (none when half = d + 1), whose pieces are the ones that reach the
-    operator's floor along its slope.  Each half is floored against the
-    other half's factors, which will still multiply it.  A coefficient of
-    their product, never formed, is slot b of a sum of piece products:
+    most d + 1: lo is G_{half-1} down to G_0, and hi is G_d down to
+    G_half (none when half = d + 1), whose pieces are the ones that reach
+    the operator's floor along its slope.  Each half is folded from its
+    largest factor down and starts from that factor's own series, and
+    each is floored against the other half's factors, which will still
+    multiply it.  G_0, last in lo, is multiplied in as a running sum over
+    the powers of t, so the t^n coefficient of the product is the paper's
+    sum over i_1 + ... + i_d <= n of [1 i_1] ... [d i_d].  A coefficient
+    of their product, never formed, is slot b of a sum of piece products:
 
         coeff(n, a, b) = slot b of  sum_i sum_D1 lo[i][D1] * hi[n-i][a+b-D1].
 
@@ -436,7 +440,7 @@ def pqbinom_reader(d: int, reads: Reads) -> Reader:
     masks = _box_masks(box, slot)
     rows = pq_binomial_table(d, order, masks, slot)
     half = -(-2 * d // 3) + 1
-    los, his = range(half), range(d, half - 1, -1)
+    los, his = range(half - 1, -1, -1), range(d, half - 1, -1)
     lo, hi = _pq_half(rows, los, his, reads, masks), _pq_half(rows, his, los, reads, masks)
     sums = {
         n: _convolve(lo, hi, n, sorted({a + b for (_, a, b), _ in cells}))
@@ -482,36 +486,65 @@ def _pq_half(
     The t^k coefficient of G_m is pq_binomial(m, k), homogeneous of
     degree m*k with coefficients >= 0, so it is one piece, rows[m][k] of
     ``pq_binomial_table`` (already clipped; the row ends where m*k leaves
-    the box), and multiplying in G_m is one int multiply per pair of
-    pieces.  G_m is never folded in one factor (1 - t p^k q^l)^{-1} at a
-    time: that is genfunc's recurrence, and the routes stay independent.
-    The factors are multiplied in the order of ``ms``, and ``later``
-    holds the m of the factors that multiply the half later (the other
-    half's).  Once G_m is in, a piece of t^j is kept only above
-    ``reads.floors(rest)``, where rest is the largest m still to come, in
-    ``ms`` after it or in ``later``, or 0 if none is.  Every exponent is
-    >= 0, so masking each product to the box and dropping it below the
-    floor are exact: a dropped term never comes back, and a + b never
-    falls.  Every slot of a product, masked or not, is part of a count of
-    monomials of degree <= order (the slot rule, ``weights`` module
-    docstring).
+    the box).  The factors are multiplied in the order of ``ms``, and
+    ``later`` holds the m of the factors that multiply the half later
+    (the other half's).  Once G_m is in, a piece of t^j is kept only at
+    D >= lows[j] = ``reads.floors(rest)[j]``, where rest is the largest m
+    still to come, in ``ms`` after it or in ``later``, or 0 if none is.
+
+    A half with no factor is the series 1.  Otherwise it starts from its
+    first factor's own series, with no product made: its t^k piece is
+    the table's own int rows[m][k] at D = m*k, where the floor keeps it.
+    Each later G_m with m >= 1 is multiplied in whole, one int multiply
+    per pair of pieces.  Every piece of G_0 = sum_k t^k is 1 at D = 0, so
+    its product is the running sum over j: piece D of t^j is piece D of
+    t^(j-1) plus the incoming piece D of t^j, kept at D >= lows[j].  The
+    floors never fall as j grows and D does not move, so a piece dropped
+    once never returns and no mask is needed.  That sum is G_0's
+    whole-series product, each t^j the sum of prod[j-k] * [0 k] over k,
+    spelled out for a series whose every coefficient is 1.  No G_m is
+    ever folded in one factor (1 - t p^k q^l)^{-1} at a time: that is
+    genfunc's recurrence, and the routes stay independent.
+
+    Every exponent is >= 0, so masking each product to the box and
+    dropping it below the floor are exact: a dropped term never comes
+    back, and a + b never falls.  Every slot of a product, masked or
+    not, is part of a count of monomials of degree <= order (the slot
+    rule, ``weights`` module docstring).
     """
     top = len(masks) - 1
     prod: List[Dict[int, int]] = [{0: 1}] + [{} for _ in range(reads.order)]
     for i, m in enumerate(ms):
         row = rows[m]
         lows = reads.floors(max([*ms[i + 1:], *later, 0]))
+        if not i:
+            # the seed: G_m's own pieces
+            prod = [
+                {m * j: row[j]} if j < len(row) and m * j >= low else {}
+                for j, low in enumerate(lows)
+            ]
+            continue
         nxt: List[Dict[int, int]] = []
+        acc: Dict[int, int] = {}
         for j, low in enumerate(lows):
-            acc: Dict[int, int] = {}
-            get = acc.get
-            for k in range(min(j, len(row) - 1) + 1):
-                g, dk = row[k], m * k
-                for deg, x in prod[j - k].items():
-                    deg += dk
-                    if low <= deg <= top:
-                        acc[deg] = get(deg, 0) + g * x
-            nxt.append({deg: v & masks[deg] for deg, v in acc.items()})
+            if m:
+                acc = {}
+                get = acc.get
+                for k in range(min(j, len(row) - 1) + 1):
+                    g, dk = row[k], m * k
+                    for deg, x in prod[j - k].items():
+                        deg += dk
+                        if low <= deg <= top:
+                            acc[deg] = get(deg, 0) + g * x
+                nxt.append({deg: v & masks[deg] for deg, v in acc.items()})
+            else:
+                # G_0: the running sum, carried from t^(j-1)
+                acc = {deg: x for deg, x in acc.items() if deg >= low}
+                get = acc.get
+                for deg, x in prod[j].items():
+                    if deg >= low:
+                        acc[deg] = get(deg, 0) + x
+                nxt.append(acc)
         prod = nxt
     return prod
 

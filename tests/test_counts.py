@@ -650,6 +650,27 @@ def restrict_band(series, lows):
     )
 
 
+@lru_cache(maxsize=None)
+def pq_row(m, order):
+    """The t^k coefficients pq_binomial(m, k), k = 0..order."""
+    return [pq_binomial(m, k) for k in range(order + 1)]
+
+
+def brute_half(reads, ms, later):
+    """prod_{m in ms} G_m by dict series products, clipped to the box of
+    ``reads`` and, once each G_m is in, floored by the largest factor
+    still to come, in ``ms`` or in ``later``: as (j, a, b) ->
+    coefficient, nonzero entries only."""
+    order, box = reads.order, reads.box()
+    want = TruncatedSeries([LaurentPoly({(0, 0): 1})], order=order)
+    for i, m in enumerate(ms):
+        gm = TruncatedSeries(pq_row(m, order), order=order)
+        # exact: every exponent is >= 0, so a dropped term never returns
+        want = restrict(series_mul(gm, want, order), box)
+        want = restrict_band(want, brute_floors(reads, max([*ms[i + 1:], *later, 0])))
+    return series_terms(want)
+
+
 def series_terms(series):
     """A series as (j, a, b) -> coefficient, nonzero entries only."""
     return {
@@ -691,19 +712,57 @@ class TestPackedPqbinom:
         reads = ternary_reads(d, [order] if point else range(order + 1))
         if not reads.cells:
             return
-        order, box = reads.order, reads.box()
-        slot = monomial_count(d, order).bit_length()
-        want = TruncatedSeries([LaurentPoly({(0, 0): 1})], order=order)
-        for i, m in enumerate(ms):
-            row = [pq_binomial(m, k) for k in range(order + 1)]
-            gm = TruncatedSeries(row, order=order)
-            # exact: every exponent is >= 0, so a dropped term never returns
-            want = restrict(series_mul(gm, want, order), box)
-            rest = max(ms[i + 1:] + [after])
-            want = restrict_band(want, brute_floors(reads, rest))
-        masks = _box_masks(box, slot)
-        half = counts._pq_half(pq_binomial_table(d, order, masks, slot), ms, [after], reads, masks)
-        assert unpack_graded(half, slot) == series_terms(want)
+        slot = monomial_count(d, reads.order).bit_length()
+        masks = _box_masks(reads.box(), slot)
+        rows = pq_binomial_table(d, reads.order, masks, slot)
+        half = counts._pq_half(rows, ms, [after], reads, masks)
+        assert unpack_graded(half, slot) == brute_half(reads, ms, [after])
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_reader_halves_are_clipped_series_products(self, monkeypatch, d):
+        # the halves the reader builds at the crosscheck order: lo from
+        # G_{half-1} down to G_0, hi from G_d down, each floored against
+        # the other's factors
+        reads = ternary_reads(d, range(16))
+        built = []
+        real = counts._pq_half
+
+        def spy(rows, ms, later, reads, masks):
+            half = real(rows, ms, later, reads, masks)
+            built.append((list(ms), list(later), half))
+            return half
+
+        monkeypatch.setattr(counts, "_pq_half", spy)
+        counts.pqbinom_reader(d, reads)
+        half = -(-2 * d // 3) + 1
+        los, his = list(range(half - 1, -1, -1)), list(range(d, half - 1, -1))
+        assert [(ms, later) for ms, later, _ in built] == [(los, his), (his, los)]
+        slot = monomial_count(d, reads.order).bit_length()
+        for ms, later, got in built:
+            assert unpack_graded(got, slot) == brute_half(reads, ms, later), (d, ms)
+
+    def test_one_factor_half_holds_the_tables_ints(self):
+        # a half starts from its first factor's own series: no product is
+        # made, so each piece the floor keeps is the table's own int
+        big = 0
+        for d in range(1, 8):
+            reads = ternary_reads(d, range(16))
+            slot = monomial_count(d, reads.order).bit_length()
+            masks = _box_masks(reads.box(), slot)
+            rows = pq_binomial_table(d, reads.order, masks, slot)
+            for m in range(d + 1):
+                for later in ([], [d]):
+                    half = counts._pq_half(rows, [m], later, reads, masks)
+                    lows = reads.floors(max(later + [0]))
+                    for k, piece in enumerate(half):
+                        if k < len(rows[m]) and m * k >= lows[k]:
+                            assert list(piece) == [m * k], (d, m, k)
+                            assert piece[m * k] is rows[m][k], (d, m, k)
+                            big += rows[m][k] > 256
+                        else:
+                            assert piece == {}, (d, m, k)
+        # small ints are cached, so only big ones tell a copy from the int
+        assert big > 100
 
     @pytest.mark.parametrize("d, order", [(1, 9), (4, 10), (6, 7), (7, 10)])
     def test_reader_is_counting_grid_at_operator_cells(self, d, order):
