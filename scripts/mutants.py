@@ -54,10 +54,12 @@ class Mutant(NamedTuple):
 
 W, S = "src/forminv/weights.py", "src/forminv/sl3.py"
 C, Q = "src/forminv/counts.py", "src/forminv/qbinom.py"
+CLI = "src/forminv/cli.py"
 WT = "tests/test_weights.py::"
 ST = "tests/test_sl3.py::"
 CT = "tests/test_counts.py::"
 QT = "tests/test_qbinom.py::"
+CLIT = "tests/test_cli.py::"
 
 MUTANTS = (
     # the packed DP kernel, shared by counting and peel
@@ -499,6 +501,15 @@ MUTANTS = (
         "return [-x + 1 for x in _suffix_max(self._sunk_sums, -rest)]",
         [CT + "TestClippedExpansions::test_floors_are_the_suffix_minimum",
          CT + "TestNuTernary::test_genfunc", CT + "TestNuTernary::test_pqbinom"],
+    ),
+    # the parser's one terminal query: a subparser built with argparse's
+    # own formatter prints the same text, so only the query count sees it
+    Mutant(
+        "the series subparser asks the terminal once per argument",
+        CLI,
+        '"series", help="print a Poincare series table", formatter_class=formatter',
+        '"series", help="print a Poincare series table"',
+        [CLIT + "TestParserBuild::test_asks_the_terminal_once"],
     ),
 )
 

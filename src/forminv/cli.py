@@ -15,6 +15,7 @@ values survive 64-bit consumers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Tuple
@@ -33,20 +34,33 @@ _ALL_METHODS = sorted(set(BINARY_METHODS) | set(TERNARY_METHODS))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a HelpFormatter built with no width asks the terminal for one, and
+    # argparse builds one per add_argument; ask once, as it would, for all
+    import shutil
+
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = argparse.ArgumentParser(
         prog="forminv",
         description="Exact counts of invariants of binary and ternary forms.",
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a given prog spares argparse rendering a usage line to find it
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
 
-    p_count = sub.add_parser("count", help="print a single invariant count")
+    p_count = sub.add_parser(
+        "count", help="print a single invariant count", formatter_class=formatter
+    )
     _add_form_flags(p_count)
     p_count.add_argument("--n", type=int, required=True, help="invariant degree")
     p_count.add_argument("--json", action="store_true", help="emit a JSON object")
     _add_common_flags(p_count)
     p_count.set_defaults(func=cmd_count)
 
-    p_series = sub.add_parser("series", help="print a Poincare series table")
+    p_series = sub.add_parser(
+        "series", help="print a Poincare series table", formatter_class=formatter
+    )
     _add_form_flags(p_series)
     p_series.add_argument("--max", type=int, required=True, help="maximum degree")
     p_series.add_argument(
@@ -58,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_series)
     p_series.set_defaults(func=cmd_series)
 
-    p_verify = sub.add_parser("verify", help="run cross-method self-checks")
+    p_verify = sub.add_parser(
+        "verify", help="run cross-method self-checks", formatter_class=formatter
+    )
     p_verify.add_argument("--d-max", type=int, default=4)
     p_verify.add_argument("--n-max", type=int, default=9)
     p_verify.add_argument("--lambda-max", type=int, default=20)

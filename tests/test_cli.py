@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -466,6 +467,59 @@ class TestRouteTables:
         assert (code, out.splitlines()[6]) == (0, f"6\t{want[6]}")
 
 
+class TestParserBuild:
+    # build_parser hands every HelpFormatter the width argparse would ask
+    # the terminal for; argparse builds one formatter per add_argument
+    def test_asks_the_terminal_once(self, monkeypatch):
+        import shutil
+
+        real, calls = shutil.get_terminal_size, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counted)
+        cli.build_parser()
+        assert len(calls) == 1
+
+    @staticmethod
+    def _parsers():
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        return [parser, *sub.choices.values()]
+
+    @staticmethod
+    def _render(parsers):
+        """Each parser's help and error text."""
+        texts = []
+        for p in parsers:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), pytest.raises(SystemExit):
+                p.error("a usage error")
+            texts += [p.format_help(), err.getvalue()]
+        return texts
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200", None])
+    def test_output_is_argparses_own(self, monkeypatch, columns):
+        # the same parsers, rendered again with argparse's own formatter,
+        # which asks the terminal at each use
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        parsers = self._parsers()
+        built = self._render(parsers)
+        for p in parsers:
+            p.formatter_class = argparse.HelpFormatter
+        assert built == self._render(parsers)
+        # the prog build_parser gives add_subparsers is the one argparse
+        # would render
+        assert [p.prog for p in parsers] == [
+            "forminv", "forminv count", "forminv series", "forminv verify"
+        ]
+
+
 class TestWorkLimitFlag:
     @pytest.mark.parametrize(
         "argv",
@@ -651,14 +705,20 @@ class TestRun:
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # a fresh isolated interpreter, so nothing this test run imported counts
+    # a fresh isolated interpreter, so nothing this test run imported
+    # counts; site may load shutil itself, so only a run without site sees
+    # build_parser's shutil import move to the top of cli
     src = str(Path(forminv.__file__).resolve().parent.parent)
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import forminv.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-I", "-c", code], capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    for flags, banned in [
+        (["-I"], {"dataclasses", "inspect"}),
+        (["-I", "-S"], {"dataclasses", "inspect", "shutil"}),
+    ]:
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import forminv.cli; "
+            f"print(sorted({banned!r} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", code], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n", flags
