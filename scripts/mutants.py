@@ -23,8 +23,9 @@ Run from anywhere, with pytest and hypothesis installed:
 Some helpers are shared between routes (``_packed_layers`` and
 ``_grid`` by counting and peel, ``_box_masks`` by genfunc and pqbinom,
 ``pq_binomial_table`` by binary qbinom and pqbinom, ``Reads`` by every
-ternary reader), so a mutant there can move two routes together, and a
-test that compares those routes cannot see it.
+ternary reader, and ``_check_dn`` and the other helpers that
+``tests/test_independence.py`` lists), so a mutant there can move two
+routes together, and a test that compares those routes cannot see it.
 Each such mutant names tests that check a route against pinned values
 or its own reference instead.
 """
@@ -502,13 +503,43 @@ MUTANTS = (
         [CT + "TestClippedExpansions::test_floors_are_the_suffix_minimum",
          CT + "TestNuTernary::test_genfunc", CT + "TestNuTernary::test_pqbinom"],
     ),
-    # the parser's one terminal query: a subparser built with argparse's
-    # own formatter prints the same text, so only the query count sees it
+    # the small helpers every route shares (tests/test_independence.py),
+    # each killed against its closed form or its own rule
     Mutant(
-        "the series subparser asks the terminal once per argument",
+        "_suffix_max ignores the step",
+        C,
+        "v if v > run - step else run - step",
+        "v if v > run else run",
+        [CT + "TestClippedExpansions::test_floors_are_the_suffix_minimum"],
+    ),
+    Mutant(
+        "monomial_count counts one variable too many",
+        W,
+        "comb(n + num_variables(d) - 1, n)",
+        "comb(n + num_variables(d), n)",
+        [WT + "TestWeightTable::test_totals_are_monomial_counts"],
+    ),
+    Mutant(
+        "num_variables counts one too many",
+        W,
+        "return (d + 1) * (d + 2) // 2",
+        "return (d + 1) * (d + 2) // 2 + 1",
+        ["tests/test_weights.py::test_num_variables"],
+    ),
+    Mutant(
+        "_check_dn takes a bool for an int",
+        W,
+        "isinstance(value, bool) or ",
+        "",
+        [WT + "TestValidation::test_rejects_bad_d_and_n"],
+    ),
+    # the parser's one terminal query: subparsers built with argparse's
+    # own formatter print the same text, so only the query count sees it
+    Mutant(
+        "every subparser asks the terminal once per argument",
         CLI,
-        '"series", help="print a Poincare series table", formatter_class=formatter',
-        '"series", help="print a Poincare series table"',
+        "parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter)",
+        "parser_class=argparse.ArgumentParser",
         [CLIT + "TestParserBuild::test_asks_the_terminal_once"],
     ),
 )

@@ -4,7 +4,6 @@ from .weights import (
     c_ternary,
     monomial_count,
     num_variables,
-    omega_binary,
     variables,
     weight_table,
 )
@@ -20,9 +19,7 @@ from .counts import (
     DEFAULT_WORK_LIMIT,
     WorkLimitExceeded,
     count,
-    gamma_binary,
     gamma_binary_full,
-    gamma_binary_qbinom,
     nu_ternary_peel,
     peel_work_estimate,
     poincare_series,
@@ -40,13 +37,10 @@ __all__ = [
     "decompose",
     "dimension",
     "e_lambda",
-    "gamma_binary",
     "gamma_binary_full",
-    "gamma_binary_qbinom",
     "monomial_count",
     "nu_ternary_peel",
     "num_variables",
-    "omega_binary",
     "peel_work_estimate",
     "poincare_series",
     "variables",

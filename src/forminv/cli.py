@@ -46,21 +46,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counts of invariants of binary and ternary forms.",
         formatter_class=formatter,
     )
-    # a given prog spares argparse rendering a usage line to find it
-    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-
-    p_count = sub.add_parser(
-        "count", help="print a single invariant count", formatter_class=formatter
+    # a given prog spares argparse rendering a usage line to find it, and
+    # every subparser takes the formatter from its class
+    sub = parser.add_subparsers(
+        dest="command", required=True, prog=parser.prog,
+        parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter),
     )
+
+    p_count = sub.add_parser("count", help="print a single invariant count")
     _add_form_flags(p_count)
     p_count.add_argument("--n", type=int, required=True, help="invariant degree")
     p_count.add_argument("--json", action="store_true", help="emit a JSON object")
     _add_common_flags(p_count)
     p_count.set_defaults(func=cmd_count)
 
-    p_series = sub.add_parser(
-        "series", help="print a Poincare series table", formatter_class=formatter
-    )
+    p_series = sub.add_parser("series", help="print a Poincare series table")
     _add_form_flags(p_series)
     p_series.add_argument("--max", type=int, required=True, help="maximum degree")
     p_series.add_argument(
@@ -72,9 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_series)
     p_series.set_defaults(func=cmd_series)
 
-    p_verify = sub.add_parser(
-        "verify", help="run cross-method self-checks", formatter_class=formatter
-    )
+    p_verify = sub.add_parser("verify", help="run cross-method self-checks")
     p_verify.add_argument("--d-max", type=int, default=4)
     p_verify.add_argument("--n-max", type=int, default=9)
     p_verify.add_argument("--lambda-max", type=int, default=20)
@@ -192,12 +190,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _verify_agreement(form: str, args: argparse.Namespace) -> Tuple[Optional[str], int]:
     """The first disagreement (or None) of each method of the form with
-    its default, the first, for d = 1..--d-max and n = 0..--n-max, and the
-    number of peel comparisons made.  Each series method is compared as
-    one series.  Peel, a ternary method, is compared degree by degree,
-    and skips every (d, n) whose estimate exceeds --work-limit."""
+    its default (``resolve_method``), for d = 1..--d-max and
+    n = 0..--n-max, and the number of peel comparisons made.  Each series
+    method is compared as one series.  Peel, a ternary method, is
+    compared degree by degree, and skips every (d, n) whose estimate
+    exceeds --work-limit."""
     table = BINARY_METHODS if form == "binary" else TERNARY_METHODS
-    first, *others = [method for method in table if method != "peel"]
+    first = resolve_method(form)
+    others = [method for method in table if method not in (first, "peel")]
     peels = 0
     for d in range(1, args.d_max + 1):
         base = poincare_series(form, d, args.n_max, method=first)

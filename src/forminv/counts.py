@@ -206,14 +206,20 @@ def _check_request(d: int, n: int, work_limit: int) -> None:
 def gamma_binary(d: int, n: int) -> int:
     """Invariants of degree n of the binary form of degree d, as the
     difference of the zero-weight and weight-2 monomial counts: two
-    slots of one partition DP (``weights.omega_reader``)."""
+    slots of one partition DP (``weights.omega_reader``).
+
+    ``count`` is the package's way to count by method, so this and
+    ``gamma_binary_qbinom`` import from ``forminv.counts`` only, not from
+    the package root; both stay while ``perfbench/make_reference.py``
+    imports them."""
     return count("binary", d, n, "omega")
 
 
 def gamma_binary_qbinom(d: int, n: int) -> int:
     """Same count via the q-binomial: coefficient of q^{dn/2} in
     (1 - q) * [d+n choose n]_q, two slots of the q-Pascal row
-    (``qbinom.gaussian_binomial_low``)."""
+    (``qbinom.gaussian_binomial_low``).  Importable from
+    ``forminv.counts`` only, as ``gamma_binary`` is."""
     return count("binary", d, n, "qbinom")
 
 

@@ -135,6 +135,9 @@ def omega_binary(d: int, n: int, w: int) -> int:
     partitions of w into at most n parts, each part <= d.  Read from
     ``omega_reader(d, n)`` at min(w, d*n - w) <= d*n/2, by the reflection
     w <-> d*n - w; a weight outside 0..d*n reads as 0.
+
+    Importable from ``forminv.weights`` only, not from the package root;
+    it stays while ``perfbench/tracer.py`` requires it.
     """
     _check_dn(d, n, w)
     return omega_reader(d, n)(n, min(w, d * n - w))

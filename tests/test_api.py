@@ -1,8 +1,12 @@
 """The names the package root exports, pinned.
 
 The test oracles (``forminv.poly`` and the binomials of ``qbinom`` built
-by exact division) are importable from their modules only.
+by exact division) are importable from their modules only, and so are
+the binary point functions, which name a method a second time beside
+``count``.
 """
+
+import importlib
 
 import pytest
 
@@ -19,13 +23,10 @@ PUBLIC = [
     "decompose",
     "dimension",
     "e_lambda",
-    "gamma_binary",
     "gamma_binary_full",
-    "gamma_binary_qbinom",
     "monomial_count",
     "nu_ternary_peel",
     "num_variables",
-    "omega_binary",
     "peel_work_estimate",
     "poincare_series",
     "variables",
@@ -41,6 +42,14 @@ ORACLES = sorted(
     if not name.startswith("_")
     and getattr(value, "__module__", None) == poly.__name__
 ) + ["gaussian_binomial", "pq_binomial"]
+
+# each is one count or one reader read; ``count`` and
+# ``poincare_series`` are the root's only entries by method
+POINT_FUNCTIONS = [
+    ("counts", "gamma_binary"),
+    ("counts", "gamma_binary_qbinom"),
+    ("weights", "omega_binary"),
+]
 
 
 def test_all_is_pinned():
@@ -69,3 +78,11 @@ def test_oracles_import_from_their_modules():
         series_mul,
     )
     from forminv.qbinom import gaussian_binomial, pq_binomial  # noqa: F401
+
+
+@pytest.mark.parametrize("module, name", POINT_FUNCTIONS)
+def test_point_function_imports_from_its_module_only(module, name):
+    assert name not in forminv.__all__
+    with pytest.raises(ImportError):
+        exec(f"from forminv import {name}", {})
+    assert callable(getattr(importlib.import_module(f"forminv.{module}"), name))

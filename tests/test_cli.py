@@ -242,6 +242,20 @@ class TestSeries:
         assert out == ""
         assert target.read_text() == "0\t1\n1\t0\n2\t0\n3\t0\n4\t1\n"
 
+    @pytest.mark.parametrize(
+        "form, d, n_max, method, other",
+        [("binary", "8", "400", "omega", "qbinom"),
+         ("ternary", "2", "90", "pqbinom", "counting")],
+        ids=["binary-8-400", "pqbinom-2-90"],
+    )
+    def test_long_series_agree(self, capsys, form, d, n_max, method, other):
+        # two series the CI smoke step compares: a binary series is one
+        # reader per route, and pqbinom's hi half is empty at d <= 2
+        flags = ("series", "--form", form, "--d", d, "--max", n_max)
+        code, out, err = run(capsys, *flags, "--method", method)
+        assert (code, err, len(out.splitlines())) == (0, "", int(n_max) + 1)
+        assert run(capsys, *flags, "--method", other) == (0, out, "")
+
 
 class TestVerify:
     def test_passes(self, capsys):
@@ -685,16 +699,30 @@ def test_cli_contract(drawn):
         assert _rows(out, flags.get("--format", "text")) == want
 
 
+# counts the CI smoke step checks: counting at (8, 24), and (12, 24) by
+# every ternary route, peel on its dominant chamber
+_SMOKE_COUNTS = [
+    ("counting", "8", "24", "162536982"),
+    *[(method, "12", "24", "34265747436043")
+      for method in ("counting", "genfunc", "pqbinom", "peel")],
+]
+
+
 class TestRun:
     # run() is the forminv console entry point: main on sys.argv, whose
-    # return is the exit status
+    # return is the exit status, as ``python -m forminv.cli`` runs it
     @pytest.mark.parametrize(
         "argv, status, out",
         [
             (("count", "--form", "ternary", "--d", "5", "--n", "18"), 0, "178\n"),
             (("count", "--form", "ternary"), 2, ""),
+            *[
+                (("count", "--form", "ternary", "--d", d, "--n", n, "--method", method),
+                 0, f"{value}\n")
+                for method, d, n, value in _SMOKE_COUNTS
+            ],
         ],
-        ids=["count", "usage-error"],
+        ids=["count", "usage-error", *[f"{m}-{d}-{n}" for m, d, n, _ in _SMOKE_COUNTS]],
     )
     def test_exits_with_main_status(self, capsys, monkeypatch, argv, status, out):
         monkeypatch.setattr(sys, "argv", ["forminv", *argv])
