@@ -529,8 +529,8 @@ MUTANTS = (
     Mutant(
         "_check_dn takes a bool for an int",
         W,
-        "isinstance(value, bool) or ",
-        "",
+        "if type(value) is not int:",
+        "if not isinstance(value, int):",
         [WT + "TestValidation::test_rejects_bad_d_and_n"],
     ),
     # the parser's one terminal query: subparsers built with argparse's
@@ -541,6 +541,15 @@ MUTANTS = (
         "parser_class=functools.partial(argparse.ArgumentParser, formatter_class=formatter)",
         "parser_class=argparse.ArgumentParser",
         [CLIT + "TestParserBuild::test_asks_the_terminal_once"],
+    ),
+    # each numeric flag's floor is its argparse type: at 0, --d-max would
+    # run no check and print PASS
+    Mutant(
+        "verify's --d-max takes 0",
+        CLI,
+        '"--d-max", type=_POSITIVE',
+        '"--d-max", type=_DEGREE',
+        [CLIT + "TestFlagFloors::test_floor"],
     ),
 )
 

@@ -18,7 +18,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import counts, sl3, weights
 from .counts import (
@@ -31,6 +31,25 @@ from .counts import (
 )
 
 _ALL_METHODS = sorted(set(BINARY_METHODS) | set(TERNARY_METHODS))
+
+
+def _at_least(floor: int) -> Callable[[str], int]:
+    """The argparse type of an int flag of at least ``floor``.  It is
+    named int, so argparse reports a value that is no int as it would for
+    ``type=int``, and one below the floor in the same usage error."""
+
+    def parse(text: str) -> int:
+        if (value := int(text)) < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {text!r}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+# a degree is >= 0; a budget, and verify's --d-max, >= 1, so a range that
+# runs no check cannot print PASS
+_DEGREE, _POSITIVE = _at_least(0), _at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,14 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="print a single invariant count")
     _add_form_flags(p_count)
-    p_count.add_argument("--n", type=int, required=True, help="invariant degree")
+    p_count.add_argument("--n", type=_DEGREE, required=True, help="invariant degree")
     p_count.add_argument("--json", action="store_true", help="emit a JSON object")
     _add_common_flags(p_count)
     p_count.set_defaults(func=cmd_count)
 
     p_series = sub.add_parser("series", help="print a Poincare series table")
     _add_form_flags(p_series)
-    p_series.add_argument("--max", type=int, required=True, help="maximum degree")
+    p_series.add_argument("--max", type=_DEGREE, required=True, help="maximum degree")
     p_series.add_argument(
         "--format", choices=("text", "json", "csv"), default="text"
     )
@@ -72,10 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_series)
     p_series.set_defaults(func=cmd_series)
 
-    p_verify = sub.add_parser("verify", help="run cross-method self-checks")
-    p_verify.add_argument("--d-max", type=int, default=4)
-    p_verify.add_argument("--n-max", type=int, default=9)
-    p_verify.add_argument("--lambda-max", type=int, default=20)
+    p_verify = sub.add_parser(
+        "verify", help="run cross-method self-checks",
+        description="The weight table totals check d <= min(--d-max, 4), n <= min(--n-max, 8).",
+    )
+    p_verify.add_argument("--d-max", type=_POSITIVE, default=4, help="largest form degree d")
+    p_verify.add_argument("--n-max", type=_DEGREE, default=9, help="largest invariant degree n")
+    p_verify.add_argument("--lambda-max", type=_DEGREE, default=20, help="largest lambda component")
     _add_common_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -84,16 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_form_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--form", choices=("binary", "ternary"), required=True)
-    p.add_argument("--d", type=int, required=True, help="form degree")
+    p.add_argument("--d", type=_DEGREE, required=True, help="form degree")
     p.add_argument("--method", choices=_ALL_METHODS, default=None)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--work-limit",
-        type=int,
-        default=DEFAULT_WORK_LIMIT,
-        help="state-count budget for expensive methods",
+        "--work-limit", type=_POSITIVE, default=DEFAULT_WORK_LIMIT,
+        help="bounds peel's state-count estimate (default %(default)s); other methods ignore it",
     )
     p.add_argument("--out", default=None, help="write stdout content to a file")
 
@@ -109,15 +129,7 @@ def _emit(text: str, out: Optional[str]) -> None:
             raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
 
 
-def _check_ranges(args: argparse.Namespace, *flags: str) -> None:
-    """Name the flag of a negative degree, as verify names its ranges."""
-    for flag in flags:
-        if getattr(args, flag) < 0:
-            raise ValueError(f"--{flag} must be >= 0")
-
-
 def cmd_count(args: argparse.Namespace) -> int:
-    _check_ranges(args, "d", "n")
     method = resolve_method(args.form, args.method)
     value = counts.count(args.form, args.d, args.n, method, args.work_limit)
     if args.json:
@@ -135,7 +147,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    _check_ranges(args, "d", "max")
     method = resolve_method(args.form, args.method)
     rows = poincare_series(
         args.form,
@@ -166,11 +177,6 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # a range that runs no check must not print PASS
-    if args.d_max < 1:
-        raise ValueError("--d-max must be >= 1")
-    if args.n_max < 0 or args.lambda_max < 0:
-        raise ValueError("--n-max and --lambda-max must be >= 0")
     failure, peels = _verify_agreement("ternary", args)
     if failure is None and not peels:
         failure = f"no peel comparison ran within --work-limit {args.work_limit}"
@@ -245,9 +251,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        # every subcommand takes --work-limit; below 1 no budgeted work runs
-        if args.work_limit < 1:
-            raise ValueError("--work-limit must be >= 1")
         return args.func(args)
     except WorkLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -107,10 +107,11 @@ class CountGrid:
 
 
 def _check_dn(d: int, n: int, *others: int) -> None:
-    """Raise ValueError unless every argument is an int (a bool is not)
-    and d, n are nonnegative."""
+    """Raise ValueError unless every argument is an int and d, n are
+    nonnegative.  A bool, like any other int subclass, is not an int here,
+    as in ``sl3``."""
     for value in (d, n, *others):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if type(value) is not int:
             raise ValueError(f"expected an int, got {value!r}")
     if d < 0 or n < 0:
         raise ValueError("d and n must be nonnegative")

@@ -2,8 +2,11 @@ import argparse
 import contextlib
 import io
 import json
+import re
+import runpy
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -376,21 +379,6 @@ class TestVerify:
         fails = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert fails == ["FAIL  weight table totals: total 57 != 56 at d=2, n=3", "FAIL"]
 
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (("--d-max", "0"), "--d-max must be >= 1"),
-            (("--d-max", "-1"), "--d-max must be >= 1"),
-            (("--n-max", "-1"), "--n-max and --lambda-max must be >= 0"),
-            (("--lambda-max", "-1"), "--n-max and --lambda-max must be >= 0"),
-        ],
-    )
-    def test_rejects_vacuous_ranges(self, capsys, flags, message):
-        code, out, err = run(capsys, "verify", *flags)
-        assert (code, out) == (2, "")
-        assert err == f"error: {message}\n"
-
-
     def test_unwritable_out(self, capsys, tmp_path):
         # exit 2, not 1: an I/O error is not a failed check
         target = tmp_path / "missing" / "y"
@@ -534,41 +522,61 @@ class TestParserBuild:
         ]
 
 
-class TestWorkLimitFlag:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("count", "--form", "ternary", "--d", "3", "--n", "4"),
-            ("series", "--form", "ternary", "--d", "3", "--max", "4"),
-            ("verify", "--d-max", "2", "--n-max", "3", "--lambda-max", "2"),
-        ],
-    )
-    @pytest.mark.parametrize("limit", ["0", "-5"])
-    def test_rejects_limit_below_one(self, capsys, argv, limit):
-        code, out, err = run(capsys, *argv, "--work-limit", limit)
-        assert (code, out) == (2, "")
-        assert err == "error: --work-limit must be >= 1\n"
+# each subcommand's flags, at values that run quickly, and each numeric
+# flag's floor: a degree is >= 0, a budget >= 1, and verify's --d-max >= 1
+# so that a range that runs no check cannot print PASS
+_SMALL = {
+    "count": {"--form": "ternary", "--d": "3", "--n": "4"},
+    "series": {"--form": "ternary", "--d": "3", "--max": "4"},
+    "verify": {"--d-max": "1", "--n-max": "1", "--lambda-max": "1"},
+}
+_FLOORS = [
+    ("count", "--d", 0), ("count", "--n", 0), ("count", "--work-limit", 1),
+    ("series", "--d", 0), ("series", "--max", 0), ("series", "--work-limit", 1),
+    ("verify", "--d-max", 1), ("verify", "--n-max", 0), ("verify", "--lambda-max", 0),
+    ("verify", "--work-limit", 1),
+]
+
+
+class TestFlagFloors:
+    @staticmethod
+    def _argv(command, flag, value):
+        flags = {**_SMALL[command], flag: value}
+        return [command, *(word for pair in flags.items() for word in pair)]
+
+    def test_every_numeric_flag_has_a_floor(self):
+        # the table above names every flag whose type is an int
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        typed = {
+            (command, action.option_strings[0])
+            for command, p in sub.choices.items()
+            for action in p._actions
+            if getattr(action.type, "__name__", None) == "int"
+        }
+        assert typed == {(command, flag) for command, flag, _ in _FLOORS}
+
+    @pytest.mark.parametrize("command, flag, floor", _FLOORS, ids=[c + f for c, f, _ in _FLOORS])
+    def test_floor(self, capsys, command, flag, floor):
+        # the floor parses; below it, and at a value that is no int,
+        # argparse's one report names the flag
+        args = cli.build_parser().parse_args(self._argv(command, flag, str(floor)))
+        assert getattr(args, flag[2:].replace("-", "_")) == floor
+        for value, why in [
+            (str(floor - 1), f"must be >= {floor}, got '{floor - 1}'"),
+            ("x", "invalid int value: 'x'"),
+        ]:
+            code, out, err = run(capsys, *self._argv(command, flag, value))
+            assert (code, out) == (2, "")
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                f"forminv {command}: error: argument {flag}: {why}"
+            ]
 
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "count", "--form", "ternary", "--bogus", "1")
         assert code == 2
-
-    @pytest.mark.parametrize(
-        "argv, flag",
-        [
-            (("count", "--form", "ternary", "--d", "-1", "--n", "4"), "--d"),
-            (("count", "--form", "binary", "--d", "2", "--n", "-1"), "--n"),
-            (("series", "--form", "binary", "--d", "-1", "--max", "4"), "--d"),
-            (("series", "--form", "ternary", "--d", "3", "--max", "-1"), "--max"),
-        ],
-    )
-    def test_negative_degree_names_its_flag(self, capsys, argv, flag):
-        # the message names the flag the user typed, as verify's do
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err == f"error: {flag} must be >= 0\n"
 
     def test_missing_required(self, capsys):
         code, _, _ = run(capsys, "count", "--form", "ternary")
@@ -730,6 +738,30 @@ class TestRun:
             cli.run()
         assert info.value.code == status
         assert capsys.readouterr().out == out
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_ci_smoke_step_diffs(capsys):
+    # each ``diff <(command) - <<'EOF'`` of the CI smoke step, run in
+    # process: the paper's five tables and both verify lines, each against
+    # the text the workflow pins
+    workflow = (_ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    diffs = re.findall(
+        r"diff <\(PYTHONPATH=src python (.+?)\) - <<'EOF'\n(.*?\n)\s*EOF\n", workflow, re.S
+    )
+    assert [command for command, _ in diffs] == [
+        "scripts/reproduce_tables.py",
+        "-m forminv.cli verify --d-max 4 --n-max 9 --lambda-max 20",
+        "-m forminv.cli verify --d-max 1 --n-max 3 --lambda-max 40",
+    ]
+    for command, want in diffs:
+        if command.startswith("-m forminv.cli "):
+            assert cli.main(command.split()[2:]) == 0
+        else:
+            runpy.run_path(str(_ROOT / command), run_name="__main__")
+        assert capsys.readouterr() == (textwrap.dedent(want), "")
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -49,6 +49,10 @@ def brute_gamma_binary(d, n):
     return weights.get(0, 0) - weights.get(2, 0)
 
 
+class _Int(int):
+    """An int subclass: the package takes only an int itself for an int."""
+
+
 class TestGammaBinary:
     def test_degree_zero(self):
         for d in range(1, 6):
@@ -244,7 +248,7 @@ class TestNuTernary:
         with pytest.raises(ValueError):
             gamma_binary(2, -1)
 
-    @pytest.mark.parametrize("bad", [True, 3.0, -2])
+    @pytest.mark.parametrize("bad", [True, 3.0, -2, pytest.param(_Int(3), id="int-subclass")])
     def test_rejects_bool_float_and_negative(self, bad):
         for fn in (gamma_binary, gamma_binary_qbinom, nu_ternary_peel, peel_work_estimate):
             with pytest.raises(ValueError):

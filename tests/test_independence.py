@@ -62,8 +62,9 @@ def _modules():
                 defs[node.name] = node
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    defs[target.id] = node
+                # a tuple target defines each of its names
+                for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                    defs[name.id] = node
             elif isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     if node.module is None:

@@ -298,6 +298,10 @@ class TestELambda:
                 assert len(calls) == want, (m1, m2)
 
 
+class _Int(int):
+    """An int subclass: the package takes only an int itself for an int."""
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "call",
@@ -315,6 +319,10 @@ class TestMalformedInput:
             pytest.param(
                 lambda: weight_multiplicity((True, 0), (1, 0)),
                 id="weight_multiplicity-bool-lam",
+            ),
+            pytest.param(
+                lambda: weight_multiplicity((_Int(1), 0), (1, 0)),
+                id="weight_multiplicity-int-subclass-lam",
             ),
             pytest.param(
                 lambda: weight_multiplicity((1, 0), (0.5, 0)),

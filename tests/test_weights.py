@@ -249,8 +249,12 @@ class TestWindow:
         assert (got == want) is holds
 
 
+class _Int(int):
+    """An int subclass: the package takes only an int itself for an int."""
+
+
 class TestValidation:
-    @pytest.mark.parametrize("bad", [True, 2.0, -1])
+    @pytest.mark.parametrize("bad", [True, 2.0, -1, pytest.param(_Int(2), id="int-subclass")])
     def test_rejects_bad_d_and_n(self, bad):
         for call in (
             lambda: omega_binary(bad, 2, 1),
