@@ -379,6 +379,22 @@ class TestVerify:
         fails = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert fails == ["FAIL  weight table totals: total 57 != 56 at d=2, n=3", "FAIL"]
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--d-max", "0"), "--d-max must be >= 1"),
+            (("--d-max", "-1"), "--d-max must be >= 1"),
+        ],
+    )
+    def test_rejects_vacuous_ranges(self, capsys, flags, message):
+        # a range that runs no check is a usage error, not a PASS
+        code, out, err = run(capsys, "verify", *flags)
+        assert (code, out) == (2, "")
+        flag, rule = message.split(" ", 1)
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"forminv verify: error: argument {flag}: {rule}, got '{flags[1]}'"
+        ]
+
     def test_unwritable_out(self, capsys, tmp_path):
         # exit 2, not 1: an I/O error is not a failed check
         target = tmp_path / "missing" / "y"
@@ -519,6 +535,24 @@ class TestParserBuild:
         # would render
         assert [p.prog for p in parsers] == [
             "forminv", "forminv count", "forminv series", "forminv verify"
+        ]
+
+
+class TestWorkLimitFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--form", "ternary", "--d", "3", "--n", "4"),
+            ("series", "--form", "ternary", "--d", "3", "--max", "4"),
+            ("verify", "--d-max", "2", "--n-max", "3", "--lambda-max", "2"),
+        ],
+    )
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_rejects_limit_below_one(self, capsys, argv, limit):
+        code, out, err = run(capsys, *argv, "--work-limit", limit)
+        assert (code, out) == (2, "")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"forminv {argv[0]}: error: argument --work-limit: must be >= 1, got '{limit}'"
         ]
 
 
