@@ -180,9 +180,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failure, peels = _verify_agreement("ternary", args)
     if failure is None and not peels:
         failure = f"no peel comparison ran within --work-limit {args.work_limit}"
+    plural = "" if peels == 1 else "s"
     # (name, failure or None) per check, in the order they run and print
     checks = [
-        (f"ternary method agreement ({peels} peel comparisons)", failure),
+        (f"ternary method agreement ({peels} peel comparison{plural})", failure),
         ("binary method agreement", _verify_agreement("binary", args)[0]),
         ("trivial-rep functional sweep", _verify_functional(args.lambda_max)),
         ("weight table totals", _verify_table_totals(min(args.d_max, 4), min(args.n_max, 8))),

@@ -70,9 +70,17 @@ def _is_weight(w: object) -> bool:
     return type(w) is tuple and len(w) == 2 and type(w[0]) is int and type(w[1]) is int
 
 
+def _typed(w: object) -> str:
+    """w for an error message, each part of a tuple with its type named:
+    (I 1, int 0) for a pair whose first part is an int subclass I."""
+    if type(w) is tuple:
+        return "(" + ", ".join(f"{type(x).__name__} {x!r}" for x in w) + ")"
+    return f"{type(w).__name__} {w!r}"
+
+
 def _check_weight(w: Weight, name: str) -> None:
     if not _is_weight(w):
-        raise ValueError(f"{name} must be a pair of ints, got {w!r}")
+        raise ValueError(f"{name} must be a pair of ints, got {_typed(w)}")
 
 
 def _check_dominant(lam: HighestWeight) -> None:
@@ -308,15 +316,15 @@ def decompose(diagram: WeightDiagram, total: Optional[int] = None) -> Dict[Highe
     the alternation as the sweep's independent check.
     """
     if total is not None and (type(total) is not int or total < 0):
-        raise ValueError(f"total must be a nonnegative int, got {total!r}")
+        raise ValueError(f"total must be a nonnegative int, got {_typed(total)}")
     get = diagram.get
     dominant: List[Tuple[int, int, Weight]] = []  # (level i + j, i, weight)
     left = 0  # the nonzero weights not yet in a constant Weyl orbit
     for w, m in diagram.items():
         if not _is_weight(w):
-            raise InvalidCharacterError(f"weight {w!r} is not a pair of ints")
+            raise InvalidCharacterError(f"weight {_typed(w)} is not a pair of ints")
         if type(m) is not int:
-            raise InvalidCharacterError(f"multiplicity {m!r} at weight {w} is not an int")
+            raise InvalidCharacterError(f"multiplicity {_typed(m)} at weight {w} is not an int")
         a, b = w
         if total is not None and (a < 0 or b < 0):
             raise InvalidCharacterError(f"weight {w} of a dominant diagram is not dominant")

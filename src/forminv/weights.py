@@ -112,7 +112,7 @@ def _check_dn(d: int, n: int, *others: int) -> None:
     as in ``sl3``."""
     for value in (d, n, *others):
         if type(value) is not int:
-            raise ValueError(f"expected an int, got {value!r}")
+            raise ValueError(f"expected an int, got {type(value).__name__} {value!r}")
     if d < 0 or n < 0:
         raise ValueError("d and n must be nonnegative")
 

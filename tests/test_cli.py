@@ -2,11 +2,8 @@ import argparse
 import contextlib
 import io
 import json
-import re
-import runpy
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -245,20 +242,6 @@ class TestSeries:
         assert out == ""
         assert target.read_text() == "0\t1\n1\t0\n2\t0\n3\t0\n4\t1\n"
 
-    @pytest.mark.parametrize(
-        "form, d, n_max, method, other",
-        [("binary", "8", "400", "omega", "qbinom"),
-         ("ternary", "2", "90", "pqbinom", "counting")],
-        ids=["binary-8-400", "pqbinom-2-90"],
-    )
-    def test_long_series_agree(self, capsys, form, d, n_max, method, other):
-        # two series the CI smoke step compares: a binary series is one
-        # reader per route, and pqbinom's hi half is empty at d <= 2
-        flags = ("series", "--form", form, "--d", d, "--max", n_max)
-        code, out, err = run(capsys, *flags, "--method", method)
-        assert (code, err, len(out.splitlines())) == (0, "", int(n_max) + 1)
-        assert run(capsys, *flags, "--method", other) == (0, out, "")
-
 
 class TestVerify:
     def test_passes(self, capsys):
@@ -414,6 +397,15 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[0] == (
             "PASS  ternary method agreement (8 peel comparisons)"
+        )
+        # exactly one comparison, at (d, n) = (1, 0), reads singular
+        code, out, _ = run(
+            capsys,
+            "verify", "--d-max", "1", "--n-max", "0", "--lambda-max", "0",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "PASS  ternary method agreement (1 peel comparison)"
         )
 
     def test_fails_when_no_peel_comparison_runs(self, capsys):
@@ -741,15 +733,6 @@ def test_cli_contract(drawn):
         assert _rows(out, flags.get("--format", "text")) == want
 
 
-# counts the CI smoke step checks: counting at (8, 24), and (12, 24) by
-# every ternary route, peel on its dominant chamber
-_SMOKE_COUNTS = [
-    ("counting", "8", "24", "162536982"),
-    *[(method, "12", "24", "34265747436043")
-      for method in ("counting", "genfunc", "pqbinom", "peel")],
-]
-
-
 class TestRun:
     # run() is the forminv console entry point: main on sys.argv, whose
     # return is the exit status, as ``python -m forminv.cli`` runs it
@@ -758,13 +741,8 @@ class TestRun:
         [
             (("count", "--form", "ternary", "--d", "5", "--n", "18"), 0, "178\n"),
             (("count", "--form", "ternary"), 2, ""),
-            *[
-                (("count", "--form", "ternary", "--d", d, "--n", n, "--method", method),
-                 0, f"{value}\n")
-                for method, d, n, value in _SMOKE_COUNTS
-            ],
         ],
-        ids=["count", "usage-error", *[f"{m}-{d}-{n}" for m, d, n, _ in _SMOKE_COUNTS]],
+        ids=["count", "usage-error"],
     )
     def test_exits_with_main_status(self, capsys, monkeypatch, argv, status, out):
         monkeypatch.setattr(sys, "argv", ["forminv", *argv])
@@ -772,30 +750,6 @@ class TestRun:
             cli.run()
         assert info.value.code == status
         assert capsys.readouterr().out == out
-
-
-_ROOT = Path(__file__).resolve().parent.parent
-
-
-def test_ci_smoke_step_diffs(capsys):
-    # each ``diff <(command) - <<'EOF'`` of the CI smoke step, run in
-    # process: the paper's five tables and both verify lines, each against
-    # the text the workflow pins
-    workflow = (_ROOT / ".github" / "workflows" / "tier1.yml").read_text()
-    diffs = re.findall(
-        r"diff <\(PYTHONPATH=src python (.+?)\) - <<'EOF'\n(.*?\n)\s*EOF\n", workflow, re.S
-    )
-    assert [command for command, _ in diffs] == [
-        "scripts/reproduce_tables.py",
-        "-m forminv.cli verify --d-max 4 --n-max 9 --lambda-max 20",
-        "-m forminv.cli verify --d-max 1 --n-max 3 --lambda-max 40",
-    ]
-    for command, want in diffs:
-        if command.startswith("-m forminv.cli "):
-            assert cli.main(command.split()[2:]) == 0
-        else:
-            runpy.run_path(str(_ROOT / command), run_name="__main__")
-        assert capsys.readouterr() == (textwrap.dedent(want), "")
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -250,23 +250,28 @@ class TestNuTernary:
 
     @pytest.mark.parametrize("bad", [True, 3.0, -2, pytest.param(_Int(3), id="int-subclass")])
     def test_rejects_bool_float_and_negative(self, bad):
+        # a value that is not an int itself is named with its type, so an
+        # int subclass does not read as valid input
+        if type(bad) is int:
+            message = "d and n must be nonnegative"
+        else:
+            message = f"expected an int, got {type(bad).__name__} {bad!r}"
+
+        def rejects(fn, *args):
+            with pytest.raises(ValueError) as info:
+                fn(*args)
+            assert str(info.value) == message
+
         for fn in (gamma_binary, gamma_binary_qbinom, nu_ternary_peel, peel_work_estimate):
-            with pytest.raises(ValueError):
-                fn(bad, 3)
-            with pytest.raises(ValueError):
-                fn(3, bad)
+            rejects(fn, bad, 3)
+            rejects(fn, 3, bad)
         for method in ("counting", "genfunc", "pqbinom"):
-            with pytest.raises(ValueError):
-                count("ternary", bad, 3, method)
-            with pytest.raises(ValueError):
-                count("ternary", 3, bad, method)
-        with pytest.raises(ValueError):
-            poincare_series("ternary", bad, 3)
-        with pytest.raises(ValueError):
-            poincare_series("binary", 3, bad)
+            rejects(count, "ternary", bad, 3, method)
+            rejects(count, "ternary", 3, bad, method)
+        rejects(poincare_series, "ternary", bad, 3)
+        rejects(poincare_series, "binary", 3, bad)
         if bad != -2:  # a negative k is a zero multiplicity
-            with pytest.raises(ValueError):
-                gamma_binary_full(3, 4, bad)
+            rejects(gamma_binary_full, 3, 4, bad)
 
     @pytest.mark.parametrize("bad", [True, 2.5, "10", None, 0, -5])
     def test_rejects_a_work_limit_that_is_not_an_int(self, bad):

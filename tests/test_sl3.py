@@ -304,42 +304,51 @@ class _Int(int):
 
 class TestMalformedInput:
     @pytest.mark.parametrize(
-        "call",
+        "call, got",
         [
-            pytest.param(lambda: character((True, 0)), id="character-bool"),
-            pytest.param(lambda: character((1.0, 0)), id="character-float"),
-            pytest.param(lambda: character((1,)), id="character-short"),
-            pytest.param(lambda: character((1, 0, 0)), id="character-long"),
-            pytest.param(lambda: character([1, 0]), id="character-list"),
-            pytest.param(lambda: dimension((True, 1)), id="dimension-bool"),
-            pytest.param(lambda: dimension((2, 0.5)), id="dimension-float"),
-            pytest.param(lambda: e_lambda((0.0, 0)), id="e_lambda-float"),
+            pytest.param(lambda: character((True, 0)), "(bool True, int 0)", id="character-bool"),
+            pytest.param(lambda: character((1.0, 0)), "(float 1.0, int 0)", id="character-float"),
+            pytest.param(lambda: character((1,)), "(int 1)", id="character-short"),
+            pytest.param(
+                lambda: character((1, 0, 0)), "(int 1, int 0, int 0)", id="character-long"
+            ),
+            pytest.param(lambda: character([1, 0]), "list [1, 0]", id="character-list"),
+            pytest.param(lambda: dimension((True, 1)), "(bool True, int 1)", id="dimension-bool"),
+            pytest.param(lambda: dimension((2, 0.5)), "(int 2, float 0.5)", id="dimension-float"),
+            pytest.param(lambda: e_lambda((0.0, 0)), "(float 0.0, int 0)", id="e_lambda-float"),
             # 2 * True + 0 is off the root lattice: checked all the same
-            pytest.param(lambda: e_lambda((True, 0)), id="e_lambda-bool"),
+            pytest.param(lambda: e_lambda((True, 0)), "(bool True, int 0)", id="e_lambda-bool"),
             pytest.param(
                 lambda: weight_multiplicity((True, 0), (1, 0)),
+                "(bool True, int 0)",
                 id="weight_multiplicity-bool-lam",
             ),
             pytest.param(
                 lambda: weight_multiplicity((_Int(1), 0), (1, 0)),
+                "(_Int 1, int 0)",
                 id="weight_multiplicity-int-subclass-lam",
             ),
             pytest.param(
                 lambda: weight_multiplicity((1, 0), (0.5, 0)),
+                "(float 0.5, int 0)",
                 id="weight_multiplicity-float-mu",
             ),
             pytest.param(
                 lambda: weight_multiplicity((1, 0), (True, 0)),
+                "(bool True, int 0)",
                 id="weight_multiplicity-bool-mu",
             ),
             pytest.param(
                 lambda: weight_multiplicity((1, 0), (0,)),
+                "(int 0)",
                 id="weight_multiplicity-short-mu",
             ),
         ],
     )
-    def test_rejects_weight_that_is_not_a_pair_of_ints(self, call):
-        with pytest.raises(ValueError, match="pair of ints"):
+    def test_rejects_weight_that_is_not_a_pair_of_ints(self, call, got):
+        # each part is named with its type, so an int subclass does not
+        # read as valid input
+        with pytest.raises(ValueError, match=f" must be a pair of ints, got {re.escape(got)}$"):
             call()
 
     # (-1, 0) and (0, -1) are off the root lattice: checked all the same
@@ -663,7 +672,8 @@ class TestDecompose:
         # 8.0, passes as 8
         dominant = {w: m for w, m in character((1, 1)).items() if w[0] >= 0 and w[1] >= 0}
         for total in (True, "8", 8.0, -8):
-            with pytest.raises(ValueError, match=f"^total must be a nonnegative int, got {total!r}$"):
+            message = f"total must be a nonnegative int, got {type(total).__name__} {total!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 decompose(dominant, total)
         assert decompose({}, 0) == {}
 

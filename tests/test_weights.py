@@ -256,6 +256,12 @@ class _Int(int):
 class TestValidation:
     @pytest.mark.parametrize("bad", [True, 2.0, -1, pytest.param(_Int(2), id="int-subclass")])
     def test_rejects_bad_d_and_n(self, bad):
+        # a value that is not an int itself is named with its type, so an
+        # int subclass does not read as valid input
+        if type(bad) is int:
+            message = "d and n must be nonnegative"
+        else:
+            message = f"expected an int, got {type(bad).__name__} {bad!r}"
         for call in (
             lambda: omega_binary(bad, 2, 1),
             lambda: omega_binary(2, bad, 1),
@@ -269,8 +275,9 @@ class TestValidation:
             lambda: variables(bad),
             lambda: num_variables(bad),
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as info:
                 call()
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("bad", [True, False, 0.0, "1"])
     def test_rejects_non_int_weights(self, bad):
