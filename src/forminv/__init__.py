@@ -20,7 +20,6 @@ from .counts import (
     WorkLimitExceeded,
     count,
     gamma_binary_full,
-    nu_ternary_peel,
     peel_work_estimate,
     poincare_series,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "e_lambda",
     "gamma_binary_full",
     "monomial_count",
-    "nu_ternary_peel",
     "num_variables",
     "peel_work_estimate",
     "poincare_series",

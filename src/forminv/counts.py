@@ -1,56 +1,23 @@
 """Invariant counts for binary and ternary forms, by several routes.
 
-Binary forms: two independent methods for the number of degree-n
-invariants, the coefficient of q^{dn/2} in (1 - q) [d+n choose n]_q,
+``count`` (one degree) and ``poincare_series`` (degrees 0..n_max) take a
+form, its degree d and a method, and return exact Python ints.  Each
+form has one route table, its default first:
 
-  * omega     -- weight counts of the coefficient monomials, from one
-                 packed partition DP (``weights.omega_reader``),
-  * qbinom    -- the q-binomials themselves, row d of the packed
-                 pq-binomial table at p = 1
-                 (``qbinom.gaussian_binomial_low``).
+  * ``BINARY_METHODS`` -- omega (``weights.omega_reader``) and qbinom
+    (``qbinom.gaussian_binomial_low``), two independent readings of the
+    coefficient of q^{dn/2} in (1 - q) [d+n choose n]_q;
+  * ``TERNARY_METHODS`` -- counting (``counting_reader``), genfunc
+    (``genfunc_reader``), pqbinom (``pqbinom_reader``) and peel
+    (``nu_ternary_peel``), four mutually independent routes to the
+    number of linearly independent degree-n invariants.
 
-Ternary forms: four mutually independent methods for the number of
-linearly independent degree-n invariants,
-
-  * counting  -- five cells of one lattice-point counting grid,
-                 combined with signs,
-  * genfunc   -- coefficient extraction from the inverse-product series,
-                 expanded one variable at a time on graded packed ints,
-  * pqbinom   -- the same series assembled from pq-binomial factors,
-                 whose packed table is built by the q-Pascal recurrence,
-  * peel      -- highest-weight peeling of the weight table's dominant
-                 part, built on the dominant box alone.
-
-All methods return exact Python ints and agree with each other; the
-redundancy is the point.
-
-Every method but peel is a reader route, and the five share one runner,
-for a series (``poincare_series``) and for a single point (``count``)
-alike.  ``BINARY_METHODS`` and ``TERNARY_METHODS``, one route table per
-form with its default first, map each reader route to its reader builder
-and peel to its point count.  ``_FORMS`` holds each table beside the
-form's k and operator, as a table of exponents and coefficients: 1 - q
-at q^w for binary forms, ``OPERATOR_TERMS`` at (pq)^w for ternary forms,
-w = d*n/k.  From the request's own degrees the runner works out one
-``Reads``: for each degree n with k | d*n, the cells the operator reads
-there that have no negative coordinate, each as the reader's arguments
-with its coefficient c.  The count at n is the sum of c * coeff(*cell)
-over them.
-
-A binary reader is ``coeff(n, w)``, the q^w coefficient of
-[d+n choose n]_q, built by ``(d, order)`` for w <= d*order//2, which
-holds both cells w and w - 1.  A ternary reader is ``coeff(n, a, b)``,
-the t^n p^a q^b coefficient of the series prod_{k+l<=d} (1 - t p^k q^l)^{-1},
-built by ``(d, reads)``.  Each ternary route makes that coefficient its
-own way (a cell of the packed counting grid, one slot of the graded
-packed inverse-product expansion, one slot of a product of two graded
-packed halves of the pq-binomial factors), and each is exact only at the
-cells of its ``Reads``: every extent it keeps derives from them.
-genfunc and pqbinom clip to ``Reads.box`` and drop every piece of t^j
-whose total degree a + b can no longer reach a read cell
-(``Reads.floors``); counting keeps only the rows of w1 from which a
-read cell can still be reached (``Reads.window``).  Only the five-point functional
-``sl3.FIVE_POINT`` is shared, through ``OPERATOR_TERMS``.  Peel never
+Every method but peel is a reader route: its builder returns a
+coefficient function (``Reader``), exact at the cells that ``Reads``
+holds, and one runner, ``_run``, applies the form's operator
+(``_FORMS``) to it.  All methods agree with each other, and the
+redundancy is the point: only the five-point functional
+``sl3.FIVE_POINT`` is shared, through ``OPERATOR_TERMS``, and peel never
 reads it.
 """
 
@@ -76,7 +43,10 @@ DEFAULT_WORK_LIMIT = 10 ** 8
 
 # The five-point functional moved from weights to exponents by the
 # paper's map (i, j) -> p^{(i-j)/3} q^{(i+2j)/3}: the extraction operator
-# 1 + pq + q^2/p - 2q - q^2, as exponent pair -> coefficient.
+# 1 + pq + q^2/p - 2q - q^2, as exponent pair -> coefficient.  At degree
+# n, w = d*n/3, it reads p^a q^b at (a, b) among (w, w), (w-1, w-1),
+# (w+1, w-2), (w, w-1) and (w, w-2), those with no negative coordinate,
+# so every cell read has a <= w + 1 and b <= w (``Reads.box``).
 OPERATOR_TERMS: Dict[Tuple[int, int], int] = {
     ((i - j) // 3, (i + 2 * j) // 3): c for (i, j), c in FIVE_POINT.items()
 }
@@ -85,9 +55,10 @@ OPERATOR_TERMS: Dict[Tuple[int, int], int] = {
 Terms = Dict[Tuple[int, ...], int]
 
 # coeff(n, w) for a binary route: the q^w coefficient of its degree-n
-# series.  coeff(n, a, b) for a ternary route: the t^n p^a q^b
-# coefficient of the series.  Either is exact at least at every cell of
-# its ``Reads`` (the ternary readers are exact only around those cells).
+# series [d+n choose n]_q.  coeff(n, a, b) for a ternary route: the
+# t^n p^a q^b coefficient of the series prod_{k+l<=d} (1 - t p^k q^l)^{-1}.
+# Either is exact at least at every cell of its ``Reads`` (the ternary
+# readers are exact only around those cells).
 Reader = Callable[..., int]
 
 
@@ -244,7 +215,12 @@ def nu_ternary_peel(
     """Trivial-representation multiplicity via highest-weight peeling of
     the dominant part of the weight table, whose character has
     ``monomial_count(d, n)`` weights in all.  Guarded by a state-count
-    work limit, an int of at least 1."""
+    work limit, an int of at least 1.
+
+    This is peel's entry in ``TERNARY_METHODS``, and
+    ``count("ternary", d, n, "peel", work_limit)`` from outside: it
+    imports from ``forminv.counts`` only, as ``gamma_binary`` does, and
+    ``perfbench/tracer.py`` binds it."""
     _check_request(d, n, work_limit)
     est = peel_work_estimate(d, n)
     if est > work_limit:
@@ -260,8 +236,8 @@ def peel_work_estimate(d: int, n: int) -> int:
     dominant part, on the box w1 <= dn//2, w2 <= dn//3, plus the
     ``decompose`` sweep.  The sweep visits at most the T = (dn+1)(dn+2)/2
     dominant weights i + j <= dn, and a weight peeled there starts at most
-    three rays (``sl3._rays``: two of +g line tops and at most one of -g
-    bottoms), so the sweep's visits plus ray starts are at most 4T.
+    three rays (``sl3._rays``), so the sweep's visits plus ray starts are
+    at most 4T.
     Raises ValueError unless d and n are nonnegative ints."""
     _check_dn(d, n)
     dn = d * n
@@ -278,7 +254,9 @@ def resolve_method(form: str, method: Optional[str] = None) -> str:
     """The method a request runs: ``method``, or the form's default, the
     first key of its table (omega for binary forms, counting for ternary
     forms).  An unknown form, or a method of the other form, raises
-    ValueError.
+    ValueError.  This is the only code that picks a method, the baseline
+    that ``forminv verify`` compares every other method against
+    included.
     """
     if form not in _FORMS:
         raise ValueError(f"unknown form {form!r}")
@@ -341,9 +319,10 @@ def _run(
     """The counts of a resolved method at ``degrees``, by the entry of
     the form's table at call time.  Peel runs once per degree.  A reader
     route works out the ``Reads`` of ``degrees``, builds one reader from
-    it (a binary builder from its order) and sums each degree's cells;
-    a degree without k | d*n counts 0, and when no degree has k | d*n no
-    reader is built."""
+    it (a binary builder from its order), and counts c * coeff(*cell)
+    summed over each degree's cells; a degree without k | d*n counts 0,
+    and when no degree has k | d*n no reader is built.  Nothing is kept
+    between calls: every reader is built afresh."""
     table, k, terms = _FORMS[form]
     if method == "peel":
         return [table[method](d, n, work_limit=work_limit) for n in degrees]
@@ -419,13 +398,15 @@ def pqbinom_reader(d: int, reads: Reads) -> Reader:
     ``reads.box()`` and floored on a + b, held as graded packed ints
     (``_pq_half``).  The split is at half = ceil(2d/3) + 1, which is at
     most d + 1: lo is G_{half-1} down to G_0, and hi is G_d down to
-    G_half (none when half = d + 1), whose pieces are the ones that reach
-    the operator's floor along its slope.  Each half is folded from its
-    largest factor down and starts from that factor's own series, and
-    each is floored against the other half's factors, which will still
-    multiply it.  G_0, last in lo, is multiplied in as a running sum over
-    the powers of t, so the t^n coefficient of the product is the paper's
-    sum over i_1 + ... + i_d <= n of [1 i_1] ... [d i_d].  A coefficient
+    G_half (none when half = d + 1, at d <= 2), whose pieces are the ones
+    that reach the operator's floor along its slope.  Each half is folded
+    from its largest factor down and starts from that factor's own
+    series, and each is floored against the other half's factors, which
+    will still multiply it: lo's rest is d while hi has a factor, and
+    hi's after G_m is m - 1 (``_pq_half``).  G_0, last in lo, is
+    multiplied in as a running sum over the powers of t, so the t^n
+    coefficient of the product is the paper's sum over
+    i_1 + ... + i_d <= n of [1 i_1] ... [d i_d].  A coefficient
     of their product, never formed, is slot b of a sum of piece products:
 
         coeff(n, a, b) = slot b of  sum_i sum_D1 lo[i][D1] * hi[n-i][a+b-D1].
@@ -559,9 +540,11 @@ def _pq_half(
 # route tables
 
 # Each form's methods, its default first, mapped to what ``_run`` calls:
-# a reader route's builder, (d, order) -> coeff for binary forms and
+# a reader route's builder, (d, order) -> coeff for binary forms, exact
+# at w <= d*order//2, which holds both cells w and w - 1 it reads, and
 # (d, reads) -> coeff for ternary forms, or peel's point count, the
-# oracle that ``forminv verify`` runs degree by degree.
+# oracle that ``forminv verify`` runs degree by degree.  Their keys are
+# the CLI's --method choices.
 BINARY_METHODS: Dict[str, Callable[[int, int], Reader]] = {
     "omega": weights.omega_reader,
     "qbinom": gaussian_binomial_low,

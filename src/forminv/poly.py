@@ -20,7 +20,8 @@ The tests check the routes against ``series_mul``,
 ``LaurentPoly``.  ``perfbench/tracer.py`` binds ``series_mul``,
 ``expand_inverse_product``, ``LaurentPoly.__mul__`` and
 ``LaurentPoly.divexact``, which is why they live in the package and not
-in ``tests/``.
+in ``tests/``; the rest of the module is what those four and the
+binomials of ``qbinom`` need.
 """
 
 from __future__ import annotations

@@ -1,47 +1,23 @@
 """Weight multiplicities of irreducible sl3 representations.
 
 Weights are integer pairs (i, j) in fundamental-weight coordinates (the
-eigenvalues of the two Cartan generators).  Multiplicities come from the
-signed Weyl-group alternation over the rank-2 partition function, which
-for sl3 has the closed form min(k1, k2) + 1 on the nonnegative quadrant
-of the root lattice.
+eigenvalues of the two Cartan generators); ``_weyl_orbit`` holds the six
+Weyl maps in them.
 
-``decompose`` peels a character into irreducible highest weights; it is
-the independent oracle against the counting and generating-function
-routes for the trivial-representation multiplicity.  It takes the
-hexagon rule: a dominant weight mu = lam - k1 alpha1 - k2 alpha2 of
-V(m1, m2), with k1, k2 >= 0 on the root lattice, has multiplicity
-1 + min(k1, k2, M), M = min(m1, m2) (Fulton-Harris, Representation
-Theory, Lecture 13).  Its generating function is
-(1 - (xy)^(M+1)) / ((1 - x)(1 - y)(1 - xy)) in x^k1 y^k2, so along each
-line of direction (1, 1) the multiplicity has two nonzero second
-differences, and ``decompose`` peels every highest weight in one
-downward sweep instead of rescanning the residual.  The +1 events, the
-line tops, are the two boundary rays of the dominant hexagon, of
-directions -alpha1 and -alpha2; the -1 events lie on at most one more
-ray; all three run to the walls of the chamber (``_rays``).  So the
-sweep carries each ray line's events as one running sum, and a peel
-costs O(1).  A ray line's weights are one level i + j apart, and the
-sweep fails, naming the weight, where a ray line it carries skips a
-level or stops above its wall.  A (1, 1) line keeps the same rule: a
-peeled multiplicity never falls going down a line, so the sweep fails,
-naming the weight, where a line that holds multiplicity skips a step of
-(-1, -1) or stops above its wall.  No weight is interpolated, and the
-sweep checks every dominant weight of the peeled characters.  These
-checks also reject a far highest weight, whatever its distance: its
-peel is O(1) like any other, and its rays or its line name a weight the
-diagram lacks.  ``weight_multiplicity`` and ``character`` keep the
-alternation (``_alternation``) on purpose, so that decomposing a
-recomposed character checks the sweep against the alternation rather
-than against its own formula.
+  * ``weight_multiplicity`` and ``character`` -- the signed Weyl
+    alternation over the rank-2 partition function (``_alternation``);
+  * ``e_lambda`` -- the paper's five-point functional ``FIVE_POINT`` on
+    a weight diagram, which turns weight counts into invariant counts;
+  * ``decompose`` -- peels a character into irreducible highest weights
+    in one downward sweep (``_rays``): the peel route, the independent
+    oracle against the counting, genfunc and pqbinom routes.
 
-Both ``e_lambda`` and ``decompose`` work per Weyl orbit where the work
-per weight is redundant.  Every FIVE_POINT weight lies in the root
-lattice, so ``e_lambda`` is 0 with no multiplicity read for a lam off
-it, two lam in three.  ``decompose`` checks a full diagram's Weyl
-invariance at its nonzero dominant weights only, one lookup per image
-of their orbits, and counts the orbits' weights against the nonzero
-entries, so no weight outside those orbits passes unseen.
+The sweep rests on the hexagon rule (Fulton-Harris, Representation
+Theory, Lecture 13): the multiplicity of a dominant weight grows by one
+per hexagonal shell of the weight diagram until the shells become
+triangles.  ``character`` keeps the alternation on purpose, so that
+decomposing a recomposed character checks the sweep against the
+alternation rather than against its own formula.
 """
 
 from __future__ import annotations
@@ -125,9 +101,8 @@ def _alternation(images: WeylImages, mu: Weight) -> int:
     s1 s2 term has k2 = -(2a + b + p + 2q)/3 and the other two have
     k1 = -(a + 2b + 2p + q)/3, both negative.
 
-    ``decompose``'s sweep takes the closed form these three terms sum to
-    at a dominant mu, the hexagon rule, as the second differences along
-    each line i - j, carried on three rays (``_rays``); ``character``
+    ``decompose``'s sweep takes instead the closed form these three terms
+    sum to at a dominant mu, the hexagon rule (``_rays``); ``character``
     keeps this function on purpose, as the sweep's independent check,
     and a test pins the rays against it.
     """
@@ -148,7 +123,11 @@ def _alternation(images: WeylImages, mu: Weight) -> int:
 
 def weight_multiplicity(lam: HighestWeight, mu: Weight) -> int:
     """Multiplicity of the weight mu in the irrep with highest weight lam,
-    by the signed Weyl alternation over the sl3 partition function."""
+    by the signed Weyl alternation over the sl3 partition function.
+    Raises ValueError unless lam is a pair of nonnegative ints and mu a
+    pair of ints (an int subclass, bool included, is not an int); for a
+    pair that is not one of ints, the message names each part's type
+    (``_typed``)."""
     images = _weyl_images(lam)
     _check_weight(mu, "weight")
     return _alternation(images, mu)
@@ -159,6 +138,7 @@ def _dimension(m1: int, m2: int) -> int:
 
 
 def dimension(lam: HighestWeight) -> int:
+    """The dimension of V(lam), by Weyl's dimension formula."""
     _check_dominant(lam)
     return _dimension(*lam)
 
@@ -202,9 +182,9 @@ def e_lambda(lam: HighestWeight) -> int:
     which is what turns weight counts into invariant counts.  Every
     FIVE_POINT weight lies in the root lattice, and V(lam) has weights
     only in lam's coset of it, which is the lattice itself exactly when
-    2 m1 + m2 is 0 mod 3 (``character``).  Off the lattice every
-    multiplicity read would be 0, so the functional is 0 with no
-    alternation evaluated; lam is checked first all the same.
+    2 m1 + m2 is 0 mod 3 (``character``).  Off the lattice, two lam in
+    three, every multiplicity read would be 0, so the functional is 0
+    with no alternation evaluated; lam is checked first all the same.
     """
     _check_dominant(lam)
     if (2 * lam[0] + lam[1]) % 3:
@@ -275,7 +255,8 @@ def decompose(diagram: WeightDiagram, total: Optional[int] = None) -> Dict[Highe
     once per orbit: each such dominant weight's five other images
     (``_weyl_orbit``) must hold its multiplicity, and the orbits' sizes,
     6, 3 or 1 as the weight has no, one or two zero coordinates, must
-    sum to the nonzero count.  On a failure the message names the first
+    sum to the nonzero count, so no nonzero weight outside those orbits
+    passes unseen.  On a failure the message names the first
     weight, in diagram order, that s1 or s2 moves to another
     multiplicity, a missing weight counting 0.
 
@@ -312,8 +293,10 @@ def decompose(diagram: WeightDiagram, total: Optional[int] = None) -> Dict[Highe
     checks reject a highest weight far out: the orbit of (10**6, 0)
     beside a trivial part is peeled in O(1), and the end of the sweep
     names (999998, 1), the next weight on its ray along i + 2j = 10**6.
-    The dimension bookkeeping stays as a backstop.  ``character`` keeps
-    the alternation as the sweep's independent check.
+    No weight is interpolated, so the sweep checks every dominant weight
+    of the peeled characters, and the dimension bookkeeping stays only
+    as a backstop.  ``character`` keeps the alternation as the sweep's
+    independent check.
     """
     if total is not None and (type(total) is not int or total < 0):
         raise ValueError(f"total must be a nonnegative int, got {_typed(total)}")

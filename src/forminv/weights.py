@@ -49,13 +49,10 @@ lows[c] - lows[c-1] rows above layer c-1, so a step into it moves by
 that many rows less, a right shift where the total is negative; the
 rows it pushes below the bottom are below lows[c].
 
-``c_ternary`` and ``weight_table`` build the plain box: the window
-0..w1cap in every layer (for the dominant part of the weight table, the
-box w1 <= d*n//2, w2 <= d*n//3 that holds it).  ``solution_count_grid``
-builds the window its caller gives, a floor and a top per layer, the top
-lowered as the variables are folded in, and checks it against the window
-contract (``_grid``); the caller derives it from the cells it will read,
-and nothing here knows which cells those are.
+``c_ternary`` and ``weight_table`` build the plain box, the window
+0..w1cap in every layer.  ``solution_count_grid`` builds the window its
+caller gives (``_grid``); the caller derives it from the cells it will
+read, and nothing here knows which cells those are.
 
 Results are exact Python ints at any size.  Nothing is cached: a grid or
 a binary DP is rebuilt on every call.
@@ -304,7 +301,8 @@ def weight_table(d: int, n: int, dominant: bool = False) -> Dict[Weight, int]:
     2*w1 + w2 <= d*n, so the dominant part is read from the rows
     w1 <= d*n//2 at w2 <= min(w1, d*n - 2*w1) <= d*n//3, and built on
     that box alone: no weight falls along the DP, so every cell of the
-    box is exact.
+    box is exact.  A test pins the full table's s1 and s2 invariance, and
+    its dominant part against the dominant build.
     """
     _check_dn(d, n)
     wmax = d * n

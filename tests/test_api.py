@@ -1,17 +1,22 @@
-"""The names the package root exports, pinned.
+"""The names the package root exports, pinned, and the names README.md
+points to, resolved.
 
 The test oracles (``forminv.poly`` and the binomials of ``qbinom`` built
 by exact division) are importable from their modules only, and so are
-the binary point functions, which name a method a second time beside
+the point functions, which name a method a second time beside
 ``count``.
 """
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import forminv
 from forminv import poly
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC = [
     "DEFAULT_WORK_LIMIT",
@@ -25,7 +30,6 @@ PUBLIC = [
     "e_lambda",
     "gamma_binary_full",
     "monomial_count",
-    "nu_ternary_peel",
     "num_variables",
     "peel_work_estimate",
     "poincare_series",
@@ -48,6 +52,7 @@ ORACLES = sorted(
 POINT_FUNCTIONS = [
     ("counts", "gamma_binary"),
     ("counts", "gamma_binary_qbinom"),
+    ("counts", "nu_ternary_peel"),
     ("weights", "omega_binary"),
 ]
 
@@ -86,3 +91,21 @@ def test_point_function_imports_from_its_module_only(module, name):
     with pytest.raises(ImportError):
         exec(f"from forminv import {name}", {})
     assert callable(getattr(importlib.import_module(f"forminv.{module}"), name))
+
+
+# a backticked ``module.name`` or ``module.Class.name``, for each module
+# whose docstrings the README points to
+POINTER = re.compile(r"`(cli|counts|weights|qbinom|sl3|poly)\.(\w+(?:\.\w+)*)")
+
+
+def test_readme_pointers_resolve():
+    pointers = POINTER.findall(README.read_text(encoding="utf-8"))
+    assert pointers
+    missing = []
+    for module, name in pointers:
+        target = importlib.import_module(f"forminv.{module}")
+        for part in name.split("."):
+            target = getattr(target, part, None)
+        if target is None:
+            missing.append(f"{module}.{name}")
+    assert not missing

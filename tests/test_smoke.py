@@ -1,4 +1,4 @@
-"""End-to-end checks of the command line: the one list of them.
+"""The CI smoke step's checks of the command line, run in process.
 
 ``SMOKE`` pins the paper's five published tables ``P_3 .. P_7`` at
 points and the agreement of the ternary routes past them, each as an
